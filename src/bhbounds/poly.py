@@ -8,6 +8,7 @@ coefficient tensor would be exponential in m.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ class PolynomialFormatError(ValueError):
 
 
 def _canonical_index(alpha: Iterable[int], degree: int, num_vars: int) -> MultiIndex:
-    key = tuple(int(a) for a in alpha)
+    key = tuple([int(a) for a in alpha])
     if len(key) != num_vars:
         raise ValueError(
             f"multi-index {key} has length {len(key)}, expected {num_vars}"
@@ -42,7 +43,8 @@ class HomogeneousPolynomial:
     """Degree-m homogeneous polynomial on C^N in canonical sparse form.
 
     Canonical form: keys are validated against the degree/number of
-    variables, terms with coefficient exactly zero are dropped, and the
+    variables, coefficients must be finite (NaN or an infinity raises
+    ValueError), terms with coefficient exactly zero are dropped, and the
     map iterates in sorted key order.  Equality is equality of canonical
     forms.  Instances are immutable and safe to share across workers.
     """
@@ -57,9 +59,11 @@ class HomogeneousPolynomial:
         if self.num_vars < 1:
             raise ValueError(f"num_vars must be >= 1, got {self.num_vars}")
         canon: dict[MultiIndex, complex] = {}
-        for alpha in sorted(tuple(int(a) for a in k) for k in self.terms):
+        for alpha in sorted(tuple([int(a) for a in k]) for k in self.terms):
             coeff = complex(self.terms[alpha])
             _canonical_index(alpha, self.degree, self.num_vars)
+            if not cmath.isfinite(coeff):
+                raise ValueError(f"term {list(alpha)}: coefficient {coeff} is not finite")
             if coeff == 0:
                 continue
             canon[alpha] = coeff
@@ -71,7 +75,7 @@ class HomogeneousPolynomial:
 
     def evaluate(self, z: Iterable[complex]) -> complex:
         """Value sum_alpha c_alpha * z^alpha at a point of C^N."""
-        point = tuple(complex(v) for v in z)
+        point = tuple([complex(v) for v in z])
         if len(point) != self.num_vars:
             raise ValueError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -248,7 +249,7 @@ def search(cfg: SearchConfig, workers: int = 1) -> WitnessCertificate:
     restarts = list(range(cfg.restarts))
 
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(lambda r: _run_restart(cfg, indices, r), restarts))
     else:
         outcomes = [_run_restart(cfg, indices, r) for r in restarts]

@@ -6,22 +6,29 @@ whole module works on the torus: the objective is
 
     g(theta) = |P(e^{i theta_1}, ..., e^{i theta_N})|.
 
-Strategy: a uniform angle grid gives a lower bound and a starting point,
-cyclic coordinate ascent with golden-section line searches polishes it,
-and a first-order Lipschitz slack turns the grid value into a rigorous
-upper bracket.  Variables whose exponent is the same in every term only
-contribute a unimodular factor on the torus, so they are pinned to angle
-zero and removed from the grid; for the witness family this collapses the
-search to the two active variables regardless of the degree.
+Variables whose exponent is the same in every term only contribute a
+unimodular factor on the torus, so they are pinned to angle zero.  An
+m-homogeneous P also has P(e^{i phi} z) = e^{i m phi} P(z), so g is
+invariant under the diagonal phase theta -> theta + phi*(1, ..., 1); the
+first remaining (active) axis is pinned to zero as well and the search
+runs on the quotient torus over the other, free, axes.  For the witness
+family this leaves one free axis at every degree.
+
+Strategy: a uniform angle grid over the free axes gives a lower bound and
+a starting point, cyclic coordinate ascent maximises each line exactly
+(the line is a trigonometric polynomial, maximised through the roots of
+its derivative), and a first-order Lipschitz slack turns the grid value
+into a rigorous upper bracket.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +36,8 @@ from .poly import HomogeneousPolynomial
 
 TWO_PI = 2.0 * math.pi
 
-# Hard cap on evaluated grid points (after pinning inactive variables).
+# Hard cap on evaluated grid points (over the free axes only).
 MAX_GRID_POINTS = 1 << 26
-
-# Angle tolerance of each golden-section line search.
-_GOLDEN_ANGLE_TOL = 1e-12
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Grid points evaluated per numpy slab; bounds peak memory per worker.
 _SLAB_POINTS = 1 << 20
@@ -94,12 +97,17 @@ class RefineResult(NamedTuple):
     converged: bool
 
 
-def _active_axes(P: HomogeneousPolynomial) -> list[int]:
-    """Axes whose exponent varies across terms.
+def _free_axes(P: HomogeneousPolynomial) -> list[int]:
+    """Axes the torus search varies: those whose exponent varies across
+    terms, except the first of them.
 
     A variable with the same exponent a in every term factors out as
     z_j^a, which has modulus one on the torus; |P| does not depend on its
-    angle, so it can be pinned to 0 without changing the maximum.
+    angle, so it is pinned to 0.  The first varying axis is pinned to 0 by
+    the diagonal phase: moving every angle by the same phi leaves |P|
+    unchanged, so every orbit meets the slice where that angle is 0.  Two
+    terms of equal degree that differ on one axis differ on two, so a
+    polynomial with two or more terms always keeps a free axis.
     """
     alphas = list(P.terms)
     if len(alphas) <= 1:
@@ -107,7 +115,7 @@ def _active_axes(P: HomogeneousPolynomial) -> list[int]:
     first = alphas[0]
     return [
         j for j in range(P.num_vars) if any(alpha[j] != first[j] for alpha in alphas)
-    ]
+    ][1:]
 
 
 def _phase_tables(P: HomogeneousPolynomial, axes: list[int], K: int) -> list[np.ndarray]:
@@ -131,7 +139,7 @@ def _grid_chunk_max(
 ) -> tuple[float, int]:
     """Max of |P| over flat grid indices [start, stop) and its first argmax.
 
-    Flat index order is row-major over the active axes in ascending
+    Flat index order is row-major over the free axes in ascending
     variable order, which is exactly lexicographic order of the angle
     vectors; np.argmax returns the first maximizer, so scanning slabs in
     order preserves the global lexicographic tie-break.
@@ -169,17 +177,20 @@ def torus_grid_max(
 
     Returns the value (a valid lower bound on ||P||) and an attaining
     angle vector; ties are broken by the lexicographically smallest
-    vector.  Inactive variables are pinned to angle 0, which is on every
-    grid and lexicographically minimal, so the result is identical to a
-    literal scan of all K^N points.
+    vector.  Only the free axes are scanned, K^(d-1) points for d active
+    axes: a diagonal shift by one grid step permutes the grid and keeps
+    |P|, so every grid maximum has a copy whose first active angle is 0,
+    and the lexicographically smallest one is such a copy.  Pinned angles
+    are 0, so the result is that of a literal scan of all K^N points, up
+    to rounding in the values of shifted copies.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
     if P.is_zero:
         return 0.0, (0.0,) * P.num_vars
-    axes = _active_axes(P)
+    axes = _free_axes(P)
     if not axes:
-        # Constant exponents across terms force a single term.
+        # No free axis means a single term.
         (coeff,) = P.terms.values()
         return abs(coeff), (0.0,) * P.num_vars
     total = K ** len(axes)
@@ -197,7 +208,7 @@ def torus_grid_max(
         return _grid_chunk_max(P, axes, tables, K, span[0], span[1])
 
     if chunks > 1:
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
+        with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
             results = list(pool.map(run, ranges))
     else:
         results = [run(span) for span in ranges]
@@ -217,43 +228,35 @@ def torus_grid_max(
     return best_val, tuple(angles)
 
 
-def _torus_point(angles: tuple[float, ...]) -> tuple[complex, ...]:
-    return tuple(cmath.exp(1j * t) for t in angles)
+def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
+    return tuple([cmath.exp(1j * t) for t in angles])
 
 
-def _line_coefficients(
-    P: HomogeneousPolynomial, angles: list[float], axis: int
-) -> dict[int, complex]:
-    """Collapse P along one coordinate: P(theta with theta_axis = t) =
-    sum_a g_a e^{i a t}, with all other angles frozen."""
-    groups: dict[int, complex] = {}
+def _line_argmax(P: HomogeneousPolynomial, angles: list[float], axis: int) -> float | None:
+    """Global maximiser t of f(t) = |P(theta with theta_axis = t)|^2.
+
+    With the other angles frozen, P = sum_a g_a e^{i a t}.  Trimmed to its
+    nonzero span of D+1 entries (a unimodular factor drops out) and scaled
+    to unit peak, f(t) = sum_{|k|<=D} h_k e^{i k t} with h = correlate(g, g),
+    and f'(t) = 0 exactly when w = e^{i t} is a root of
+    sum_k k h_k w^(k+D).  f is evaluated at the angle of every root, so
+    the best is the global maximiser up to root accuracy.  Returns None
+    when f is constant.
+    """
+    g = np.zeros(P.degree + 1, dtype=np.complex128)
     for alpha, coeff in P.terms.items():
         phase = sum(alpha[l] * angles[l] for l in range(len(angles)) if l != axis)
-        g = coeff * cmath.exp(1j * phase)
-        groups[alpha[axis]] = groups.get(alpha[axis], 0j) + g
-    return groups
-
-
-def _golden_section_max(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section maximization of fn over [lo, hi] to angle tolerance tol."""
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while (b - a) > tol:
-        if f1 < f2:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = fn(x2)
-        else:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = fn(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+        g[alpha[axis]] += coeff * cmath.exp(1j * phase)
+    nonzero = np.flatnonzero(g)
+    if len(nonzero) < 2:
+        return None
+    g = g[nonzero[0] : nonzero[-1] + 1]
+    g /= np.abs(g).max()
+    D = len(g) - 1
+    h = np.correlate(g, g, "full")
+    ts = np.angle(np.roots((np.arange(-D, D + 1) * h)[::-1]))
+    fs = np.abs(np.exp(1j * np.outer(ts, np.arange(D + 1))) @ g)
+    return float(ts[int(np.argmax(fs))])
 
 
 def refine_local(
@@ -261,24 +264,26 @@ def refine_local(
     angles: tuple[float, ...] | list[float],
     tol: float = 1e-10,
     max_iter: int = 200,
-    cell_width: float = TWO_PI / 64,
 ) -> RefineResult:
-    """Cyclic coordinate ascent on theta -> |P(e^{i theta})|.
+    """Cyclic coordinate ascent on theta -> |P(e^{i theta})| over the free axes.
 
-    Each coordinate is improved by a golden-section search over a bracket
-    of one grid cell (cell_width each side of the current angle, matching
-    the grid the start point came from).  A move is accepted only if the
-    re-evaluated |P| strictly increases, so the returned value never drops
-    below the input value.  Stops when a full sweep improves the value by
-    less than tol (converged) or after max_iter sweeps (not converged).
+    Each free coordinate moves to the global maximum of |P| along its
+    line, found exactly (see _line_argmax).  Pinned axes keep their angles;
+    every diagonal-phase orbit meets the points that share them.  A move
+    is accepted only if the re-evaluated |P| strictly increases, so the
+    returned value never drops below the input value.  With one free axis
+    that line is the whole quotient torus, so one sweep finds the global
+    maximum and the ascent stops (converged).  Otherwise it stops when a
+    sweep improves the value by less than tol (converged) or after
+    max_iter sweeps (not converged).
     """
     theta = [t % TWO_PI for t in angles]
     if len(theta) != P.num_vars:
         raise ValueError(
             f"angle vector has length {len(theta)}, expected {P.num_vars}"
         )
-    value = abs(P.evaluate(_torus_point(tuple(theta))))
-    axes = _active_axes(P)
+    value = abs(P.evaluate(_torus_point(theta)))
+    axes = _free_axes(P)
     if not axes:
         return RefineResult(value, tuple(theta), 0, True)
 
@@ -288,29 +293,16 @@ def refine_local(
         sweeps += 1
         sweep_start = value
         for j in axes:
-            groups = _line_coefficients(P, theta, j)
-            items = sorted(groups.items())
-
-            def line_sq(t: float) -> float:
-                acc = 0j
-                for a, g in items:
-                    acc += g * cmath.exp(1j * a * t)
-                return acc.real * acc.real + acc.imag * acc.imag
-
-            t_best, f_best = _golden_section_max(
-                line_sq,
-                theta[j] - cell_width,
-                theta[j] + cell_width,
-                _GOLDEN_ANGLE_TOL,
-            )
-            if f_best > value * value:
-                candidate = list(theta)
-                candidate[j] = t_best % TWO_PI
-                cand_value = abs(P.evaluate(_torus_point(tuple(candidate))))
-                if cand_value > value:
-                    theta = candidate
-                    value = cand_value
-        if value - sweep_start < tol:
+            t = _line_argmax(P, theta, j)
+            if t is None:
+                continue
+            candidate = list(theta)
+            candidate[j] = t % TWO_PI
+            cand_value = abs(P.evaluate(_torus_point(candidate)))
+            if cand_value > value:
+                theta = candidate
+                value = cand_value
+        if len(axes) == 1 or value - sweep_start < tol:
             converged = True
             break
     return RefineResult(value, tuple(theta), sweeps, converged)
@@ -341,11 +333,7 @@ def sup_norm(P: HomogeneousPolynomial, cfg: SupNormConfig | None = None) -> SupN
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, K, True)
     grid_value, grid_angles = torus_grid_max(P, K, cfg.parallel_chunks)
     refined = refine_local(
-        P,
-        grid_angles,
-        tol=cfg.refine_tolerance,
-        max_iter=cfg.max_refine_iterations,
-        cell_width=TWO_PI / K,
+        P, grid_angles, tol=cfg.refine_tolerance, max_iter=cfg.max_refine_iterations
     )
     slack = torus_lipschitz_bound(P) * math.pi / K
     return SupNormResult(

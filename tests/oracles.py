@@ -16,7 +16,11 @@ from bhbounds import HomogeneousPolynomial, degree_multi_indices
 
 
 def brute_force_torus_max(P: HomogeneousPolynomial, K: int) -> float:
-    """Max of |P| over the full K^N angle grid by direct evaluation."""
+    """Max of |P| over the full K^N angle grid by direct evaluation.
+
+    For three variables only the theta_1 = 0 slice is evaluated, which
+    holds every grid value (see _brute_3d); full_grid_max checks that.
+    """
     if P.num_vars == 1:
         return _brute_1d(P, K)
     if P.num_vars == 2:
@@ -58,23 +62,24 @@ def _brute_2d(P: HomogeneousPolynomial, K: int) -> float:
 
 
 def _brute_3d(P: HomogeneousPolynomial, K: int) -> float:
-    # Group terms by the first exponent so each theta_1 slice is a cheap
-    # combination of precomputed (theta_2, theta_3) planes.
+    # |P| is invariant under the diagonal phase theta -> theta + phi*(1, 1, 1)
+    # (P is homogeneous), and a shift by one grid step permutes the grid, so
+    # every grid value also appears on the theta_1 = 0 slice.
     theta = 2 * np.pi * np.arange(K) / K
-    groups: dict[int, np.ndarray] = {}
+    vals = np.zeros((K, K), dtype=np.complex128)
     for alpha, c in P.terms.items():
-        plane = c * np.exp(1j * np.add.outer(alpha[1] * theta, alpha[2] * theta))
-        if alpha[0] in groups:
-            groups[alpha[0]] += plane
-        else:
-            groups[alpha[0]] = plane
-    exps = np.array(sorted(groups))
-    stack = np.stack([groups[a] for a in exps])
-    best = 0.0
-    for k in range(K):
-        slice_vals = np.tensordot(np.exp(1j * theta[k] * exps), stack, axes=1)
-        best = max(best, float(np.abs(slice_vals).max()))
-    return best
+        vals += c * np.exp(1j * np.add.outer(alpha[1] * theta, alpha[2] * theta))
+    return float(np.abs(vals).max())
+
+
+def full_grid_max(P: HomogeneousPolynomial, K: int) -> float:
+    """Max of |P| over all K^N grid points, using no symmetry (small K only)."""
+    theta = 2 * np.pi * np.arange(K) / K
+    axes = np.meshgrid(*([theta] * P.num_vars), indexing="ij")
+    vals = np.zeros(axes[0].shape, dtype=np.complex128)
+    for alpha, c in P.terms.items():
+        vals += c * np.exp(1j * sum(a * t for a, t in zip(alpha, axes)))
+    return float(np.abs(vals).max())
 
 
 def coefficient_l1(P: HomogeneousPolynomial) -> float:

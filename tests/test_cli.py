@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -83,6 +84,15 @@ def test_ratio_zero_polynomial(tmp_path):
     doc = {"m": 2, "n": 2, "terms": []}
     path = write_witness_file(tmp_path, doc, "zero.json")
     assert run_cli("ratio", "--file", path).returncode == 2
+
+
+def test_ratio_non_finite_coefficient(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):  # json writes NaN, Infinity
+        doc = {"m": 2, "n": 2, "terms": [{"alpha": [2, 0], "re": bad, "im": 0.0}]}
+        proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "bad.json"))
+        assert proc.returncode == 2
+        assert "not finite" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_ratio_missing_file():

@@ -37,6 +37,15 @@ def test_construction_rejects_bad_indices():
         HomogeneousPolynomial(0, 2, {})  # degree must be positive
 
 
+def test_construction_rejects_non_finite_coefficients():
+    for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.nan)):
+        with pytest.raises(ValueError, match="not finite"):
+            HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): bad})
+    doc = {"m": 2, "n": 2, "terms": [{"alpha": [2, 0], "re": math.nan, "im": 0.0}]}
+    with pytest.raises(ValueError, match=r"\[2, 0\]"):
+        polynomial_from_dict(doc)
+
+
 def test_evaluate_difference_of_squares():
     P = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (0, 2): -1.0})
     assert P.evaluate([1.0, 1j]) == pytest.approx(2.0 + 0j, abs=1e-15)

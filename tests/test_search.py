@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -196,6 +198,22 @@ def test_search_deterministic_across_workers():
     cfg = small_config(2, 2, restarts=4)
     certs = [certificate_json(search(cfg, workers=w)) for w in (1, 1, 3)]
     assert certs[0] == certs[1] == certs[2]
+
+
+def test_search_thread_pool_capped_at_cpu_count(monkeypatch):
+    # the package re-exports the function search under the module's name
+    search_module = importlib.import_module("bhbounds.search")
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(search_module, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
+    cfg = small_config(2, 2, restarts=3, eval_budget=10)
+    assert certificate_json(search(cfg, workers=1000)) == certificate_json(search(cfg))
+    assert sizes == [2]
 
 
 def test_search_monotone_in_restarts():

@@ -1,5 +1,6 @@
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bhbounds import (
 )
 from oracles import (
     brute_force_torus_max,
+    full_grid_max,
     lipschitz_slack,
     random_polynomial,
     random_valid_quadratic,
@@ -57,14 +59,37 @@ def test_grid_max_product_of_variables():
         assert angles == (0.0,) * m  # single term pins every variable
 
 
+def first_active_axis(P):
+    alphas = list(P.terms)
+    return next(
+        (j for j in range(P.num_vars) if any(a[j] != alphas[0][j] for a in alphas)),
+        None,
+    )
+
+
 def test_grid_max_matches_brute_force():
+    # The grid pins the first active angle at 0 (diagonal phase); the value
+    # must still be the maximum over the whole K^N grid and be attained.
     rng = np.random.default_rng(101)
-    for _ in range(15):
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(1, 3))
-        P = random_polynomial(rng, m, n)
-        value, _ = torus_grid_max(P, 32)
-        assert value == pytest.approx(brute_force_torus_max(P, 32), rel=1e-12)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            P = random_polynomial(rng, int(rng.integers(2, 5)), n)
+            value, angles = torus_grid_max(P, 32)
+            assert value == pytest.approx(brute_force_torus_max(P, 32), rel=1e-12)
+            assert value == pytest.approx(full_grid_max(P, 32), rel=1e-12)
+            j = first_active_axis(P)
+            assert j is None or angles[j] == 0.0
+            z = [cmath.exp(1j * t) for t in angles]
+            assert abs(P.evaluate(z)) == pytest.approx(value, rel=1e-12)
+
+
+def test_brute_force_oracle_slice_matches_full_scan():
+    rng = np.random.default_rng(77)
+    for _ in range(6):
+        P = random_polynomial(rng, int(rng.integers(2, 5)), 3)
+        assert brute_force_torus_max(P, 32) == pytest.approx(
+            full_grid_max(P, 32), rel=1e-12
+        )
 
 
 def test_grid_max_monotone_in_grid_refinement():
@@ -86,6 +111,23 @@ def test_grid_max_deterministic_across_chunk_counts():
             assert angles == results[0][1]
 
 
+def test_grid_thread_pool_capped_at_cpu_count(monkeypatch):
+    import bhbounds.supnorm as supnorm_module
+
+    sizes = []
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(supnorm_module, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(supnorm_module.os, "cpu_count", lambda: 2)
+    P = random_polynomial(np.random.default_rng(8), 3, 3)
+    serial = torus_grid_max(P, 16, 1)
+    assert torus_grid_max(P, 16, 100) == serial
+    assert sizes == [2]
+
+
 def test_grid_too_large():
     P = HomogeneousPolynomial(
         2, 5, {(1, 1, 0, 0, 0): 1.0, (0, 0, 1, 1, 0): 1.0, (0, 0, 0, 1, 1): -1.0}
@@ -100,7 +142,7 @@ def test_grid_too_large():
 def test_refine_converges_from_coarse_grid():
     P = quadratic(1.0, -1.0, 0.0)
     _, start = torus_grid_max(P, 8)
-    result = refine_local(P, start, tol=1e-12, max_iter=200, cell_width=TWO_PI / 8)
+    result = refine_local(P, start, tol=1e-12, max_iter=200)
     assert result.value == pytest.approx(2.0, abs=1e-10)
     assert result.converged
 
@@ -108,7 +150,7 @@ def test_refine_converges_from_coarse_grid():
 def test_refine_fixed_point_at_local_max():
     P = quadratic(1.0, -1.0, 0.0)
     start = (0.0, math.pi / 2)  # |P| = 2 exactly, the global max
-    result = refine_local(P, start, tol=1e-10, max_iter=200, cell_width=TWO_PI / 64)
+    result = refine_local(P, start, tol=1e-10, max_iter=200)
     assert result.value == 2.0
     assert result.sweeps == 1
     assert result.converged
@@ -118,8 +160,30 @@ def test_refine_reaches_closed_form_from_k32_start():
     c = 2.828427
     P = quadratic(1.0, -1.0, c)
     _, start = torus_grid_max(P, 32)
-    result = refine_local(P, start, tol=1e-12, max_iter=200, cell_width=TWO_PI / 32)
+    result = refine_local(P, start, tol=1e-12, max_iter=200)
     assert result.value == pytest.approx(math.sqrt(4.0 + c * c), abs=1e-8)
+
+
+def test_refine_single_line_matches_dense_sampling():
+    # Two variables leave one free axis after the diagonal pin, so refine
+    # maximises a single line exactly, in one sweep, from any start.
+    rng = np.random.default_rng(61)
+    samples = 1 << 16
+    t = TWO_PI * np.arange(samples) / samples
+    for m in (2, 3, 5, 8):
+        P = random_polynomial(rng, m, 2)
+        start = tuple(rng.uniform(0, TWO_PI, 2))
+        result = refine_local(P, start, tol=1e-10, max_iter=200)
+        assert result.sweeps == 1
+        assert result.converged
+        line = sum(
+            c * np.exp(1j * (a[0] * start[0] + a[1] * t)) for a, c in P.terms.items()
+        )
+        dense = float(np.abs(line).max())
+        assert dense <= result.value + 1e-12
+        assert result.value <= dense + lipschitz_slack(P, samples)
+        z = [cmath.exp(1j * a) for a in result.angles]
+        assert abs(P.evaluate(z)) == result.value
 
 
 def test_refine_never_decreases():
