@@ -31,6 +31,8 @@ from .supnorm import SupNormConfig
 
 VERIFY_TOLERANCE = 1e-6
 
+TOL_HELP = "stop refining when a sweep gains at most this fraction of the estimate"
+
 
 def _sig12(x: float) -> float:
     """Round a float to 12 significant digits for stable JSON output."""
@@ -41,12 +43,8 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _supnorm_config(args, parallel_chunks: int = 1) -> SupNormConfig:
-    return SupNormConfig(
-        grid_points_per_axis=args.grid,
-        refine_tolerance=args.tol,
-        parallel_chunks=parallel_chunks,
-    )
+def _supnorm_config(args) -> SupNormConfig:
+    return SupNormConfig(grid_points_per_axis=args.grid, refine_tolerance=args.tol)
 
 
 def cmd_bounds(args) -> int:
@@ -71,8 +69,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_ratio(args) -> int:
     P = load_polynomial(args.file)
-    cfg = _supnorm_config(args, parallel_chunks=args.threads)
-    cert = certify(P, cfg)
+    cert = certify(P, _supnorm_config(args))
     _print_json(
         {
             "m": P.degree,
@@ -93,7 +90,7 @@ def cmd_verify_family(args) -> int:
     if args.m_max < 2:
         print(f"error: --to must be >= 2, got {args.m_max}", file=sys.stderr)
         return 2
-    cfg = _supnorm_config(args, parallel_chunks=args.threads)
+    cfg = _supnorm_config(args)
     lines = ["m,status,estimate,expected,abs_error"]
     all_pass = True
     for m in range(2, args.m_max + 1):
@@ -152,11 +149,9 @@ def cmd_search(args) -> int:
         step_init=args.step_init,
         step_min=args.step_min,
         eval_budget=args.budget,
-        supnorm=SupNormConfig(
-            grid_points_per_axis=args.grid, refine_tolerance=args.tol
-        ),
+        supnorm=_supnorm_config(args),
     )
-    cert = search(cfg, workers=args.threads)
+    cert = search(cfg)
     out_path = args.out or f"bh-cert-m{args.m}-n{args.n}-seed{args.seed}.json"
     with open(out_path, "w") as fh:
         fh.write(certificate_json(cert))
@@ -196,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio = sub.add_parser("ratio", help="ratio of one polynomial from a JSON file")
     p_ratio.add_argument("--file", required=True)
     p_ratio.add_argument("--grid", type=int, default=64)
-    p_ratio.add_argument("--tol", type=float, default=1e-10)
-    p_ratio.add_argument("--threads", type=int, default=1)
+    p_ratio.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
     p_ratio.set_defaults(func=cmd_ratio)
 
     p_verify = sub.add_parser(
@@ -206,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--to", dest="m_max", type=int, required=True)
     p_verify.add_argument("--grid", type=int, default=64)
-    p_verify.add_argument("--tol", type=float, default=1e-10)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
     p_verify.set_defaults(func=cmd_verify_family)
 
     p_curve = sub.add_parser("fm-curve", help="sample the family ratio curve as CSV")
@@ -226,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--step-init", type=float, default=0.5)
     p_search.add_argument("--step-min", type=float, default=1e-6)
     p_search.add_argument("--grid", type=int, default=64)
-    p_search.add_argument("--tol", type=float, default=1e-10)
+    p_search.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
     p_search.add_argument("--out", default=None)
-    p_search.add_argument("--threads", type=int, default=1)
     p_search.set_defaults(func=cmd_search)
 
     return parser

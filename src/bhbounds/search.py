@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -44,9 +42,9 @@ class SearchConfig:
     """Knobs for the multi-restart pattern search.
 
     eval_budget counts ratio evaluations per restart, so restarts stay
-    independent and results cannot depend on scheduling.  Restart r draws
-    its start from a generator seeded with rng_seed + r; restart 0 is
-    always seeded from the witness family instead.
+    independent of one another.  Restart r draws its start from a
+    generator seeded with rng_seed + r; restart 0 is always seeded from
+    the witness family instead.
     """
 
     m: int
@@ -235,27 +233,20 @@ def certify(
     )
 
 
-def search(cfg: SearchConfig, workers: int = 1) -> WitnessCertificate:
+def search(cfg: SearchConfig) -> WitnessCertificate:
     """Multi-restart pattern search; returns the best certificate found.
 
     Restarts are independent (restart r owns generator rng_seed + r and
-    its own eval budget), so the merge -- maximum ratio estimate, ties
-    broken by the lowest restart index -- is identical for any worker
-    count.  The estimate is the merge key because it is the quantity the
-    search optimizes and the quantity the seeded floor guarantees; the
-    certified value is reported alongside it in the certificate.
+    its own eval budget) and run in index order; the merge keeps the
+    maximum ratio estimate, ties broken by the lowest restart index.  The
+    estimate is the merge key because it is the quantity the search
+    optimizes and the quantity the seeded floor guarantees; the certified
+    value is reported alongside it in the certificate.
     """
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    restarts = list(range(cfg.restarts))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
-            outcomes = list(pool.map(lambda r: _run_restart(cfg, indices, r), restarts))
-    else:
-        outcomes = [_run_restart(cfg, indices, r) for r in restarts]
-
     best: _RestartOutcome | None = None
-    for outcome in outcomes:  # ascending index; strict > keeps earliest on ties
+    for r in range(cfg.restarts):  # strict > keeps the earliest on ties
+        outcome = _run_restart(cfg, indices, r)
         if not math.isfinite(outcome.estimate):
             continue
         if best is None or outcome.estimate > best.estimate:
@@ -276,48 +267,14 @@ def search(cfg: SearchConfig, workers: int = 1) -> WitnessCertificate:
 # --- certificate file format (schema bh-cert-1) ------------------------------
 
 
-def _supnorm_config_to_dict(cfg: SupNormConfig) -> dict:
-    return {
-        "grid_points_per_axis": cfg.grid_points_per_axis,
-        "refine_tolerance": cfg.refine_tolerance,
-        "max_refine_iterations": cfg.max_refine_iterations,
-        "parallel_chunks": cfg.parallel_chunks,
-    }
-
-
 def _supnorm_config_from_dict(doc: dict) -> SupNormConfig:
-    return SupNormConfig(
-        grid_points_per_axis=doc["grid_points_per_axis"],
-        refine_tolerance=doc["refine_tolerance"],
-        max_refine_iterations=doc["max_refine_iterations"],
-        parallel_chunks=doc["parallel_chunks"],
-    )
-
-
-def _search_config_to_dict(cfg: SearchConfig) -> dict:
-    return {
-        "m": cfg.m,
-        "num_vars": cfg.num_vars,
-        "restarts": cfg.restarts,
-        "rng_seed": cfg.rng_seed,
-        "step_init": cfg.step_init,
-        "step_min": cfg.step_min,
-        "eval_budget": cfg.eval_budget,
-        "supnorm": _supnorm_config_to_dict(cfg.supnorm),
-    }
+    # Only the fields are read: older bh-cert-1 files also carry the chunk
+    # count of the since-removed threaded grid, which changed no result.
+    return SupNormConfig(**{f.name: doc[f.name] for f in fields(SupNormConfig)})
 
 
 def _search_config_from_dict(doc: dict) -> SearchConfig:
-    return SearchConfig(
-        m=doc["m"],
-        num_vars=doc["num_vars"],
-        restarts=doc["restarts"],
-        rng_seed=doc["rng_seed"],
-        step_init=doc["step_init"],
-        step_min=doc["step_min"],
-        eval_budget=doc["eval_budget"],
-        supnorm=_supnorm_config_from_dict(doc["supnorm"]),
-    )
+    return SearchConfig(**{**doc, "supnorm": _supnorm_config_from_dict(doc["supnorm"])})
 
 
 def certificate_to_dict(cert: WitnessCertificate) -> dict:
@@ -327,20 +284,10 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
         "coeff_norm": cert.coeff_norm,
         "estimate": cert.estimate,
         "certified_lower": cert.certified_lower,
-        "supnorm": {
-            "lower_estimate": cert.supnorm.lower_estimate,
-            "upper_bracket": cert.supnorm.upper_bracket,
-            "arg_angles": list(cert.supnorm.arg_angles),
-            "grid_used": cert.supnorm.grid_used,
-            "converged": cert.supnorm.converged,
-        },
+        "supnorm": {**asdict(cert.supnorm), "arg_angles": list(cert.supnorm.arg_angles)},
         "config": {
-            "supnorm": _supnorm_config_to_dict(cert.supnorm_config),
-            "search": (
-                _search_config_to_dict(cert.search_config)
-                if cert.search_config is not None
-                else None
-            ),
+            "supnorm": asdict(cert.supnorm_config),
+            "search": asdict(cert.search_config) if cert.search_config is not None else None,
         },
         "seed": cert.seed,
         "restart_index": cert.restart_index,
@@ -358,13 +305,7 @@ def certificate_from_dict(doc: dict) -> WitnessCertificate:
     return WitnessCertificate(
         polynomial=polynomial_from_dict(doc["polynomial"]),
         coeff_norm=doc["coeff_norm"],
-        supnorm=SupNormResult(
-            lower_estimate=sup["lower_estimate"],
-            upper_bracket=sup["upper_bracket"],
-            arg_angles=tuple(sup["arg_angles"]),
-            grid_used=sup["grid_used"],
-            converged=sup["converged"],
-        ),
+        supnorm=SupNormResult(**{**sup, "arg_angles": tuple(sup["arg_angles"])}),
         certified_lower=doc["certified_lower"],
         estimate=doc["estimate"],
         supnorm_config=_supnorm_config_from_dict(doc["config"]["supnorm"]),

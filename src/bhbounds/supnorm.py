@@ -15,18 +15,17 @@ runs on the quotient torus over the other, free, axes.  For the witness
 family this leaves one free axis at every degree.
 
 Strategy: a uniform angle grid over the free axes gives a lower bound and
-a starting point, cyclic coordinate ascent maximises each line exactly
-(the line is a trigonometric polynomial, maximised through the roots of
-its derivative), and a first-order Lipschitz slack turns the grid value
-into a rigorous upper bracket.
+a starting point (on the K-point grid P is an inverse DFT of its
+coefficients, with exponents taken mod K), cyclic coordinate ascent
+maximises each line exactly (the line is a trigonometric polynomial,
+maximised through the roots of its derivative), and a first-order
+Lipschitz slack turns the grid value into a rigorous upper bracket.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,7 +38,7 @@ TWO_PI = 2.0 * math.pi
 # Hard cap on evaluated grid points (over the free axes only).
 MAX_GRID_POINTS = 1 << 26
 
-# Grid points evaluated per numpy slab; bounds peak memory per worker.
+# Grid points evaluated per numpy slab; bounds the size of each |P| array.
 _SLAB_POINTS = 1 << 20
 
 
@@ -53,12 +52,18 @@ class FormulaDomainError(ValueError):
 
 @dataclass(frozen=True)
 class SupNormConfig:
-    """Tuning knobs for the grid-then-refine sup-norm engine."""
+    """Settings of the grid-then-refine sup-norm engine.
+
+    grid_points_per_axis is K, the grid size per free axis; it sets the
+    Lipschitz slack pi/K of the upper bracket.  Refinement stops once a
+    sweep raises the value by at most refine_tolerance relative to it, so
+    the stop does not depend on the scale of P, or after
+    max_refine_iterations sweeps.
+    """
 
     grid_points_per_axis: int = 64
     refine_tolerance: float = 1e-10
     max_refine_iterations: int = 200
-    parallel_chunks: int = 1
 
     def __post_init__(self) -> None:
         if self.grid_points_per_axis < 2:
@@ -67,8 +72,6 @@ class SupNormConfig:
             raise ValueError("refine_tolerance must be > 0")
         if self.max_refine_iterations < 1:
             raise ValueError("max_refine_iterations must be >= 1")
-        if self.parallel_chunks < 1:
-            raise ValueError("parallel_chunks must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,61 +121,7 @@ def _free_axes(P: HomogeneousPolynomial) -> list[int]:
     ][1:]
 
 
-def _phase_tables(P: HomogeneousPolynomial, axes: list[int], K: int) -> list[np.ndarray]:
-    """tables[t][a, k] = exp(2*pi*i * a * k / K) for axis axes[t]."""
-    tables = []
-    for j in axes:
-        max_exp = max(alpha[j] for alpha in P.terms)
-        tables.append(
-            np.exp(2j * np.pi * np.outer(np.arange(max_exp + 1), np.arange(K)) / K)
-        )
-    return tables
-
-
-def _grid_chunk_max(
-    P: HomogeneousPolynomial,
-    axes: list[int],
-    tables: list[np.ndarray],
-    K: int,
-    start: int,
-    stop: int,
-) -> tuple[float, int]:
-    """Max of |P| over flat grid indices [start, stop) and its first argmax.
-
-    Flat index order is row-major over the free axes in ascending
-    variable order, which is exactly lexicographic order of the angle
-    vectors; np.argmax returns the first maximizer, so scanning slabs in
-    order preserves the global lexicographic tie-break.
-    """
-    best_val = -1.0
-    best_flat = start
-    for lo in range(start, stop, _SLAB_POINTS):
-        hi = min(lo + _SLAB_POINTS, stop)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = []
-        rem = idx
-        for _ in range(len(axes)):
-            rem, digit = np.divmod(rem, K)
-            digits.append(digit)
-        digits.reverse()  # digits[t] now corresponds to axes[t]
-        vals = np.zeros(hi - lo, dtype=np.complex128)
-        for alpha, coeff in P.terms.items():
-            term = np.full(hi - lo, coeff, dtype=np.complex128)
-            for t, j in enumerate(axes):
-                if alpha[j]:
-                    term *= tables[t][alpha[j]][digits[t]]
-            vals += term
-        mags = np.abs(vals)
-        local = int(np.argmax(mags))
-        if mags[local] > best_val:
-            best_val = float(mags[local])
-            best_flat = lo + local
-    return best_val, best_flat
-
-
-def torus_grid_max(
-    P: HomogeneousPolynomial, K: int, parallel_chunks: int = 1
-) -> tuple[float, tuple[float, ...]]:
+def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float, ...]]:
     """Max of |P(e^{i theta})| over the uniform K^N angle grid.
 
     Returns the value (a valid lower bound on ||P||) and an attaining
@@ -183,6 +132,13 @@ def torus_grid_max(
     and the lexicographically smallest one is such a copy.  Pinned angles
     are 0, so the result is that of a literal scan of all K^N points, up
     to rounding in the values of shifted copies.
+
+    On the grid, P is an inverse DFT of its coefficients: e^{2 pi i a k/K}
+    depends on the exponent a only mod K, so the coefficients are summed
+    into an array indexed by exponents mod K over the free axes.  Every
+    free axis but the first is inverse-transformed by an FFT; the first
+    is summed directly against e^{2 pi i a k_0/K}, a slab of rows at a
+    time, which bounds the size of each |P| array.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -199,32 +155,37 @@ def torus_grid_max(
             f"grid of {K}^{len(axes)} = {total} points exceeds the limit of "
             f"{MAX_GRID_POINTS}; use fewer variables or a smaller grid"
         )
-    tables = _phase_tables(P, axes, K)
-    chunks = min(parallel_chunks, total)
-    bounds = [(total * c) // chunks for c in range(chunks + 1)]
-    ranges = [(bounds[c], bounds[c + 1]) for c in range(chunks)]
-
-    def run(span: tuple[int, int]) -> tuple[float, int]:
-        return _grid_chunk_max(P, axes, tables, K, span[0], span[1])
-
-    if chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(run, ranges))
-    else:
-        results = [run(span) for span in ranges]
-
-    # Deterministic max-reduce in chunk order; strict inequality keeps the
-    # earliest (lexicographically smallest) argmax on ties.
-    best_val, best_flat = results[0]
-    for val, flat in results[1:]:
-        if val > best_val:
-            best_val, best_flat = val, flat
+    first_len = min(K, max(alpha[axes[0]] for alpha in P.terms) + 1)
+    C = np.zeros((first_len,) + (K,) * (len(axes) - 1), dtype=np.complex128)
+    # Exponents that agree mod K give the same grid values, so add.at
+    # accumulates the terms that alias onto one cell.
+    cells = tuple(np.array([alpha[j] % K for alpha in P.terms]) for j in axes)
+    np.add.at(C, cells, np.array(list(P.terms.values()), dtype=np.complex128))
+    for ax in range(1, C.ndim):
+        # norm="forward" leaves the inverse transform unscaled.
+        C = np.fft.ifft(C, axis=ax, norm="forward")
+    C = C.reshape(first_len, -1)
+    row_points = C.shape[1]
+    rows = max(1, _SLAB_POINTS // row_points)
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    best_val = -1.0
+    best_flat = 0
+    # Rows in order and a strict > keep the first (lexicographically
+    # smallest) argmax across slabs, as np.argmax does within one.  einsum
+    # sums each point in the same order whatever the slab size (a BLAS
+    # product need not), so slabbing does not change the result.
+    for k0 in range(0, K, rows):
+        k = np.arange(k0, min(k0 + rows, K))
+        phases = roots[np.outer(k, np.arange(first_len)) % K]
+        mags = np.abs(np.einsum("ka,ap->kp", phases, C))
+        local = int(np.argmax(mags))
+        if mags.flat[local] > best_val:
+            best_val = float(mags.flat[local])
+            best_flat = k0 * row_points + local
 
     angles = [0.0] * P.num_vars
-    rem = best_flat
-    for j in reversed(axes):
-        rem, digit = divmod(rem, K)
-        angles[j] = TWO_PI * digit / K
+    for j, digit in zip(axes, np.unravel_index(best_flat, (K,) * len(axes))):
+        angles[j] = TWO_PI * int(digit) / K
     return best_val, tuple(angles)
 
 
@@ -274,8 +235,9 @@ def refine_local(
     returned value never drops below the input value.  With one free axis
     that line is the whole quotient torus, so one sweep finds the global
     maximum and the ascent stops (converged).  Otherwise it stops when a
-    sweep improves the value by less than tol (converged) or after
-    max_iter sweeps (not converged).
+    sweep improves the value by at most tol times the value (converged),
+    a test that scaling P does not change, or after max_iter sweeps (not
+    converged).
     """
     theta = [t % TWO_PI for t in angles]
     if len(theta) != P.num_vars:
@@ -302,7 +264,7 @@ def refine_local(
             if cand_value > value:
                 theta = candidate
                 value = cand_value
-        if len(axes) == 1 or value - sweep_start < tol:
+        if len(axes) == 1 or value - sweep_start <= tol * value:
             converged = True
             break
     return RefineResult(value, tuple(theta), sweeps, converged)
@@ -326,16 +288,19 @@ def sup_norm(P: HomogeneousPolynomial, cfg: SupNormConfig | None = None) -> SupN
     upper_bracket:  grid maximum + L*(pi/K), where L is the Lipschitz
     bound and pi/K the worst per-coordinate distance to a grid point, so
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
+    Raises ValueError when the bracket overflows to a non-finite value.
     """
     cfg = cfg or SupNormConfig()
     K = cfg.grid_points_per_axis
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, K, True)
-    grid_value, grid_angles = torus_grid_max(P, K, cfg.parallel_chunks)
+    grid_value, grid_angles = torus_grid_max(P, K)
+    slack = torus_lipschitz_bound(P) * math.pi / K
+    if not math.isfinite(grid_value + slack):
+        raise ValueError("sup-norm bracket is not finite; rescale the polynomial")
     refined = refine_local(
         P, grid_angles, tol=cfg.refine_tolerance, max_iter=cfg.max_refine_iterations
     )
-    slack = torus_lipschitz_bound(P) * math.pi / K
     return SupNormResult(
         lower_estimate=refined.value,
         upper_bracket=grid_value + slack,

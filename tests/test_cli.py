@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +14,18 @@ from bhbounds import FamilyParams, build_witness, polynomial_to_dict
 WITNESS_M2 = polynomial_to_dict(build_witness(2, FamilyParams(1.0, -1.0, 2.0**1.5)))
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*args, cwd=None):
+    # The subprocess imports bhbounds from this checkout's src/, installed or not.
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bhbounds", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
@@ -93,6 +101,18 @@ def test_ratio_non_finite_coefficient(tmp_path):
         assert proc.returncode == 2
         assert "not finite" in proc.stderr
         assert proc.stdout == ""
+
+
+def test_ratio_overflowing_coefficients(tmp_path):
+    terms = [
+        {"alpha": alpha, "re": re, "im": 0.0}
+        for alpha, re in (([2, 0], 1e308), ([0, 2], -1e308), ([1, 1], 1e308))
+    ]
+    doc = {"m": 2, "n": 2, "terms": terms}
+    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "huge.json"))
+    assert proc.returncode == 2
+    assert "not finite" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_ratio_missing_file():

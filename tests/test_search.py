@@ -1,7 +1,5 @@
-import importlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -151,6 +149,67 @@ def test_certificate_round_trip_bit_exact(tmp_path):
     assert certificate_json(loaded) == certificate_json(cert)
 
 
+# Written before the threaded grid was removed: both configs still carry
+# parallel_chunks, a scheduling knob that changed no result.
+PARENT_FORMAT_CERTIFICATE = {
+    "certified_lower": 0.7152053942792971,
+    "coeff_norm": 3.833658625477635,
+    "config": {
+        "search": {
+            "eval_budget": 3, "m": 2, "num_vars": 2, "restarts": 1, "rng_seed": 0,
+            "step_init": 0.5, "step_min": 1e-06,
+            "supnorm": {
+                "grid_points_per_axis": 16, "max_refine_iterations": 200,
+                "parallel_chunks": 1, "refine_tolerance": 1e-10,
+            },
+        },
+        "supnorm": {
+            "grid_points_per_axis": 16, "max_refine_iterations": 200,
+            "parallel_chunks": 1, "refine_tolerance": 1e-10,
+        },
+    },
+    "estimate": 1.1066819197003215,
+    "polynomial": {
+        "m": 2, "n": 2,
+        "terms": [
+            {"alpha": [0, 2], "im": 0.0, "re": -1.0},
+            {"alpha": [1, 1], "im": 0.0, "re": 2.8284271247461903},
+            {"alpha": [2, 0], "im": 0.0, "re": 1.0},
+        ],
+    },
+    "restart_index": 0,
+    "schema": "bh-cert-1",
+    "seed": 0,
+    "supnorm": {
+        "arg_angles": [0.0, 4.71238898038469], "converged": True, "grid_used": 16,
+        "lower_estimate": 3.464101615137755, "upper_bracket": 5.360220513074795,
+    },
+}
+
+
+def test_certificate_from_parent_format_loads():
+    cert = certificate_from_dict(PARENT_FORMAT_CERTIFICATE)
+    cfg = SupNormConfig(grid_points_per_axis=16)
+    assert cert.supnorm_config == cfg
+    assert cert.search_config == SearchConfig(
+        m=2, num_vars=2, restarts=1, rng_seed=0, eval_budget=3, supnorm=cfg
+    )
+    assert cert.estimate == 1.1066819197003215
+    # The stored numbers are re-derived from the polynomial and config alone.
+    again = certify(cert.polynomial, cert.supnorm_config)
+    assert again.estimate == pytest.approx(cert.estimate, rel=1e-12)
+    assert again.certified_lower == pytest.approx(cert.certified_lower, rel=1e-12)
+    # Re-serialised, only the dropped knob is gone.
+    doc = json.loads(certificate_json(cert))
+    for section in (doc["config"]["supnorm"], doc["config"]["search"]["supnorm"]):
+        assert "parallel_chunks" not in section
+    assert doc["config"]["supnorm"] == {
+        k: v
+        for k, v in PARENT_FORMAT_CERTIFICATE["config"]["supnorm"].items()
+        if k != "parallel_chunks"
+    }
+
+
 def test_certificate_schema_field():
     P = build_witness(2, FamilyParams(1.0, -1.0, 1.0))
     doc = certificate_to_dict(certify(P))
@@ -194,26 +253,10 @@ def test_search_seeded_run_beats_known_bound():
     assert cert.certified_lower <= lower_bound(2)
 
 
-def test_search_deterministic_across_workers():
+def test_search_deterministic_across_repeats():
     cfg = small_config(2, 2, restarts=4)
-    certs = [certificate_json(search(cfg, workers=w)) for w in (1, 1, 3)]
+    certs = [certificate_json(search(cfg)) for _ in range(3)]
     assert certs[0] == certs[1] == certs[2]
-
-
-def test_search_thread_pool_capped_at_cpu_count(monkeypatch):
-    # the package re-exports the function search under the module's name
-    search_module = importlib.import_module("bhbounds.search")
-    sizes = []
-
-    def recording_pool(max_workers):
-        sizes.append(max_workers)
-        return ThreadPoolExecutor(max_workers=1)
-
-    monkeypatch.setattr(search_module, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
-    cfg = small_config(2, 2, restarts=3, eval_budget=10)
-    assert certificate_json(search(cfg, workers=1000)) == certificate_json(search(cfg))
-    assert sizes == [2]
 
 
 def test_search_monotone_in_restarts():

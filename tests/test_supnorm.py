@@ -1,6 +1,5 @@
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -81,6 +80,27 @@ def test_grid_max_matches_brute_force():
             assert j is None or angles[j] == 0.0
             z = [cmath.exp(1j * t) for t in angles]
             assert abs(P.evaluate(z)) == pytest.approx(value, rel=1e-12)
+    # Four variables (three free axes), and grids with K below the degree,
+    # where exponents alias mod K and distinct terms share one grid cell.
+    for n, m, K in [(4, 3, 8), (4, 4, 8), (2, 7, 4), (3, 6, 5), (2, 9, 2)]:
+        P = random_polynomial(rng, m, n, density=1.0)
+        value, angles = torus_grid_max(P, K)
+        assert value == pytest.approx(full_grid_max(P, K), rel=1e-12)
+        z = [cmath.exp(1j * t) for t in angles]
+        assert abs(P.evaluate(z)) == pytest.approx(value, rel=1e-12)
+
+
+def test_grid_max_multi_slab_matches_single_slab(monkeypatch):
+    import bhbounds.supnorm as supnorm_module
+
+    rng = np.random.default_rng(42)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            P = random_polynomial(rng, int(rng.integers(2, 6)), n)
+            single = torus_grid_max(P, 16)
+            with monkeypatch.context() as patch:
+                patch.setattr(supnorm_module, "_SLAB_POINTS", 7)
+                assert torus_grid_max(P, 16) == single
 
 
 def test_brute_force_oracle_slice_matches_full_scan():
@@ -99,33 +119,6 @@ def test_grid_max_monotone_in_grid_refinement():
         coarse, _ = torus_grid_max(P, 16)
         fine, _ = torus_grid_max(P, 32)  # nested grids
         assert fine >= coarse - 1e-14
-
-
-def test_grid_max_deterministic_across_chunk_counts():
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        P = random_polynomial(rng, 3, 2)
-        results = [torus_grid_max(P, 64, parallel_chunks=w) for w in (1, 2, 4, 7)]
-        for value, angles in results[1:]:
-            assert value == results[0][0]
-            assert angles == results[0][1]
-
-
-def test_grid_thread_pool_capped_at_cpu_count(monkeypatch):
-    import bhbounds.supnorm as supnorm_module
-
-    sizes = []
-
-    def recording_pool(max_workers):
-        sizes.append(max_workers)
-        return ThreadPoolExecutor(max_workers=1)
-
-    monkeypatch.setattr(supnorm_module, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(supnorm_module.os, "cpu_count", lambda: 2)
-    P = random_polynomial(np.random.default_rng(8), 3, 3)
-    serial = torus_grid_max(P, 16, 1)
-    assert torus_grid_max(P, 16, 100) == serial
-    assert sizes == [2]
 
 
 def test_grid_too_large():
@@ -184,6 +177,19 @@ def test_refine_single_line_matches_dense_sampling():
         assert result.value <= dense + lipschitz_slack(P, samples)
         z = [cmath.exp(1j * a) for a in result.angles]
         assert abs(P.evaluate(z)) == result.value
+
+
+def test_refine_stop_is_scale_invariant():
+    # The stop compares a sweep's gain with the value itself, so scaling P
+    # changes neither the sweep count nor the relative value.
+    P = random_polynomial(np.random.default_rng(3), 4, 3)
+    _, start = torus_grid_max(P, 64)
+    results = [refine_local(P.scaled(s), start) for s in (1.0, 1e-12, 1e12)]
+    base = results[0]
+    assert base.converged and base.sweeps > 1
+    for s, result in zip((1e-12, 1e12), results[1:]):
+        assert result.sweeps == base.sweeps
+        assert result.value == pytest.approx(s * base.value, rel=1e-13)
 
 
 def test_refine_never_decreases():
@@ -310,6 +316,12 @@ def test_sup_norm_interior_points_stay_inside_bracket():
             assert abs(P.evaluate(z)) <= result.upper_bracket + 1e-9
 
 
+def test_sup_norm_overflow_raises():
+    P = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (0, 2): -1e308, (1, 1): 1e308})
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        sup_norm(P)
+
+
 def test_sup_norm_zero_polynomial():
     P = HomogeneousPolynomial(2, 2, {(2, 0): 0.0})
     result = sup_norm(P)
@@ -346,4 +358,4 @@ def test_sup_norm_config_validation():
     with pytest.raises(ValueError):
         SupNormConfig(refine_tolerance=0.0)
     with pytest.raises(ValueError):
-        SupNormConfig(parallel_chunks=0)
+        SupNormConfig(max_refine_iterations=0)
