@@ -16,7 +16,6 @@ import math
 
 from bhbounds import (
     HomogeneousPolynomial,
-    SupNormConfig,
     quadratic_sup_norm,
     sup_norm,
     torus_grid_max,
@@ -43,9 +42,9 @@ print(f"bracket:               [{result.lower_estimate:.12f}, {result.upper_brac
 print(f"closed form sqrt(12):  {exact:.12f}")
 print(f"lower-estimate error:  {abs(result.lower_estimate - exact):.2e}")
 
-# Tightening the grid shrinks the slack; the certified side of any ratio
-# built on this bracket improves accordingly.
+# The grid is the engine's only setting.  Tightening it shrinks the slack;
+# the certified side of any ratio built on this bracket improves accordingly.
 print("\nbracket width by grid size:")
 for K in (16, 64, 256, 1024):
-    r = sup_norm(P, SupNormConfig(grid_points_per_axis=K))
+    r = sup_norm(P, K)
     print(f"  K = {K:4d}: width = {r.upper_bracket - r.lower_estimate:.6f}")

@@ -11,7 +11,6 @@ in [-2, 2].  The result is packaged as a reproducible JSON certificate.
 
 from bhbounds import (
     SearchConfig,
-    SupNormConfig,
     certificate_json,
     family_ratio,
     load_certificate,
@@ -26,7 +25,7 @@ cfg = SearchConfig(
     restarts=8,
     rng_seed=2024,
     eval_budget=150,
-    supnorm=SupNormConfig(grid_points_per_axis=64),
+    grid=64,  # sup-norm grid points per free axis
 )
 cert = search(cfg)
 

@@ -26,7 +26,6 @@ from .supnorm import (
     GridTooLargeError,
     MAX_GRID_POINTS,
     RefineResult,
-    SupNormConfig,
     SupNormResult,
     quadratic_sup_norm,
     refine_local,
@@ -82,7 +81,6 @@ __all__ = [
     "GridTooLargeError",
     "MAX_GRID_POINTS",
     "RefineResult",
-    "SupNormConfig",
     "SupNormResult",
     "quadratic_sup_norm",
     "refine_local",

@@ -27,11 +27,9 @@ from .family import (
 )
 from .poly import PolynomialFormatError, load_polynomial
 from .search import SearchConfig, certificate_json, certify, search
-from .supnorm import SupNormConfig
+from .supnorm import DEFAULT_GRID
 
 VERIFY_TOLERANCE = 1e-6
-
-TOL_HELP = "stop refining when a sweep gains at most this fraction of the estimate"
 
 
 def _sig12(x: float) -> float:
@@ -41,10 +39,6 @@ def _sig12(x: float) -> float:
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _supnorm_config(args) -> SupNormConfig:
-    return SupNormConfig(grid_points_per_axis=args.grid, refine_tolerance=args.tol)
 
 
 def cmd_bounds(args) -> int:
@@ -69,7 +63,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_ratio(args) -> int:
     P = load_polynomial(args.file)
-    cert = certify(P, _supnorm_config(args))
+    cert = certify(P, args.grid)
     _print_json(
         {
             "m": P.degree,
@@ -90,12 +84,11 @@ def cmd_verify_family(args) -> int:
     if args.m_max < 2:
         print(f"error: --to must be >= 2, got {args.m_max}", file=sys.stderr)
         return 2
-    cfg = _supnorm_config(args)
     lines = ["m,status,estimate,expected,abs_error"]
     all_pass = True
     for m in range(2, args.m_max + 1):
         witness = build_witness(m, FamilyParams(1.0, -1.0, optimal_x(m)))
-        estimate = bh_ratio(witness, cfg).estimate
+        estimate = bh_ratio(witness, args.grid).estimate
         expected = lower_bound(m)
         err = abs(estimate - expected)
         ok = err <= VERIFY_TOLERANCE
@@ -118,9 +111,9 @@ def cmd_fm_curve(args) -> int:
     if args.m < 2:
         print(f"error: --m must be >= 2, got {args.m}", file=sys.stderr)
         return 2
-    if not (0 < args.xmin <= args.xmax):
+    if not (0 < args.xmin <= args.xmax and math.isfinite(args.xmax)):
         print(
-            f"error: need 0 < xmin <= xmax, got [{args.xmin}, {args.xmax}]",
+            f"error: need finite 0 < xmin <= xmax, got [{args.xmin}, {args.xmax}]",
             file=sys.stderr,
         )
         return 2
@@ -146,10 +139,8 @@ def cmd_search(args) -> int:
         num_vars=args.n,
         restarts=args.restarts,
         rng_seed=args.seed,
-        step_init=args.step_init,
-        step_min=args.step_min,
         eval_budget=args.budget,
-        supnorm=_supnorm_config(args),
+        grid=args.grid,
     )
     cert = search(cfg)
     out_path = args.out or f"bh-cert-m{args.m}-n{args.n}-seed{args.seed}.json"
@@ -190,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ratio = sub.add_parser("ratio", help="ratio of one polynomial from a JSON file")
     p_ratio.add_argument("--file", required=True)
-    p_ratio.add_argument("--grid", type=int, default=64)
-    p_ratio.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
+    p_ratio.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_ratio.set_defaults(func=cmd_ratio)
 
     p_verify = sub.add_parser(
@@ -199,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the numerical pipeline against the closed-form bounds",
     )
     p_verify.add_argument("--to", dest="m_max", type=int, required=True)
-    p_verify.add_argument("--grid", type=int, default=64)
-    p_verify.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
+    p_verify.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_verify.set_defaults(func=cmd_verify_family)
 
     p_curve = sub.add_parser("fm-curve", help="sample the family ratio curve as CSV")
@@ -216,10 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--restarts", type=int, default=32)
     p_search.add_argument("--budget", type=int, default=200)
-    p_search.add_argument("--step-init", type=float, default=0.5)
-    p_search.add_argument("--step-min", type=float, default=1e-6)
-    p_search.add_argument("--grid", type=int, default=64)
-    p_search.add_argument("--tol", type=float, default=1e-10, help=TOL_HELP)
+    p_search.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=cmd_search)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .poly import HomogeneousPolynomial, bh_exponent, coefficient_lp_norm
-from .supnorm import SupNormConfig, sup_norm
+from .supnorm import DEFAULT_GRID, sup_norm
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
@@ -211,7 +211,7 @@ class RatioResult(NamedTuple):
     certified: float
 
 
-def bh_ratio(P: HomogeneousPolynomial, cfg: SupNormConfig | None = None) -> RatioResult:
+def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
     """Coefficient-norm-to-sup-norm ratio of P, both optimistic and certified.
 
     estimate  = l_{2m/(m+1)}(coefficients) / lower sup-norm estimate,
@@ -219,15 +219,16 @@ def bh_ratio(P: HomogeneousPolynomial, cfg: SupNormConfig | None = None) -> Rati
 
     Every polynomial's certified ratio is a true lower bound on D(m) up to
     floating-point rounding (the numerator is exact to rounding and the
-    denominator is an upper bound on ||P||).
+    denominator is an upper bound on ||P||).  grid is the sup-norm grid
+    K, as in sup_norm.
     """
     if P.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no ratio")
     numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
-    result = sup_norm(P, cfg)
+    result = sup_norm(P, grid)
     if result.lower_estimate <= 0.0:
         raise ValueError(
-            "sup-norm estimate vanished on the grid; increase grid_points_per_axis"
+            "sup-norm estimate vanished on the grid; use a finer grid"
         )
     return RatioResult(
         estimate=numerator / result.lower_estimate,

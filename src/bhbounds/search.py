@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -32,29 +32,32 @@ from .poly import (
     polynomial_from_dict,
     polynomial_to_dict,
 )
-from .supnorm import SupNormConfig, SupNormResult, sup_norm
+from .supnorm import DEFAULT_GRID, SupNormResult, sup_norm
 
 CERTIFICATE_SCHEMA = "bh-cert-1"
+
+# First pattern-search step, and the step below which a restart stops.
+_STEP_INIT = 0.5
+_STEP_MIN = 1e-6
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the multi-restart pattern search.
+    """Settings of the multi-restart pattern search.
 
     eval_budget counts ratio evaluations per restart, so restarts stay
     independent of one another.  Restart r draws its start from a
     generator seeded with rng_seed + r; restart 0 is always seeded from
-    the witness family instead.
+    the witness family instead.  grid is the sup-norm grid K (at least 2)
+    of every evaluation and of the final certificate.
     """
 
     m: int
     num_vars: int
     restarts: int = 32
     rng_seed: int = 0
-    step_init: float = 0.5
-    step_min: float = 1e-6
     eval_budget: int = 200
-    supnorm: SupNormConfig = field(default_factory=SupNormConfig)
+    grid: int = DEFAULT_GRID
 
     def __post_init__(self) -> None:
         if self.m < 2:
@@ -65,14 +68,12 @@ class SearchConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
-        if not 0 < self.step_min < self.step_init:
-            raise ValueError(
-                f"need 0 < step_min < step_init, got {self.step_min}, {self.step_init}"
-            )
         if self.eval_budget < 1:
             raise ValueError(
                 f"eval_budget must allow at least one evaluation, got {self.eval_budget}"
             )
+        if self.grid < 2:
+            raise ValueError(f"grid must be >= 2, got {self.grid}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class WitnessCertificate:
     supnorm: SupNormResult
     certified_lower: float
     estimate: float
-    supnorm_config: SupNormConfig
     search_config: SearchConfig | None = None
     seed: int | None = None
     restart_index: int | None = None
@@ -173,15 +173,15 @@ def _run_restart(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> _Resta
     def ratio_of(vec: np.ndarray) -> float:
         poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
         try:
-            return bh_ratio(poly, cfg.supnorm).estimate
+            return bh_ratio(poly, cfg.grid).estimate
         except ZeroPolynomialError:
             return -math.inf  # all-zero candidate, skip
 
     best_vec = start.copy()
     best_val = ratio_of(best_vec)
     evals += 1
-    step = cfg.step_init
-    while step >= cfg.step_min and evals < cfg.eval_budget:
+    step = _STEP_INIT
+    while step >= _STEP_MIN and evals < cfg.eval_budget:
         improved = False
         for i in range(len(indices)):
             for sign in (1.0, -1.0):
@@ -204,21 +204,20 @@ def _run_restart(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> _Resta
 
 def certify(
     P: HomogeneousPolynomial,
-    cfg: SupNormConfig | None = None,
+    grid: int = DEFAULT_GRID,
     *,
     search_config: SearchConfig | None = None,
     seed: int | None = None,
     restart_index: int | None = None,
 ) -> WitnessCertificate:
-    """Audit-ready certificate for one polynomial under one configuration."""
-    cfg = cfg or SupNormConfig()
+    """Audit-ready certificate for one polynomial at sup-norm grid K = grid."""
     if P.is_zero:
         raise ZeroPolynomialError("cannot certify the zero polynomial")
     coeff_norm = coefficient_lp_norm(P, bh_exponent(P.degree))
-    result = sup_norm(P, cfg)
+    result = sup_norm(P, grid)
     if result.lower_estimate <= 0.0:
         raise ValueError(
-            "sup-norm estimate vanished on the grid; increase grid_points_per_axis"
+            "sup-norm estimate vanished on the grid; use a finer grid"
         )
     return WitnessCertificate(
         polynomial=P,
@@ -226,7 +225,6 @@ def certify(
         supnorm=result,
         certified_lower=coeff_norm / result.upper_bracket,
         estimate=coeff_norm / result.lower_estimate,
-        supnorm_config=cfg,
         search_config=search_config,
         seed=seed,
         restart_index=restart_index,
@@ -257,7 +255,7 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, best.vector)
     return certify(
         poly,
-        cfg.supnorm,
+        cfg.grid,
         search_config=cfg,
         seed=cfg.rng_seed,
         restart_index=best.index,
@@ -267,14 +265,16 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
 # --- certificate file format (schema bh-cert-1) ------------------------------
 
 
-def _supnorm_config_from_dict(doc: dict) -> SupNormConfig:
-    # Only the fields are read: older bh-cert-1 files also carry the chunk
-    # count of the since-removed threaded grid, which changed no result.
-    return SupNormConfig(**{f.name: doc[f.name] for f in fields(SupNormConfig)})
+# Older bh-cert-1 files nest the grid beside refine, chunk and step settings
+# that changed no certified number; only the grid is read from them.
+_OLD_SEARCH_KEYS = ("step_init", "step_min", "supnorm")
 
 
 def _search_config_from_dict(doc: dict) -> SearchConfig:
-    return SearchConfig(**{**doc, "supnorm": _supnorm_config_from_dict(doc["supnorm"])})
+    kwargs = {k: v for k, v in doc.items() if k not in _OLD_SEARCH_KEYS}
+    if "supnorm" in doc:
+        kwargs["grid"] = doc["supnorm"]["grid_points_per_axis"]
+    return SearchConfig(**kwargs)
 
 
 def certificate_to_dict(cert: WitnessCertificate) -> dict:
@@ -286,7 +286,6 @@ def certificate_to_dict(cert: WitnessCertificate) -> dict:
         "certified_lower": cert.certified_lower,
         "supnorm": {**asdict(cert.supnorm), "arg_angles": list(cert.supnorm.arg_angles)},
         "config": {
-            "supnorm": asdict(cert.supnorm_config),
             "search": asdict(cert.search_config) if cert.search_config is not None else None,
         },
         "seed": cert.seed,
@@ -308,7 +307,6 @@ def certificate_from_dict(doc: dict) -> WitnessCertificate:
         supnorm=SupNormResult(**{**sup, "arg_angles": tuple(sup["arg_angles"])}),
         certified_lower=doc["certified_lower"],
         estimate=doc["estimate"],
-        supnorm_config=_supnorm_config_from_dict(doc["config"]["supnorm"]),
         search_config=(
             _search_config_from_dict(search_doc) if search_doc is not None else None
         ),

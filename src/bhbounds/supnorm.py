@@ -35,11 +35,21 @@ from .poly import HomogeneousPolynomial
 
 TWO_PI = 2.0 * math.pi
 
-# Hard cap on evaluated grid points (over the free axes only).
+# Grid points per free axis unless the caller asks for another grid.
+DEFAULT_GRID = 64
+
+# Hard cap on evaluated grid points (over the free axes only).  The
+# transformed coefficient array of torus_grid_max has at most this many
+# complex values, so the largest grid holds up to 1 GiB at once.
 MAX_GRID_POINTS = 1 << 26
 
 # Grid points evaluated per numpy slab; bounds the size of each |P| array.
 _SLAB_POINTS = 1 << 20
+
+# refine_local stops once a sweep gains at most this fraction of the
+# value, or after this many sweeps.
+_REFINE_RTOL = 1e-10
+_MAX_SWEEPS = 200
 
 
 class GridTooLargeError(ValueError):
@@ -48,30 +58,6 @@ class GridTooLargeError(ValueError):
 
 class FormulaDomainError(ValueError):
     """A closed-form norm formula was requested outside its validity domain."""
-
-
-@dataclass(frozen=True)
-class SupNormConfig:
-    """Settings of the grid-then-refine sup-norm engine.
-
-    grid_points_per_axis is K, the grid size per free axis; it sets the
-    Lipschitz slack pi/K of the upper bracket.  Refinement stops once a
-    sweep raises the value by at most refine_tolerance relative to it, so
-    the stop does not depend on the scale of P, or after
-    max_refine_iterations sweeps.
-    """
-
-    grid_points_per_axis: int = 64
-    refine_tolerance: float = 1e-10
-    max_refine_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if self.grid_points_per_axis < 2:
-            raise ValueError("grid_points_per_axis must be >= 2")
-        if self.refine_tolerance <= 0:
-            raise ValueError("refine_tolerance must be > 0")
-        if self.max_refine_iterations < 1:
-            raise ValueError("max_refine_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -162,8 +148,9 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     cells = tuple(np.array([alpha[j] % K for alpha in P.terms]) for j in axes)
     np.add.at(C, cells, np.array(list(P.terms.values()), dtype=np.complex128))
     for ax in range(1, C.ndim):
-        # norm="forward" leaves the inverse transform unscaled.
-        C = np.fft.ifft(C, axis=ax, norm="forward")
+        # norm="forward" leaves the inverse transform unscaled; out=C keeps
+        # a single copy of the array.
+        np.fft.ifft(C, axis=ax, norm="forward", out=C)
     C = C.reshape(first_len, -1)
     row_points = C.shape[1]
     rows = max(1, _SLAB_POINTS // row_points)
@@ -221,10 +208,7 @@ def _line_argmax(P: HomogeneousPolynomial, angles: list[float], axis: int) -> fl
 
 
 def refine_local(
-    P: HomogeneousPolynomial,
-    angles: tuple[float, ...] | list[float],
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]
 ) -> RefineResult:
     """Cyclic coordinate ascent on theta -> |P(e^{i theta})| over the free axes.
 
@@ -235,8 +219,8 @@ def refine_local(
     returned value never drops below the input value.  With one free axis
     that line is the whole quotient torus, so one sweep finds the global
     maximum and the ascent stops (converged).  Otherwise it stops when a
-    sweep improves the value by at most tol times the value (converged),
-    a test that scaling P does not change, or after max_iter sweeps (not
+    sweep improves the value by at most 1e-10 times the value (converged),
+    a test that scaling P does not change, or after 200 sweeps (not
     converged).
     """
     theta = [t % TWO_PI for t in angles]
@@ -251,7 +235,7 @@ def refine_local(
 
     sweeps = 0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_SWEEPS):
         sweeps += 1
         sweep_start = value
         for j in axes:
@@ -264,7 +248,7 @@ def refine_local(
             if cand_value > value:
                 theta = candidate
                 value = cand_value
-        if len(axes) == 1 or value - sweep_start <= tol * value:
+        if len(axes) == 1 or value - sweep_start <= _REFINE_RTOL * value:
             converged = True
             break
     return RefineResult(value, tuple(theta), sweeps, converged)
@@ -281,31 +265,30 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     return math.fsum(abs(c) * sum(alpha) for alpha, c in P.terms.items())
 
 
-def sup_norm(P: HomogeneousPolynomial, cfg: SupNormConfig | None = None) -> SupNormResult:
+def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResult:
     """Two-sided bracket of ||P|| on the unit polydisc.
 
+    grid is K, the grid points per free axis (at least 2).
     lower_estimate: grid maximum polished by refine_local (attained value).
     upper_bracket:  grid maximum + L*(pi/K), where L is the Lipschitz
     bound and pi/K the worst per-coordinate distance to a grid point, so
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
     Raises ValueError when the bracket overflows to a non-finite value.
     """
-    cfg = cfg or SupNormConfig()
-    K = cfg.grid_points_per_axis
+    if grid < 2:
+        raise ValueError(f"grid must be >= 2, got {grid}")
     if P.is_zero:
-        return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, K, True)
-    grid_value, grid_angles = torus_grid_max(P, K)
-    slack = torus_lipschitz_bound(P) * math.pi / K
+        return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
+    grid_value, grid_angles = torus_grid_max(P, grid)
+    slack = torus_lipschitz_bound(P) * math.pi / grid
     if not math.isfinite(grid_value + slack):
         raise ValueError("sup-norm bracket is not finite; rescale the polynomial")
-    refined = refine_local(
-        P, grid_angles, tol=cfg.refine_tolerance, max_iter=cfg.max_refine_iterations
-    )
+    refined = refine_local(P, grid_angles)
     return SupNormResult(
         lower_estimate=refined.value,
         upper_bracket=grid_value + slack,
         arg_angles=refined.angles,
-        grid_used=K,
+        grid_used=grid,
         converged=refined.converged,
     )
 

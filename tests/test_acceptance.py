@@ -13,7 +13,6 @@ import numpy as np
 from bhbounds import (
     FamilyParams,
     SearchConfig,
-    SupNormConfig,
     bh_ratio,
     build_quadratic,
     build_witness,
@@ -50,12 +49,11 @@ def test_criterion_1_prior_constant_reproduction():
 
 
 def test_criterion_2_closed_form_pipeline_agreement():
-    cfg = SupNormConfig(grid_points_per_axis=64, refine_tolerance=1e-10)
     start = time.perf_counter()
     worst = 0.0
     for m in (2, 3, 4, 5):
         witness = build_witness(m, FamilyParams(1.0, -1.0, 2.0 ** ((m + 1) / 2.0)))
-        estimate = bh_ratio(witness, cfg).estimate
+        estimate = bh_ratio(witness, 64).estimate
         err = abs(estimate - lower_bound(m))
         worst = max(worst, err)
         assert err <= 1e-6, f"m={m}: |{estimate} - {lower_bound(m)}| = {err}"

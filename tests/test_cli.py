@@ -190,6 +190,14 @@ def test_fm_curve_bad_range():
     assert run_cli("fm-curve", "--m", "1").returncode == 2
 
 
+def test_fm_curve_rejects_non_finite_range():
+    for xmin, xmax in (("1", "inf"), ("inf", "inf"), ("nan", "10"), ("1", "nan")):
+        proc = run_cli("fm-curve", "--m", "3", "--xmin", xmin, "--xmax", xmax, "--points", "3")
+        assert proc.returncode == 2
+        assert "finite" in proc.stderr
+        assert proc.stdout == ""
+
+
 # --- search -------------------------------------------------------------------
 
 
@@ -223,6 +231,22 @@ def test_search_is_reproducible(tmp_path):
 
 def test_search_rejects_zero_restarts():
     assert run_cli("search", "--m", "2", "--n", "2", "--restarts", "0").returncode == 2
+
+
+def test_grid_below_two_is_usage_error(tmp_path):
+    path = write_witness_file(tmp_path)
+    out = tmp_path / "cert.json"
+    for args in (
+        ("ratio", "--file", path),
+        ("verify-family", "--to", "3"),
+        ("search", "--m", "2", "--n", "2", "--restarts", "1", "--out", str(out)),
+    ):
+        proc = run_cli(*args, "--grid", "1", cwd=tmp_path)
+        assert proc.returncode == 2, args
+        assert "grid must be >= 2" in proc.stderr
+        assert proc.stdout == ""
+    # search stopped before writing a certificate, at --out or the default path
+    assert [p.name for p in tmp_path.iterdir()] == ["poly.json"]
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -6,7 +6,6 @@ import pytest
 from bhbounds import (
     FamilyParams,
     HomogeneousPolynomial,
-    SupNormConfig,
     ZeroPolynomialError,
     bh_ratio,
     bounds_table,
@@ -228,9 +227,8 @@ def test_bh_ratio_scale_invariance():
 
 def test_lift_preserves_norm():
     rng = np.random.default_rng(2718)
-    cfg = SupNormConfig()
     for m in (2, 3, 4, 5):
         a, b, c = random_valid_quadratic(rng)
         witness = build_witness(m, FamilyParams(a, b, c))
-        lifted = sup_norm(witness, cfg).lower_estimate
+        lifted = sup_norm(witness).lower_estimate
         assert lifted == pytest.approx(quadratic_sup_norm(a, b, c), abs=1e-6)

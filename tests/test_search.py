@@ -8,7 +8,6 @@ from bhbounds import (
     FamilyParams,
     HomogeneousPolynomial,
     SearchConfig,
-    SupNormConfig,
     ZeroPolynomialError,
     build_witness,
     certificate_from_dict,
@@ -27,7 +26,7 @@ from bhbounds import (
 )
 from oracles import random_polynomial
 
-FAST_SUPNORM = SupNormConfig(grid_points_per_axis=32)
+FAST_GRID = 32
 
 
 def small_config(m, n, **overrides):
@@ -37,7 +36,7 @@ def small_config(m, n, **overrides):
         restarts=3,
         rng_seed=7,
         eval_budget=40,
-        supnorm=FAST_SUPNORM,
+        grid=FAST_GRID,
     )
     base.update(overrides)
     return SearchConfig(**base)
@@ -56,7 +55,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(m=2, num_vars=2, eval_budget=0)
     with pytest.raises(ValueError):
-        SearchConfig(m=2, num_vars=2, step_min=1.0, step_init=0.5)
+        SearchConfig(m=2, num_vars=2, grid=1)
 
 
 def test_degree_multi_indices():
@@ -75,7 +74,7 @@ def test_family_seed_matches_witness():
         # the seed achieves exactly the family ratio
         from bhbounds import bh_ratio
 
-        assert bh_ratio(seeded, FAST_SUPNORM).estimate == pytest.approx(
+        assert bh_ratio(seeded, FAST_GRID).estimate == pytest.approx(
             family_ratio(m, optimal_x(m)), abs=1e-8
         )
 
@@ -100,7 +99,7 @@ def test_certify_witness_bracket():
     assert cert.certified_lower <= cert.estimate
     # the crude first-order slack needs a finer grid before the certified
     # value clears 1; at K=256 the certificate is a nontrivial bound
-    tight = certify(P, SupNormConfig(grid_points_per_axis=256))
+    tight = certify(P, 256)
     assert 1.0 < tight.certified_lower <= 1.1067
 
 
@@ -108,7 +107,7 @@ def test_certify_monomial_brackets_tighten():
     P = HomogeneousPolynomial(3, 1, {(3,): 1.0})
     prev_gap = None
     for K in (8, 32, 128, 512):
-        cert = certify(P, SupNormConfig(grid_points_per_axis=K))
+        cert = certify(P, K)
         assert cert.certified_lower <= 1.0 <= cert.estimate + 1e-15
         gap = cert.estimate - cert.certified_lower
         if prev_gap is not None:
@@ -128,7 +127,7 @@ def test_certificate_soundness_random():
         m = int(rng.integers(2, 5))
         n = int(rng.integers(1, 4))
         P = random_polynomial(rng, m, n)
-        cert = certify(P, FAST_SUPNORM)
+        cert = certify(P, FAST_GRID)
         assert cert.certified_lower <= cert.estimate
         # the upper bound for D(m) is proven, so no certificate may beat it
         assert cert.certified_lower <= upper_bound(m) + 1e-9
@@ -149,8 +148,9 @@ def test_certificate_round_trip_bit_exact(tmp_path):
     assert certificate_json(loaded) == certificate_json(cert)
 
 
-# Written before the threaded grid was removed: both configs still carry
-# parallel_chunks, a scheduling knob that changed no result.
+# Written by an earlier version: its config nests the grid in sup-norm
+# configs beside refine settings, the chunk count of the since-removed
+# threaded grid and the pattern-search steps, none of which changed a result.
 PARENT_FORMAT_CERTIFICATE = {
     "certified_lower": 0.7152053942792971,
     "coeff_norm": 3.833658625477635,
@@ -189,24 +189,26 @@ PARENT_FORMAT_CERTIFICATE = {
 
 def test_certificate_from_parent_format_loads():
     cert = certificate_from_dict(PARENT_FORMAT_CERTIFICATE)
-    cfg = SupNormConfig(grid_points_per_axis=16)
-    assert cert.supnorm_config == cfg
-    assert cert.search_config == SearchConfig(
-        m=2, num_vars=2, restarts=1, rng_seed=0, eval_budget=3, supnorm=cfg
+    search_config = SearchConfig(
+        m=2, num_vars=2, restarts=1, rng_seed=0, eval_budget=3, grid=16
     )
+    assert cert.search_config == search_config
+    assert cert.supnorm.grid_used == 16
     assert cert.estimate == 1.1066819197003215
-    # The stored numbers are re-derived from the polynomial and config alone.
-    again = certify(cert.polynomial, cert.supnorm_config)
+    # The stored numbers are re-derived from the polynomial and grid alone.
+    again = certify(cert.polynomial, cert.supnorm.grid_used)
     assert again.estimate == pytest.approx(cert.estimate, rel=1e-12)
     assert again.certified_lower == pytest.approx(cert.certified_lower, rel=1e-12)
-    # Re-serialised, only the dropped knob is gone.
+    # Re-serialised, the config holds only the search settings, grid included.
     doc = json.loads(certificate_json(cert))
-    for section in (doc["config"]["supnorm"], doc["config"]["search"]["supnorm"]):
-        assert "parallel_chunks" not in section
-    assert doc["config"]["supnorm"] == {
-        k: v
-        for k, v in PARENT_FORMAT_CERTIFICATE["config"]["supnorm"].items()
-        if k != "parallel_chunks"
+    assert doc["config"] == {
+        "search": {
+            "eval_budget": 3, "grid": 16, "m": 2, "num_vars": 2, "restarts": 1,
+            "rng_seed": 0,
+        }
+    }
+    assert {k: v for k, v in doc.items() if k != "config"} == {
+        k: v for k, v in PARENT_FORMAT_CERTIFICATE.items() if k != "config"
     }
 
 
@@ -223,6 +225,7 @@ def test_certificate_schema_field():
         "config",
         "seed",
     }
+    assert doc["config"] == {"search": None}  # a plain certify ran no search
     with pytest.raises(ValueError, match="schema"):
         certificate_from_dict({**doc, "schema": "bh-cert-999"})
 
@@ -236,7 +239,7 @@ def test_search_floor_from_seeding():
         assert cert.estimate >= family_ratio(m, optimal_x(m)) - 1e-6
     # m = 4 has a 35-dimensional coefficient space; keep the grid coarse
     cfg = small_config(
-        4, 4, restarts=2, eval_budget=15, supnorm=SupNormConfig(grid_points_per_axis=16)
+        4, 4, restarts=2, eval_budget=15, grid=16
     )
     cert = search(cfg)
     assert cert.estimate >= family_ratio(4, optimal_x(4)) - 1e-6

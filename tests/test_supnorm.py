@@ -8,7 +8,6 @@ from bhbounds import (
     FormulaDomainError,
     GridTooLargeError,
     HomogeneousPolynomial,
-    SupNormConfig,
     quadratic_sup_norm,
     refine_local,
     sup_norm,
@@ -103,6 +102,35 @@ def test_grid_max_multi_slab_matches_single_slab(monkeypatch):
                 assert torus_grid_max(P, 16) == single
 
 
+def test_grid_max_memory_stays_near_one_array(monkeypatch):
+    # The free-axis FFTs run in place, so with small slabs the peak is about
+    # one transformed coefficient array; a transform into a fresh array
+    # would double it.
+    import tracemalloc
+
+    import bhbounds.supnorm as supnorm_module
+
+    monkeypatch.setattr(supnorm_module, "_SLAB_POINTS", 64)
+    K = 32
+    # Four varying axes leave three free ones; the degree-40 term on the
+    # first free axis gives it K rows, so the array is K^3 complex values.
+    P = HomogeneousPolynomial(
+        40,
+        4,
+        {(40, 0, 0, 0): 1.0, (0, 40, 0, 0): -0.5, (10, 10, 10, 10): 0.7,
+         (1, 13, 20, 6): 0.3j, (20, 0, 5, 15): 1.1},
+    )
+    array_bytes = K**3 * np.dtype(np.complex128).itemsize
+    torus_grid_max(P, K)  # first-call caches of numpy are not the grid's cost
+    tracemalloc.start()
+    try:
+        torus_grid_max(P, K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * array_bytes
+
+
 def test_brute_force_oracle_slice_matches_full_scan():
     rng = np.random.default_rng(77)
     for _ in range(6):
@@ -135,7 +163,7 @@ def test_grid_too_large():
 def test_refine_converges_from_coarse_grid():
     P = quadratic(1.0, -1.0, 0.0)
     _, start = torus_grid_max(P, 8)
-    result = refine_local(P, start, tol=1e-12, max_iter=200)
+    result = refine_local(P, start)
     assert result.value == pytest.approx(2.0, abs=1e-10)
     assert result.converged
 
@@ -143,7 +171,7 @@ def test_refine_converges_from_coarse_grid():
 def test_refine_fixed_point_at_local_max():
     P = quadratic(1.0, -1.0, 0.0)
     start = (0.0, math.pi / 2)  # |P| = 2 exactly, the global max
-    result = refine_local(P, start, tol=1e-10, max_iter=200)
+    result = refine_local(P, start)
     assert result.value == 2.0
     assert result.sweeps == 1
     assert result.converged
@@ -153,7 +181,7 @@ def test_refine_reaches_closed_form_from_k32_start():
     c = 2.828427
     P = quadratic(1.0, -1.0, c)
     _, start = torus_grid_max(P, 32)
-    result = refine_local(P, start, tol=1e-12, max_iter=200)
+    result = refine_local(P, start)
     assert result.value == pytest.approx(math.sqrt(4.0 + c * c), abs=1e-8)
 
 
@@ -166,7 +194,7 @@ def test_refine_single_line_matches_dense_sampling():
     for m in (2, 3, 5, 8):
         P = random_polynomial(rng, m, 2)
         start = tuple(rng.uniform(0, TWO_PI, 2))
-        result = refine_local(P, start, tol=1e-10, max_iter=200)
+        result = refine_local(P, start)
         assert result.sweeps == 1
         assert result.converged
         line = sum(
@@ -198,7 +226,7 @@ def test_refine_never_decreases():
         P = random_polynomial(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
         start_angles = tuple(rng.uniform(0, TWO_PI, P.num_vars))
         start_value = abs(P.evaluate([cmath.exp(1j * t) for t in start_angles]))
-        result = refine_local(P, start_angles, tol=1e-10, max_iter=50)
+        result = refine_local(P, start_angles)
         assert result.value >= start_value
 
 
@@ -263,12 +291,11 @@ def test_sup_norm_bracketing_property():
 
 def test_sup_norm_scaling():
     rng = np.random.default_rng(99)
-    cfg = SupNormConfig()
     for _ in range(10):
         P = random_polynomial(rng, int(rng.integers(2, 5)), 2)
         lam = rng.uniform(0.1, 3.0)
-        base = sup_norm(P, cfg).lower_estimate
-        scaled = sup_norm(P.scaled(lam), cfg).lower_estimate
+        base = sup_norm(P).lower_estimate
+        scaled = sup_norm(P.scaled(lam)).lower_estimate
         assert scaled == pytest.approx(lam * base, abs=1e-10 * (1 + lam * base))
 
 
@@ -282,7 +309,6 @@ def test_sup_norm_oracle_equivalence():
 
 def test_sup_norm_diagonal_rotation_invariance():
     rng = np.random.default_rng(55)
-    cfg = SupNormConfig()
     for _ in range(10):
         m = int(rng.integers(2, 5))
         n = int(rng.integers(2, 4))
@@ -297,8 +323,8 @@ def test_sup_norm_diagonal_rotation_invariance():
                 for alpha, coeff in P.terms.items()
             },
         )
-        assert sup_norm(rotated, cfg).lower_estimate == pytest.approx(
-            sup_norm(P, cfg).lower_estimate, abs=1e-8
+        assert sup_norm(rotated).lower_estimate == pytest.approx(
+            sup_norm(P).lower_estimate, abs=1e-8
         )
 
 
@@ -352,10 +378,8 @@ def test_quadratic_sup_norm_domain_gate():
     quadratic_sup_norm(2.0, -1.0, 8.0)
 
 
-def test_sup_norm_config_validation():
-    with pytest.raises(ValueError):
-        SupNormConfig(grid_points_per_axis=1)
-    with pytest.raises(ValueError):
-        SupNormConfig(refine_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SupNormConfig(max_refine_iterations=0)
+def test_sup_norm_grid_validation():
+    # The grid is checked before the zero polynomial's early return.
+    for P in (quadratic(1.0, -1.0, 2.0), HomogeneousPolynomial(2, 2, {(2, 0): 0.0})):
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            sup_norm(P, 1)
