@@ -265,15 +265,15 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
 # --- certificate file format (schema bh-cert-1) ------------------------------
 
 
-# Older bh-cert-1 files nest the grid beside refine, chunk and step settings
-# that changed no certified number; only the grid is read from them.
-_OLD_SEARCH_KEYS = ("step_init", "step_min", "supnorm")
-
-
+# Older bh-cert-1 files nest the grid beside settings that change no certified
+# number; only the grid is read.  Steps other than the constants are refused.
 def _search_config_from_dict(doc: dict) -> SearchConfig:
-    kwargs = {k: v for k, v in doc.items() if k not in _OLD_SEARCH_KEYS}
-    if "supnorm" in doc:
-        kwargs["grid"] = doc["supnorm"]["grid_points_per_axis"]
+    kwargs = dict(doc)
+    for key, fixed in (("step_init", _STEP_INIT), ("step_min", _STEP_MIN)):
+        if kwargs.pop(key, fixed) != fixed:  # the steps chose the search path
+            raise ValueError(f"search with {key}={doc[key]!r} cannot be rerun")
+    if "supnorm" in kwargs:
+        kwargs["grid"] = kwargs.pop("supnorm")["grid_points_per_axis"]
     return SearchConfig(**kwargs)
 
 

@@ -149,7 +149,7 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     np.add.at(C, cells, np.array(list(P.terms.values()), dtype=np.complex128))
     for ax in range(1, C.ndim):
         # norm="forward" leaves the inverse transform unscaled; out=C keeps
-        # a single copy of the array.
+        # a single copy of the array (numpy >= 2.0).
         np.fft.ifft(C, axis=ax, norm="forward", out=C)
     C = C.reshape(first_len, -1)
     row_points = C.shape[1]

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -150,7 +151,8 @@ def test_certificate_round_trip_bit_exact(tmp_path):
 
 # Written by an earlier version: its config nests the grid in sup-norm
 # configs beside refine settings, the chunk count of the since-removed
-# threaded grid and the pattern-search steps, none of which changed a result.
+# threaded grid and the pattern-search steps.  None of these changes a
+# certified number; the step sizes only chose the search path.
 PARENT_FORMAT_CERTIFICATE = {
     "certified_lower": 0.7152053942792971,
     "coeff_norm": 3.833658625477635,
@@ -210,6 +212,14 @@ def test_certificate_from_parent_format_loads():
     assert {k: v for k, v in doc.items() if k != "config"} == {
         k: v for k, v in PARENT_FORMAT_CERTIFICATE.items() if k != "config"
     }
+
+
+@pytest.mark.parametrize("key, value", [("step_init", 0.25), ("step_min", 1e-8)])
+def test_certificate_with_other_search_steps_is_refused(key, value):
+    doc = copy.deepcopy(PARENT_FORMAT_CERTIFICATE)
+    doc["config"]["search"][key] = value
+    with pytest.raises(ValueError, match=key):
+        certificate_from_dict(doc)
 
 
 def test_certificate_schema_field():
