@@ -3,8 +3,11 @@ Bracketing the sup norm on the polydisc
 =======================================
 
 The engine squeezes ||P|| between an attained lower estimate (torus grid
-search plus coordinate-ascent refinement) and a rigorous upper bracket
-(grid value plus a first-order Lipschitz slack).  The quadratic family
+search plus local refinement) and a rigorous upper bracket (grid value
+plus a first-order Lipschitz slack).  Refinement maximises |P| exactly
+along a line of one free variable; with two or more free variables it
+takes safeguarded Newton steps and confirms with a sweep of exact line
+maximisations.  The quadratic family
 
     P = a z1^2 + b z2^2 + c z1 z2,   ab < 0,  |c(a+b)| <= 4|ab|
 

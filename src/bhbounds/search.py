@@ -40,6 +40,10 @@ CERTIFICATE_SCHEMA = "bh-cert-1"
 _STEP_INIT = 0.5
 _STEP_MIN = 1e-6
 
+# Largest coefficient space, C(m + n - 1, n - 1) multi-indices, that a
+# search enumerates; larger ones could not even be listed in memory.
+_MAX_COEFFICIENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -49,7 +53,9 @@ class SearchConfig:
     independent of one another.  Restart r draws its start from a
     generator seeded with rng_seed + r; restart 0 is always seeded from
     the witness family instead.  grid is the sup-norm grid K (at least 2)
-    of every evaluation and of the final certificate.
+    of every evaluation and of the final certificate.  The coefficient
+    space, C(m + num_vars - 1, num_vars - 1) multi-indices, may hold at
+    most 65536 of them.
     """
 
     m: int
@@ -74,6 +80,12 @@ class SearchConfig:
             )
         if self.grid < 2:
             raise ValueError(f"grid must be >= 2, got {self.grid}")
+        size = math.comb(self.m + self.num_vars - 1, self.num_vars - 1)
+        if size > _MAX_COEFFICIENTS:
+            raise ValueError(
+                f"degree {self.m} on {self.num_vars} variables has {size} coefficients; "
+                f"search handles at most {_MAX_COEFFICIENTS}"
+            )
 
 
 @dataclass(frozen=True)

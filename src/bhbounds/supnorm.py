@@ -16,10 +16,14 @@ family this leaves one free axis at every degree.
 
 Strategy: a uniform angle grid over the free axes gives a lower bound and
 a starting point (on the K-point grid P is an inverse DFT of its
-coefficients, with exponents taken mod K), cyclic coordinate ascent
-maximises each line exactly (the line is a trigonometric polynomial,
-maximised through the roots of its derivative), and a first-order
-Lipschitz slack turns the grid value into a rigorous upper bracket.
+coefficients, with exponents taken mod K); refinement climbs from there
+and a first-order Lipschitz slack turns the grid value into a rigorous
+upper bracket.  Refinement maximises a line of one free coordinate
+exactly (the line is a trigonometric polynomial, maximised through the
+roots of its derivative), which settles one free axis outright.  With two
+or more free axes it takes safeguarded Newton steps on |P|^2 and confirms
+convergence with a sweep of exact line maximisations, so the result is a
+point that no coordinate line improves.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ MAX_GRID_POINTS = 1 << 26
 # Grid points evaluated per numpy slab; bounds the size of each |P| array.
 _SLAB_POINTS = 1 << 20
 
-# refine_local stops once a sweep gains at most this fraction of the
-# value, or after this many sweeps.
+# refine_local stops once an iteration's confirming line sweep gains at
+# most this fraction of the value, or after this many iterations.
 _REFINE_RTOL = 1e-10
-_MAX_SWEEPS = 200
+_MAX_ITERATIONS = 200
 
 
 class GridTooLargeError(ValueError):
@@ -80,6 +84,13 @@ class SupNormResult:
 
 
 class RefineResult(NamedTuple):
+    """Outcome of refine_local.
+
+    value is |P| at e^{i angles}; sweeps counts refine iterations (one
+    Newton step, or one sweep of line maximisations, or both), which is a
+    single sweep when there is one free axis.
+    """
+
     value: float
     angles: tuple[float, ...]
     sweeps: int
@@ -207,21 +218,68 @@ def _line_argmax(P: HomogeneousPolynomial, angles: list[float], axis: int) -> fl
     return float(ts[int(np.argmax(fs))])
 
 
+def _line_sweep(
+    P: HomogeneousPolynomial, theta: list[float], value: float, axes: list[int]
+) -> tuple[list[float], float]:
+    """Move each free coordinate in turn to the exact maximum of its line.
+
+    A move is kept only if the re-evaluated |P| strictly increases.
+    """
+    for j in axes:
+        t = _line_argmax(P, theta, j)
+        if t is None:
+            continue
+        candidate = list(theta)
+        candidate[j] = t % TWO_PI
+        cand_value = abs(P.evaluate(_torus_point(candidate)))
+        if cand_value > value:
+            theta = candidate
+            value = cand_value
+    return theta, value
+
+
+def _newton_step(coeffs: np.ndarray, a: np.ndarray, t: list[float]) -> np.ndarray | None:
+    """Newton step on f = |P|^2 over the free angles t, or None unless the
+    Hessian is negative definite.
+
+    a holds the free-axis exponents, one row per term.  With
+    e = c e^{i alpha.t} and P = sum e, the derivatives are
+    dP_j = i sum alpha_j e and d2P_jk = -sum alpha_j alpha_k e, so
+    grad f = 2 Re(conj(P) dP) and Hess f = 2 Re(conj(dP)^T dP + conj(P) d2P);
+    the common factor 2 cancels in the step, so it is left out.
+    """
+    e = coeffs * np.exp(1j * (a @ t))
+    p = e.sum()
+    dp = 1j * (e @ a)
+    grad = np.real(np.conj(p) * dp)
+    hess = np.real(np.outer(np.conj(dp), dp) - np.conj(p) * ((a.T * e) @ a))
+    # Eigenvalues within rounding of zero (numpy's matrix_rank tolerance)
+    # do not count as negative: |P| can be constant along a direction.
+    w, v = np.linalg.eigh(hess)
+    if w[-1] >= -len(w) * np.finfo(float).eps * abs(w[0]):
+        return None
+    return -(v @ ((grad @ v) / w))
+
+
 def refine_local(
     P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]
 ) -> RefineResult:
-    """Cyclic coordinate ascent on theta -> |P(e^{i theta})| over the free axes.
+    """Local ascent on theta -> |P(e^{i theta})| over the free axes.
 
-    Each free coordinate moves to the global maximum of |P| along its
-    line, found exactly (see _line_argmax).  Pinned axes keep their angles;
-    every diagonal-phase orbit meets the points that share them.  A move
-    is accepted only if the re-evaluated |P| strictly increases, so the
-    returned value never drops below the input value.  With one free axis
-    that line is the whole quotient torus, so one sweep finds the global
-    maximum and the ascent stops (converged).  Otherwise it stops when a
-    sweep improves the value by at most 1e-10 times the value (converged),
-    a test that scaling P does not change, or after 200 sweeps (not
-    converged).
+    Pinned axes keep their angles; every diagonal-phase orbit meets the
+    points that share them.  With one free axis that axis is the whole
+    quotient torus, so a single exact line maximisation (see _line_argmax)
+    finds the global maximum: one iteration, converged.  With two or more,
+    each iteration takes a Newton step on |P|^2 over the free axes when
+    its Hessian is negative definite.  When Newton is unavailable or
+    gains at most 1e-10 times the value, the iteration ends with a sweep
+    of exact line maximisations over the free axes; if that sweep also
+    gains at most 1e-10 times the value, no coordinate line improves the
+    result and the ascent stops (converged), a test that scaling P does
+    not change.  Otherwise it stops after 200 iterations (not converged);
+    sweeps counts the iterations.  Every move is accepted only if the
+    re-evaluated |P| strictly increases, so the returned value never drops
+    below the input value.
     """
     theta = [t % TWO_PI for t in angles]
     if len(theta) != P.num_vars:
@@ -232,26 +290,37 @@ def refine_local(
     axes = _free_axes(P)
     if not axes:
         return RefineResult(value, tuple(theta), 0, True)
+    if len(axes) == 1:
+        theta, value = _line_sweep(P, theta, value, axes)
+        return RefineResult(value, tuple(theta), 1, True)
 
-    sweeps = 0
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        sweeps += 1
-        sweep_start = value
-        for j in axes:
-            t = _line_argmax(P, theta, j)
-            if t is None:
-                continue
+    exps = np.array(list(P.terms), dtype=np.float64)
+    coeffs = np.array(list(P.terms.values()), dtype=np.complex128)
+    # Pinned angles never move, so their phases fold into the coefficients.
+    # Scaling P does not change the Newton step; unit peak keeps f finite.
+    pinned = [j for j in range(P.num_vars) if j not in axes]
+    coeffs *= np.exp(1j * (exps[:, pinned] @ [theta[j] for j in pinned]))
+    coeffs /= np.abs(coeffs).max()
+    a = exps[:, axes]
+    for iteration in range(1, _MAX_ITERATIONS + 1):
+        start = value
+        step = _newton_step(coeffs, a, [theta[j] for j in axes])
+        if step is not None:
             candidate = list(theta)
-            candidate[j] = t % TWO_PI
+            for j, s in zip(axes, step.tolist()):
+                candidate[j] = (theta[j] + s) % TWO_PI
             cand_value = abs(P.evaluate(_torus_point(candidate)))
             if cand_value > value:
                 theta = candidate
                 value = cand_value
-        if len(axes) == 1 or value - sweep_start <= _REFINE_RTOL * value:
-            converged = True
-            break
-    return RefineResult(value, tuple(theta), sweeps, converged)
+        if value - start > _REFINE_RTOL * value:
+            continue
+        # Newton stalled: the line sweep confirms convergence or escapes.
+        sweep_start = value
+        theta, value = _line_sweep(P, theta, value, axes)
+        if value - sweep_start <= _REFINE_RTOL * value:
+            return RefineResult(value, tuple(theta), iteration, True)
+    return RefineResult(value, tuple(theta), _MAX_ITERATIONS, False)
 
 
 def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:

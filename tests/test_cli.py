@@ -17,7 +17,7 @@ WITNESS_M2 = polynomial_to_dict(build_witness(2, FamilyParams(1.0, -1.0, 2.0**1.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     # The subprocess imports bhbounds from this checkout's src/, installed or not.
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -26,6 +26,7 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=timeout,
     )
 
 
@@ -247,6 +248,16 @@ def test_grid_below_two_is_usage_error(tmp_path):
         assert proc.stdout == ""
     # search stopped before writing a certificate, at --out or the default path
     assert [p.name for p in tmp_path.iterdir()] == ["poly.json"]
+
+
+def test_search_refuses_unlistable_coefficient_space(tmp_path):
+    # Without the limit this enumerates C(79, 39) multi-indices until memory
+    # runs out, so a regression is killed after a few seconds.
+    proc = run_cli("search", "--m", "40", "--n", "40", cwd=tmp_path, timeout=10)
+    assert proc.returncode == 2
+    assert "coefficients" in proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -59,6 +59,18 @@ def test_config_validation():
         SearchConfig(m=2, num_vars=2, grid=1)
 
 
+def test_config_refuses_unlistable_coefficient_space():
+    # C(79, 39) ~ 5.4e22 and C(1004, 4) ~ 4.2e10 multi-indices: refused
+    # before anything is enumerated.
+    for m, n in ((40, 40), (1000, 5)):
+        with pytest.raises(ValueError, match="coefficients"):
+            SearchConfig(m=m, num_vars=n)
+    # Two variables give m + 1 multi-indices; the limit is 2^16.
+    SearchConfig(m=(1 << 16) - 1, num_vars=2)
+    with pytest.raises(ValueError, match="at most 65536"):
+        SearchConfig(m=1 << 16, num_vars=2)
+
+
 def test_degree_multi_indices():
     assert degree_multi_indices(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert len(degree_multi_indices(4, 3)) == 15  # C(6, 2)

@@ -230,6 +230,67 @@ def test_refine_never_decreases():
         assert result.value >= start_value
 
 
+def free_axes(P):
+    alphas = list(P.terms)
+    varying = [j for j in range(P.num_vars) if any(a[j] != alphas[0][j] for a in alphas)]
+    return varying[1:]
+
+
+def test_refine_newton_reaches_coordinatewise_max_fast():
+    # Two or more free axes: Newton steps, then a line sweep that confirms
+    # no coordinate line improves the value.  Coordinate ascent alone took
+    # up to 62 sweeps from such starts.
+    rng = np.random.default_rng(67)
+    samples = 1 << 14
+    t = TWO_PI * np.arange(samples) / samples
+    cases = [(random_polynomial(rng, 3 + i % 3, 3), 64) for i in range(60)]
+    cases += [(random_polynomial(rng, m, 4), 16) for m in (2, 3, 3, 4)]
+    for P, K in cases:
+        axes = free_axes(P)
+        assert len(axes) >= 2
+        start_value, start = torus_grid_max(P, K)
+        result = refine_local(P, start)
+        assert result.value >= start_value
+        z = [cmath.exp(1j * a) for a in result.angles]
+        assert abs(P.evaluate(z)) == result.value
+        for j in range(P.num_vars):
+            if j not in axes:
+                assert result.angles[j] == start[j]
+        assert result.converged
+        assert result.sweeps <= 10
+        for j in axes:
+            line = 0
+            for a, c in P.terms.items():
+                rest = sum(a[l] * result.angles[l] for l in range(P.num_vars) if l != j)
+                line = line + c * np.exp(1j * (rest + a[j] * t))
+            assert float(np.abs(line).max()) <= result.value * (1 + 1e-9)
+
+
+def test_refine_singular_hessian():
+    # The exponent differences of z1^3 + 2 z2 z3^2 have rank 1: |P| depends
+    # on theta_2 + 2 theta_3 only, so the Hessian is singular everywhere.
+    P = HomogeneousPolynomial(3, 3, {(3, 0, 0): 1.0, (0, 1, 2): 2.0})
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        result = refine_local(P, tuple(rng.uniform(0, TWO_PI, 3)))
+        assert result.converged
+        assert result.value == pytest.approx(3.0, abs=1e-12)
+
+
+def test_refine_climbs_out_of_minimum_and_saddle():
+    # With theta_1 pinned, f = |P|^2 = 14 + 4 cos a + 6 cos b + 12 cos(a - b)
+    # for a = 3 theta_2, b = 3 theta_3.  (a, b) = (0, pi) is a zero of P (a
+    # minimum) and (pi, 0) a saddle (f_aa = 16, f_bb = 6, f_ab = -12).
+    # Newton cannot step from either; the line sweep climbs out.
+    P = HomogeneousPolynomial(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 2.0, (0, 0, 3): 3.0})
+    for start, start_value in (((0.0, 0.0, math.pi / 3), 0.0), ((0.0, math.pi / 3, 0.0), 2.0)):
+        z = [cmath.exp(1j * a) for a in start]
+        assert abs(P.evaluate(z)) == pytest.approx(start_value, abs=1e-12)
+        result = refine_local(P, start)
+        assert result.converged
+        assert result.value >= start_value + 1.0
+
+
 # --- torus_lipschitz_bound ----------------------------------------------------
 
 
