@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .poly import HomogeneousPolynomial, bh_exponent, coefficient_lp_norm
-from .supnorm import DEFAULT_GRID, sup_norm
+from .supnorm import DEFAULT_GRID, _sup_norms
+from .supnorm import sup_norm  # noqa: F401  (bench/spans.py wraps family.sup_norm)
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
@@ -222,15 +223,42 @@ def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
     denominator is an upper bound on ||P||).  grid is the sup-norm grid
     K, as in sup_norm.
     """
-    if P.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no ratio")
-    numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
-    result = sup_norm(P, grid)
-    if result.lower_estimate <= 0.0:
-        raise ValueError(
-            "sup-norm estimate vanished on the grid; use a finer grid"
-        )
-    return RatioResult(
-        estimate=numerator / result.lower_estimate,
-        certified=numerator / result.upper_bracket,
-    )
+    (ratio,) = _bh_ratios([P], grid)
+    if isinstance(ratio, ValueError):
+        raise ratio
+    return ratio
+
+
+def _bh_ratios(
+    polys: list[HomogeneousPolynomial], grid: int
+) -> list[RatioResult | ValueError]:
+    """bh_ratio(P, grid) of every P, or the ValueError it raises for P.
+
+    The brackets come from one _sup_norms call, so polynomials with one
+    free axis share its batched grid and line passes.
+    """
+    nonzero = [P for P in polys if not P.is_zero]
+    # A zero polynomial gets its own error even at a bad grid, which
+    # _sup_norms would refuse.
+    brackets = iter(_sup_norms(nonzero, grid) if nonzero else [])
+    ratios: list[RatioResult | ValueError] = []
+    for P in polys:
+        if P.is_zero:
+            ratios.append(ZeroPolynomialError("the zero polynomial has no ratio"))
+            continue
+        bracket = next(brackets)
+        if isinstance(bracket, ValueError):
+            ratios.append(bracket)
+        elif bracket.lower_estimate <= 0.0:
+            ratios.append(
+                ValueError("sup-norm estimate vanished on the grid; use a finer grid")
+            )
+        else:
+            numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
+            ratios.append(
+                RatioResult(
+                    estimate=numerator / bracket.lower_estimate,
+                    certified=numerator / bracket.upper_bracket,
+                )
+            )
+    return ratios

@@ -8,6 +8,14 @@ argmax can jump between basins, so a pattern search is used instead of a
 gradient method: perturb one coefficient at a time by +-step, keep strict
 improvements, halve the step after a full stale sweep.
 
+The restarts advance in lockstep: each step gathers the next candidate of
+every live restart and evaluates them together, so the candidates with one
+free sup-norm axis (every candidate on two variables, and every family
+seed) share one batched grid pass and one batched line pass.  Restarts
+share nothing, so each takes the path it takes when the restarts run one
+after another, as long as a candidate's estimate from a batch is the one
+bh_ratio gives it alone (see supnorm._sup_norms for when that holds).
+
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either
 norm, and the known good witnesses are real.  This is a search-space
@@ -16,14 +24,16 @@ heuristic, not a theorem.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Generator
 
 import numpy as np
 
-from .family import ZeroPolynomialError, bh_ratio, optimal_x
+from .family import ZeroPolynomialError, _bh_ratios, optimal_x
+from .family import bh_ratio  # noqa: F401  (bench/spans.py wraps search.bh_ratio)
 from .poly import (
     HomogeneousPolynomial,
     MultiIndex,
@@ -112,16 +122,18 @@ class WitnessCertificate:
 
 
 def degree_multi_indices(m: int, n: int) -> list[MultiIndex]:
-    """All exponent vectors of weight m on n variables, lexicographic."""
+    """All exponent vectors of weight m on n variables, lexicographic.
 
-    def gen(prefix: tuple[int, ...], remaining: int, slots: int) -> Iterator[MultiIndex]:
-        if slots == 1:
-            yield prefix + (remaining,)
-            return
-        for a in range(remaining, -1, -1):
-            yield from gen(prefix + (a,), remaining - a, slots - 1)
-
-    return sorted(gen((), m, n))
+    Stars and bars: n - 1 bars among m + n - 1 slots split the m stars
+    into n exponents, the gaps between consecutive bars.  Bar positions
+    come from itertools.combinations in lexicographic order, and the
+    exponent vectors they give come in the same order.
+    """
+    slots = m + n - 1
+    return [
+        tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
+        for bars in itertools.combinations(range(slots), n - 1)
+    ]
 
 
 def family_seed_vector(m: int, n: int, indices: list[MultiIndex]) -> np.ndarray:
@@ -173,25 +185,20 @@ class _RestartOutcome:
     evals: int
 
 
-def _run_restart(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> _RestartOutcome:
+def _run_restart(
+    cfg: SearchConfig, indices: list[MultiIndex], r: int
+) -> Generator[np.ndarray, float, _RestartOutcome]:
+    """Pattern search of restart r: yields each candidate vector, is sent
+    its ratio estimate, and returns the outcome."""
     rng = np.random.default_rng(cfg.rng_seed + r)
     if r == 0:
         start = family_seed_vector(cfg.m, cfg.num_vars, indices)
     else:
         start = rng.uniform(-2.0, 2.0, len(indices))
 
-    evals = 0
-
-    def ratio_of(vec: np.ndarray) -> float:
-        poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
-        try:
-            return bh_ratio(poly, cfg.grid).estimate
-        except ZeroPolynomialError:
-            return -math.inf  # all-zero candidate, skip
-
     best_vec = start.copy()
-    best_val = ratio_of(best_vec)
-    evals += 1
+    best_val = yield best_vec
+    evals = 1
     step = _STEP_INIT
     while step >= _STEP_MIN and evals < cfg.eval_budget:
         improved = False
@@ -201,7 +208,7 @@ def _run_restart(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> _Resta
                     break
                 candidate = best_vec.copy()
                 candidate[i] += sign * step
-                val = ratio_of(candidate)
+                val = yield candidate
                 evals += 1
                 if val > best_val:
                     best_vec, best_val = candidate, val
@@ -212,6 +219,55 @@ def _run_restart(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> _Resta
         if not improved:
             step *= 0.5
     return _RestartOutcome(index=r, vector=best_vec, estimate=best_val, evals=evals)
+
+
+def _estimates(
+    cfg: SearchConfig, indices: list[MultiIndex], vectors: list[np.ndarray]
+) -> list[float | ValueError]:
+    """bh_ratio(P, cfg.grid).estimate of each candidate vector's polynomial,
+    or the ValueError bh_ratio raises for it; the zero polynomial scores
+    -inf.  All candidates go to one _bh_ratios call."""
+    polys = [_vector_to_polynomial(cfg.m, cfg.num_vars, indices, v) for v in vectors]
+    estimates: list[float | ValueError] = []
+    for ratio in _bh_ratios(polys, cfg.grid):
+        if isinstance(ratio, ZeroPolynomialError):
+            estimates.append(-math.inf)  # all-zero candidate, skip
+        elif isinstance(ratio, ValueError):
+            estimates.append(ratio)
+        else:
+            estimates.append(ratio.estimate)
+    return estimates
+
+
+def _run_restarts(cfg: SearchConfig, indices: list[MultiIndex]) -> list[_RestartOutcome]:
+    """Every restart's outcome, in index order.
+
+    The restarts advance in lockstep: each round is one _estimates call
+    for the next candidate of every live restart.  They share nothing, so
+    each gets the candidates, evals and outcome it gets when the restarts
+    run one after another.  Run that way, the first restart to fail raises
+    and later ones never run; so a failure drops the restarts above it,
+    and the lowest failure is raised once the others finish.
+    """
+    runs = [_run_restart(cfg, indices, r) for r in range(cfg.restarts)]
+    pending = {r: next(run) for r, run in enumerate(runs)}
+    outcomes: list[_RestartOutcome] = []
+    failure: ValueError | None = None
+    while pending:
+        live = list(pending)
+        for r, result in zip(live, _estimates(cfg, indices, [pending[r] for r in live])):
+            if isinstance(result, ValueError):
+                failure = result
+                pending = {s: vec for s, vec in pending.items() if s < r}
+                break
+            try:
+                pending[r] = runs[r].send(result)
+            except StopIteration as stop:
+                outcomes.append(stop.value)
+                del pending[r]
+    if failure is not None:
+        raise failure
+    return sorted(outcomes, key=lambda outcome: outcome.index)
 
 
 def certify(
@@ -247,16 +303,18 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     """Multi-restart pattern search; returns the best certificate found.
 
     Restarts are independent (restart r owns generator rng_seed + r and
-    its own eval budget) and run in index order; the merge keeps the
-    maximum ratio estimate, ties broken by the lowest restart index.  The
-    estimate is the merge key because it is the quantity the search
-    optimizes and the quantity the seeded floor guarantees; the certified
-    value is reported alongside it in the certificate.
+    its own eval budget).  They advance in lockstep, with one batched
+    evaluation of every live restart's next candidate per step, and each
+    follows the path it follows when they run one after another in index
+    order, given the same estimates.  The merge keeps the maximum ratio estimate, ties broken by the
+    lowest restart index.  The estimate is the merge key because it is the
+    quantity the search optimizes and the quantity the seeded floor
+    guarantees; the certified value is reported alongside it in the
+    certificate.
     """
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
     best: _RestartOutcome | None = None
-    for r in range(cfg.restarts):  # strict > keeps the earliest on ties
-        outcome = _run_restart(cfg, indices, r)
+    for outcome in _run_restarts(cfg, indices):  # strict > keeps the earliest on ties
         if not math.isfinite(outcome.estimate):
             continue
         if best is None or outcome.estimate > best.estimate:

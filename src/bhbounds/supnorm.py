@@ -24,6 +24,10 @@ roots of its derivative), which settles one free axis outright.  With two
 or more free axes it takes safeguarded Newton steps on |P|^2 and confirms
 convergence with a sweep of exact line maximisations, so the result is a
 point that no coordinate line improves.
+
+Polynomials with one free axis each share one batched grid pass and one
+batched line pass when bracketed together (the search evaluates its
+candidates so); sup_norm is such a batch of one.
 """
 
 from __future__ import annotations
@@ -118,6 +122,34 @@ def _free_axes(P: HomogeneousPolynomial) -> list[int]:
     ][1:]
 
 
+def _grid_maxima(C: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """For every column p of C, the first maximum over k = 0..K-1 of
+    |sum_a e^{2 pi i a k/K} C[a, p]|: its value and its k.
+
+    Rows k are computed a slab at a time, which bounds the size of each
+    |P| array; slabs in order and a strict > keep the first maximum across
+    slabs, as argmax does within one.  einsum sums each entry over a in
+    order whatever the slab size (a BLAS product need not), so slabbing
+    does not change a value.
+    """
+    first_len, cols = C.shape
+    slab = max(1, _SLAB_POINTS // cols)
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    every = np.arange(cols)
+    values = np.full(cols, -1.0)
+    rows = np.zeros(cols, dtype=np.intp)
+    for k0 in range(0, K, slab):
+        k = np.arange(k0, min(k0 + slab, K))
+        phases = roots[np.outer(k, np.arange(first_len)) % K]
+        mags = np.abs(np.einsum("ka,ap->kp", phases, C))
+        local = mags.argmax(axis=0)
+        slab_values = mags[local, every]
+        better = slab_values > values
+        values[better] = slab_values[better]
+        rows[better] = k0 + local[better]
+    return values, rows
+
+
 def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float, ...]]:
     """Max of |P(e^{i theta})| over the uniform K^N angle grid.
 
@@ -162,24 +194,13 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
         # norm="forward" leaves the inverse transform unscaled; out=C keeps
         # a single copy of the array (numpy >= 2.0).
         np.fft.ifft(C, axis=ax, norm="forward", out=C)
-    C = C.reshape(first_len, -1)
-    row_points = C.shape[1]
-    rows = max(1, _SLAB_POINTS // row_points)
-    roots = np.exp(2j * np.pi * np.arange(K) / K)
-    best_val = -1.0
-    best_flat = 0
-    # Rows in order and a strict > keep the first (lexicographically
-    # smallest) argmax across slabs, as np.argmax does within one.  einsum
-    # sums each point in the same order whatever the slab size (a BLAS
-    # product need not), so slabbing does not change the result.
-    for k0 in range(0, K, rows):
-        k = np.arange(k0, min(k0 + rows, K))
-        phases = roots[np.outer(k, np.arange(first_len)) % K]
-        mags = np.abs(np.einsum("ka,ap->kp", phases, C))
-        local = int(np.argmax(mags))
-        if mags.flat[local] > best_val:
-            best_val = float(mags.flat[local])
-            best_flat = k0 * row_points + local
+    values, rows = _grid_maxima(C.reshape(first_len, -1), K)
+    # The lexicographically smallest argmax: the smallest first-axis index
+    # among the columns that reach the maximum, then the first such column.
+    tops = np.flatnonzero(values == values.max())
+    col = int(tops[rows[tops].argmin()])
+    best_val = float(values[col])
+    best_flat = int(rows[col]) * len(values) + col
 
     angles = [0.0] * P.num_vars
     for j, digit in zip(axes, np.unravel_index(best_flat, (K,) * len(axes))):
@@ -191,31 +212,77 @@ def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]
     return tuple([cmath.exp(1j * t) for t in angles])
 
 
-def _line_argmax(P: HomogeneousPolynomial, angles: list[float], axis: int) -> float | None:
-    """Global maximiser t of f(t) = |P(theta with theta_axis = t)|^2.
-
-    With the other angles frozen, P = sum_a g_a e^{i a t}.  Trimmed to its
-    nonzero span of D+1 entries (a unimodular factor drops out) and scaled
-    to unit peak, f(t) = sum_{|k|<=D} h_k e^{i k t} with h = correlate(g, g),
-    and f'(t) = 0 exactly when w = e^{i t} is a root of
-    sum_k k h_k w^(k+D).  f is evaluated at the angle of every root, so
-    the best is the global maximiser up to root accuracy.  Returns None
-    when f is constant.
-    """
+def _line_coefficients(
+    P: HomogeneousPolynomial, angles: list[float], axis: int
+) -> np.ndarray:
+    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}."""
     g = np.zeros(P.degree + 1, dtype=np.complex128)
     for alpha, coeff in P.terms.items():
         phase = sum(alpha[l] * angles[l] for l in range(len(angles)) if l != axis)
         g[alpha[axis]] += coeff * cmath.exp(1j * phase)
-    nonzero = np.flatnonzero(g)
-    if len(nonzero) < 2:
-        return None
-    g = g[nonzero[0] : nonzero[-1] + 1]
-    g /= np.abs(g).max()
-    D = len(g) - 1
-    h = np.correlate(g, g, "full")
-    ts = np.angle(np.roots((np.arange(-D, D + 1) * h)[::-1]))
-    fs = np.abs(np.exp(1j * np.outer(ts, np.arange(D + 1))) @ g)
-    return float(ts[int(np.argmax(fs))])
+    return g
+
+
+def _line_argmaxes(lines: list[np.ndarray]) -> list[float | None]:
+    """Global maximiser t of f(t) = |sum_a g_a e^{i a t}|^2 for every g in
+    lines, or None where f is constant (up to rounding).
+
+    Trimmed to its nonzero span of D+1 entries (a unimodular factor drops
+    out) and scaled to unit peak, f(t) = sum_{|k|<=D} h_k e^{i k t} with
+    h = correlate(g, g), and f'(t) = 0 exactly when w = e^{i t} is a root
+    of sum_k k h_k w^(k+D).  f is evaluated at the angle of every root, so
+    the best is the global maximiser up to root accuracy.
+
+    The roots are those np.roots gives: the eigenvalues of the companion
+    matrix of the polynomial stripped of its leading and trailing zeros,
+    plus one zero root per trailing zero.  Polynomials of one shape (length
+    and zero ends) share one eigvals call and one evaluation of f.
+    """
+    out: list[float | None] = [None] * len(lines)
+    shapes: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    for i, g in enumerate(lines):
+        nonzero = g.nonzero()[0]
+        if len(nonzero) < 2:
+            continue
+        g = g[nonzero[0] : nonzero[-1] + 1]
+        g = g / abs(g).max()
+        D = len(g) - 1
+        h = np.correlate(g, g, "full")
+        deriv = (np.arange(-D, D + 1) * h)[::-1]
+        ends = deriv.nonzero()[0]
+        if len(ends) < 2:  # every term of f' underflowed: f is constant
+            continue
+        shapes.setdefault((len(deriv), ends[0], ends[-1]), []).append((i, g, deriv))
+    for (length, lead, last), members in shapes.items():
+        stripped = np.array([deriv[lead : last + 1] for _, _, deriv in members])
+        batch, N = stripped.shape
+        companion = np.zeros((batch, N - 1, N - 1), dtype=np.complex128)
+        companion[:, np.arange(1, N - 1), np.arange(N - 2)] = 1.0
+        companion[:, 0, :] = -stripped[:, 1:] / stripped[:, :1]
+        roots = np.linalg.eigvals(companion)
+        roots = np.hstack([roots, np.zeros((batch, length - 1 - last), roots.dtype)])
+        ts = np.angle(roots)
+        gs = np.array([g for _, g, _ in members])
+        phases = np.exp(1j * ts[:, :, None] * np.arange(gs.shape[1]))
+        fs = np.abs(phases @ gs[:, :, None])[:, :, 0]
+        for (i, _, _), t in zip(members, ts[np.arange(batch), fs.argmax(axis=1)].tolist()):
+            out[i] = t
+    return out
+
+
+def _line_move(
+    P: HomogeneousPolynomial, theta: list[float], value: float, axis: int, t: float | None
+) -> tuple[list[float], float]:
+    """theta with theta_axis = t and its |P|, if that strictly exceeds
+    value; otherwise theta and value unchanged."""
+    if t is None:
+        return theta, value
+    candidate = list(theta)
+    candidate[axis] = t % TWO_PI
+    cand_value = abs(P.evaluate(_torus_point(candidate)))
+    if cand_value > value:
+        return candidate, cand_value
+    return theta, value
 
 
 def _line_sweep(
@@ -226,16 +293,23 @@ def _line_sweep(
     A move is kept only if the re-evaluated |P| strictly increases.
     """
     for j in axes:
-        t = _line_argmax(P, theta, j)
-        if t is None:
-            continue
-        candidate = list(theta)
-        candidate[j] = t % TWO_PI
-        cand_value = abs(P.evaluate(_torus_point(candidate)))
-        if cand_value > value:
-            theta = candidate
-            value = cand_value
+        (t,) = _line_argmaxes([_line_coefficients(P, theta, j)])
+        theta, value = _line_move(P, theta, value, j, t)
     return theta, value
+
+
+def _refine_one_axis(
+    starts: list[tuple[HomogeneousPolynomial, list[float], int]]
+) -> list[RefineResult]:
+    """refine_local(P, theta) of every P whose only free axis is j, with
+    theta reduced mod 2 pi: one exact line maximisation each, the lines
+    maximised in one batch (see _line_argmaxes)."""
+    lines = [_line_coefficients(P, theta, j) for P, theta, j in starts]
+    results = []
+    for (P, theta, j), t in zip(starts, _line_argmaxes(lines)):
+        theta, value = _line_move(P, theta, abs(P.evaluate(_torus_point(theta))), j, t)
+        results.append(RefineResult(value, tuple(theta), 1, True))
+    return results
 
 
 def _newton_step(coeffs: np.ndarray, a: np.ndarray, t: list[float]) -> np.ndarray | None:
@@ -268,7 +342,7 @@ def refine_local(
 
     Pinned axes keep their angles; every diagonal-phase orbit meets the
     points that share them.  With one free axis that axis is the whole
-    quotient torus, so a single exact line maximisation (see _line_argmax)
+    quotient torus, so a single exact line maximisation (see _line_argmaxes)
     finds the global maximum: one iteration, converged.  With two or more,
     each iteration takes a Newton step on |P|^2 over the free axes when
     its Hessian is negative definite.  When Newton is unavailable or
@@ -286,13 +360,12 @@ def refine_local(
         raise ValueError(
             f"angle vector has length {len(theta)}, expected {P.num_vars}"
         )
-    value = abs(P.evaluate(_torus_point(theta)))
     axes = _free_axes(P)
+    if len(axes) == 1:
+        return _refine_one_axis([(P, theta, axes[0])])[0]
+    value = abs(P.evaluate(_torus_point(theta)))
     if not axes:
         return RefineResult(value, tuple(theta), 0, True)
-    if len(axes) == 1:
-        theta, value = _line_sweep(P, theta, value, axes)
-        return RefineResult(value, tuple(theta), 1, True)
 
     exps = np.array(list(P.terms), dtype=np.float64)
     coeffs = np.array(list(P.terms.values()), dtype=np.complex128)
@@ -344,22 +417,91 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
     Raises ValueError when the bracket overflows to a non-finite value.
     """
+    (result,) = _sup_norms([P], grid)
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def _sup_norms(
+    polys: list[HomogeneousPolynomial], grid: int
+) -> list[SupNormResult | ValueError]:
+    """sup_norm(P, grid) of every P, or the ValueError it raises for P.
+
+    The polynomials with exactly one free axis share one grid pass (one
+    column each, see _one_axis_grid_maxes) and one line pass (see
+    _refine_one_axis); the others go through torus_grid_max and
+    refine_local one at a time.  A batch runs the same code as a batch of
+    one, and each polynomial's numbers come out the same as long as numpy
+    computes each einsum entry and each eigvals matrix the same way
+    whatever the batch width, which numpy does not promise; the tests
+    check it on the installed build.
+    """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    if P.is_zero:
-        return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
-    grid_value, grid_angles = torus_grid_max(P, grid)
-    slack = torus_lipschitz_bound(P) * math.pi / grid
-    if not math.isfinite(grid_value + slack):
-        raise ValueError("sup-norm bracket is not finite; rescale the polynomial")
-    refined = refine_local(P, grid_angles)
-    return SupNormResult(
-        lower_estimate=refined.value,
-        upper_bracket=grid_value + slack,
-        arg_angles=refined.angles,
-        grid_used=grid,
-        converged=refined.converged,
-    )
+    results: list = [None] * len(polys)
+    starts: dict[int, tuple[float, tuple[float, ...]]] = {}
+    one_axis: dict[int, int] = {}
+    for i, P in enumerate(polys):
+        if P.is_zero:
+            results[i] = SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
+            continue
+        axes = _free_axes(P)
+        if len(axes) == 1 and grid <= MAX_GRID_POINTS:
+            one_axis[i] = axes[0]
+            continue
+        try:
+            starts[i] = torus_grid_max(P, grid)
+        except GridTooLargeError as exc:
+            results[i] = exc
+    batch = [(polys[i], j) for i, j in one_axis.items()]
+    starts.update(zip(one_axis, _one_axis_grid_maxes(batch, grid)))
+
+    uppers = {}
+    for i, (grid_value, _) in starts.items():
+        upper = grid_value + torus_lipschitz_bound(polys[i]) * math.pi / grid
+        if math.isfinite(upper):
+            uppers[i] = upper
+        else:
+            results[i] = ValueError("sup-norm bracket is not finite; rescale the polynomial")
+    # Grid angles already lie in [0, 2 pi), as refine_local would reduce them.
+    lines = [i for i in uppers if i in one_axis]
+    on_line = [(polys[i], list(starts[i][1]), one_axis[i]) for i in lines]
+    refined = dict(zip(lines, _refine_one_axis(on_line)))
+    for i, upper in uppers.items():
+        r = refined[i] if i in refined else refine_local(polys[i], starts[i][1])
+        results[i] = SupNormResult(r.value, upper, r.angles, grid, r.converged)
+    return results
+
+
+def _one_axis_grid_maxes(
+    batch: list[tuple[HomogeneousPolynomial, int]], K: int
+) -> list[tuple[float, tuple[float, ...]]]:
+    """torus_grid_max(P, K) of every P whose only free axis is j, from one
+    einsum whose columns are the polynomials.
+
+    Column p holds P's coefficients summed by their exponent on j mod K:
+    the array torus_grid_max builds for P, up to zero rows at the end,
+    which add nothing to a sum.
+    """
+    if not batch:
+        return []
+    cells: tuple[list[int], list[int]] = ([], [])
+    coeffs: list[complex] = []
+    for col, (P, j) in enumerate(batch):
+        for alpha, coeff in P.terms.items():
+            cells[0].append(alpha[j] % K)
+            cells[1].append(col)
+            coeffs.append(coeff)
+    C = np.zeros((max(cells[0]) + 1, len(batch)), dtype=np.complex128)
+    np.add.at(C, cells, np.array(coeffs, dtype=np.complex128))
+    values, rows = _grid_maxima(C, K)
+    maxes = []
+    for (P, j), value, k in zip(batch, values.tolist(), rows.tolist()):
+        angles = [0.0] * P.num_vars
+        angles[j] = TWO_PI * k / K
+        maxes.append((value, tuple(angles)))
+    return maxes
 
 
 def quadratic_sup_norm(a: float, b: float, c: float) -> float:

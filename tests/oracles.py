@@ -3,16 +3,28 @@
 Everything here re-derives quantities from first principles (direct grid
 evaluation, direct formula evaluation) without touching the library's
 grid/refine machinery, so a bug in the engine cannot hide in its own
-oracle.
+oracle.  The one exception is the sequential search at the end, a
+reference for the order of the search's work rather than for its numbers:
+it runs the restarts one after another and calls bh_ratio per candidate.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
-from bhbounds import HomogeneousPolynomial, degree_multi_indices
+from bhbounds import (
+    HomogeneousPolynomial,
+    SearchConfig,
+    WitnessCertificate,
+    ZeroPolynomialError,
+    bh_ratio,
+    certify,
+    degree_multi_indices,
+    family_seed_vector,
+)
 
 
 def brute_force_torus_max(P: HomogeneousPolynomial, K: int) -> float:
@@ -129,3 +141,81 @@ def random_polynomial(
         alpha = degree_multi_indices(m, n)[0]
         terms[alpha] = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
     return HomogeneousPolynomial(m, n, terms)
+
+
+def recursive_multi_indices(m: int, n: int) -> list[tuple[int, ...]]:
+    """Weight-m exponent vectors on n variables: every first exponent, then
+    every completion on the other variables, sorted lexicographically."""
+
+    def gen(prefix: tuple[int, ...], remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
+        if slots == 1:
+            yield prefix + (remaining,)
+            return
+        for a in range(remaining, -1, -1):
+            yield from gen(prefix + (a,), remaining - a, slots - 1)
+
+    return sorted(gen((), m, n))
+
+
+# --- the search run one restart after another, one bh_ratio per candidate ----
+
+
+def sequential_restart(cfg: SearchConfig, indices: list, r: int) -> dict:
+    """Restart r's pattern search, evaluating each candidate with bh_ratio."""
+    rng = np.random.default_rng(cfg.rng_seed + r)
+    if r == 0:
+        start = family_seed_vector(cfg.m, cfg.num_vars, indices)
+    else:
+        start = rng.uniform(-2.0, 2.0, len(indices))
+
+    evals = 0
+
+    def ratio_of(vec: np.ndarray) -> float:
+        terms = {alpha: complex(v) for alpha, v in zip(indices, vec) if v != 0.0}
+        poly = HomogeneousPolynomial(cfg.m, cfg.num_vars, terms)
+        try:
+            return bh_ratio(poly, cfg.grid).estimate
+        except ZeroPolynomialError:
+            return -math.inf
+
+    best_vec = start.copy()
+    best_val = ratio_of(best_vec)
+    evals += 1
+    step = 0.5
+    while step >= 1e-6 and evals < cfg.eval_budget:
+        improved = False
+        for i in range(len(indices)):
+            for sign in (1.0, -1.0):
+                if evals >= cfg.eval_budget:
+                    break
+                candidate = best_vec.copy()
+                candidate[i] += sign * step
+                val = ratio_of(candidate)
+                evals += 1
+                if val > best_val:
+                    best_vec, best_val = candidate, val
+                    improved = True
+                    break
+            if evals >= cfg.eval_budget:
+                break
+        if not improved:
+            step *= 0.5
+    return {"index": r, "vector": best_vec, "estimate": best_val, "evals": evals}
+
+
+def sequential_search(cfg: SearchConfig) -> tuple[WitnessCertificate, list[dict]]:
+    """The search with its restarts run in index order, and their outcomes."""
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    outcomes = [sequential_restart(cfg, indices, r) for r in range(cfg.restarts)]
+    best = None
+    for outcome in outcomes:
+        if not math.isfinite(outcome["estimate"]):
+            continue
+        if best is None or outcome["estimate"] > best["estimate"]:
+            best = outcome
+    terms = {alpha: complex(v) for alpha, v in zip(indices, best["vector"]) if v != 0.0}
+    poly = HomogeneousPolynomial(cfg.m, cfg.num_vars, terms)
+    cert = certify(
+        poly, cfg.grid, search_config=cfg, seed=cfg.rng_seed, restart_index=best["index"]
+    )
+    return cert, outcomes

@@ -262,3 +262,36 @@ def test_search_refuses_unlistable_coefficient_space(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
+
+
+# --- in-process calls ---------------------------------------------------------
+
+
+def _main_in_process(capsys, *args):
+    from bhbounds import cli
+
+    rc = cli.main(list(args))
+    captured = capsys.readouterr()
+    return rc, captured.out
+
+
+def test_in_process_calls_share_no_state(tmp_path, capsys):
+    # main reuses one parser, so nothing one call parses may reach the next.
+    path = write_witness_file(tmp_path)
+    rc, out = _main_in_process(capsys, "ratio", "--file", path)
+    assert rc == 0
+    fresh = out
+    rc, out = _main_in_process(capsys, "ratio", "--file", path, "--grid", "128")
+    assert rc == 0 and json.loads(out)["grid"] == 128
+    rc, out = _main_in_process(capsys, "ratio", "--file", path)
+    assert rc == 0 and json.loads(out)["grid"] == 64
+    assert out == fresh
+    # A call that fails, in the command or in parsing, leaves the next intact.
+    rc, out = _main_in_process(capsys, "ratio", "--file", str(tmp_path / "missing.json"))
+    assert rc == 2 and out == ""
+    assert _main_in_process(capsys, "ratio", "--file", path) == (0, fresh)
+    with pytest.raises(SystemExit) as exc:
+        _main_in_process(capsys, "ratio", "--grid", "32")  # --file missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert _main_in_process(capsys, "ratio", "--file", path) == (0, fresh)

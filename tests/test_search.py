@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import math
 
@@ -7,8 +8,10 @@ import pytest
 
 from bhbounds import (
     FamilyParams,
+    GridTooLargeError,
     HomogeneousPolynomial,
     SearchConfig,
+    SupNormResult,
     ZeroPolynomialError,
     build_witness,
     certificate_from_dict,
@@ -16,6 +19,7 @@ from bhbounds import (
     certificate_to_dict,
     certify,
     degree_multi_indices,
+    bh_ratio,
     family_ratio,
     family_seed_vector,
     load_certificate,
@@ -23,9 +27,18 @@ from bhbounds import (
     optimal_x,
     save_certificate,
     search,
+    refine_local,
+    sup_norm,
+    torus_grid_max,
+    torus_lipschitz_bound,
     upper_bound,
 )
-from oracles import random_polynomial
+from oracles import random_polynomial, recursive_multi_indices, sequential_search
+
+# The package's search function shadows its search module as an attribute.
+search_module = importlib.import_module("bhbounds.search")
+supnorm_module = importlib.import_module("bhbounds.supnorm")
+family_module = importlib.import_module("bhbounds.family")
 
 FAST_GRID = 32
 
@@ -78,6 +91,12 @@ def test_degree_multi_indices():
         assert sum(alpha) == 3
 
 
+def test_degree_multi_indices_match_recursive_definition():
+    for m in range(7):
+        for n in range(1, 7):
+            assert degree_multi_indices(m, n) == recursive_multi_indices(m, n), (m, n)
+
+
 def test_family_seed_matches_witness():
     for m, n in [(2, 2), (3, 3), (4, 4), (3, 5)]:
         indices = degree_multi_indices(m, n)
@@ -85,8 +104,6 @@ def test_family_seed_matches_witness():
         terms = {a: complex(v) for a, v in zip(indices, vec) if v != 0.0}
         seeded = HomogeneousPolynomial(m, n, terms)
         # the seed achieves exactly the family ratio
-        from bhbounds import bh_ratio
-
         assert bh_ratio(seeded, FAST_GRID).estimate == pytest.approx(
             family_ratio(m, optimal_x(m)), abs=1e-8
         )
@@ -301,3 +318,159 @@ def test_search_certificate_echoes_config():
     doc = certificate_to_dict(cert)
     assert doc["config"]["search"]["rng_seed"] == cfg.rng_seed
     assert json.dumps(doc)  # serializable
+
+
+# --- lockstep restarts and batched evaluation ------------------------------------
+
+
+def _polynomial(m, n, indices, vec):
+    terms = {alpha: complex(v) for alpha, v in zip(indices, vec) if v != 0.0}
+    return HomogeneousPolynomial(m, n, terms)
+
+
+def _one_axis_candidates(rng, m, count):
+    """Random n = 2 coefficient vectors with some exact zeros, single-term
+    vectors and the zero vector."""
+    vectors = []
+    for _ in range(count):
+        vec = rng.uniform(-2.0, 2.0, m + 1)
+        vec[rng.uniform(size=m + 1) < 0.15] = 0.0
+        vectors.append(vec)
+    lone = np.zeros(m + 1)
+    lone[int(rng.integers(m + 1))] = rng.uniform(0.5, 2.0)
+    return vectors + [lone, np.zeros(m + 1)]
+
+
+@pytest.mark.parametrize("grid", [2, 3, 4, 16, 64])
+def test_batched_estimates_equal_bh_ratio(grid):
+    # grid 2, 3 and 4 lie below most of the degrees, so exponents alias.
+    rng = np.random.default_rng(grid)
+    for m in range(2, 6):
+        cfg = SearchConfig(m=m, num_vars=2, grid=grid)
+        indices = degree_multi_indices(m, 2)
+        vectors = _one_axis_candidates(rng, m, 40)
+        estimates = search_module._estimates(cfg, indices, vectors)
+        for vec, estimate in zip(vectors, estimates):
+            P = _polynomial(m, 2, indices, vec)
+            if P.is_zero:
+                assert estimate == -math.inf
+            else:
+                assert estimate == bh_ratio(P, grid).estimate, vec
+
+
+def _mixed_polynomials(rng):
+    """One batch mixing degrees (columns of different lengths), family seeds
+    on three to five variables, single terms, the zero polynomial and
+    polynomials with two free axes, which go through torus_grid_max and
+    refine_local one at a time."""
+    polys = []
+    for m in range(2, 6):
+        indices = degree_multi_indices(m, 2)
+        polys += [_polynomial(m, 2, indices, v) for v in _one_axis_candidates(rng, m, 10)]
+    for m, n in ((2, 3), (3, 3), (4, 4), (3, 5)):
+        indices = degree_multi_indices(m, n)
+        polys.append(_polynomial(m, n, indices, family_seed_vector(m, n, indices)))
+    return polys + [random_polynomial(rng, 3, 3), random_polynomial(rng, 4, 3)]
+
+
+def _bracket_from_parts(P, grid):
+    """sup_norm's bracket put together from torus_grid_max and refine_local."""
+    if P.is_zero:
+        return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
+    grid_value, angles = torus_grid_max(P, grid)
+    refined = refine_local(P, angles)
+    upper = grid_value + torus_lipschitz_bound(P) * math.pi / grid
+    return SupNormResult(refined.value, upper, refined.angles, grid, refined.converged)
+
+
+@pytest.mark.parametrize("grid", [2, 5, 16, 64])
+def test_batched_brackets_equal_sup_norm(grid):
+    # The batch gives each polynomial the bracket of a batch of one, and
+    # that of torus_grid_max, whose one-axis grid is built another way.
+    polys = _mixed_polynomials(np.random.default_rng(100 + grid))
+    brackets = supnorm_module._sup_norms(polys, grid)
+    for P, bracket in zip(polys, brackets):
+        assert bracket == sup_norm(P, grid) == _bracket_from_parts(P, grid), dict(P.terms)
+    assert sum(len(supnorm_module._free_axes(P)) == 1 for P in polys) >= 40
+
+
+@pytest.mark.parametrize("grid", [2, 16, 64])
+def test_batched_ratios_equal_bh_ratio(grid):
+    polys = _mixed_polynomials(np.random.default_rng(200 + grid))
+    for P, ratio in zip(polys, family_module._bh_ratios(polys, grid)):
+        if P.is_zero:
+            assert isinstance(ratio, ZeroPolynomialError)
+        else:
+            assert ratio == bh_ratio(P, grid), dict(P.terms)
+
+
+def test_batched_brackets_return_failures():
+    P = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (1, 1): 1e308, (0, 2): -1e308})
+    Q = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): -1.0})
+    first, second = supnorm_module._sup_norms([P, Q], 16)
+    assert isinstance(first, ValueError) and "not finite" in str(first)
+    with pytest.raises(ValueError, match="not finite"):
+        sup_norm(P, 16)
+    assert second == sup_norm(Q, 16)
+    (too_large,) = supnorm_module._sup_norms([Q], supnorm_module.MAX_GRID_POINTS + 1)
+    assert isinstance(too_large, GridTooLargeError)
+    with pytest.raises(ValueError, match="grid must be >= 2"):
+        supnorm_module._sup_norms([Q], 1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(m=2, num_vars=2, restarts=4, rng_seed=3, eval_budget=60, grid=32),
+        SearchConfig(m=3, num_vars=2, restarts=3, rng_seed=5, eval_budget=60, grid=32),
+        SearchConfig(m=2, num_vars=3, restarts=3, rng_seed=7, eval_budget=40, grid=16),
+        SearchConfig(m=3, num_vars=1, restarts=3, rng_seed=9, eval_budget=30, grid=16),
+    ],
+    ids=["m2n2", "m3n2", "m2n3", "m3n1"],
+)
+def test_lockstep_search_equals_sequential(cfg):
+    expected_cert, expected = sequential_search(cfg)
+    assert certificate_json(search(cfg)) == certificate_json(expected_cert)
+    outcomes = search_module._run_restarts(cfg, degree_multi_indices(cfg.m, cfg.num_vars))
+    assert [o.index for o in outcomes] == list(range(cfg.restarts))
+    for outcome, reference in zip(outcomes, expected):
+        assert np.array_equal(outcome.vector, reference["vector"])
+        assert outcome.estimate == reference["estimate"]
+        assert outcome.evals == reference["evals"] <= cfg.eval_budget
+
+
+def test_lockstep_search_raises_what_sequential_raises():
+    # With six variables a random start has five free axes: 64^5 grid points
+    # exceed the limit.  Restart 0 (the family seed, perturbed one term at a
+    # time) never does, so both runs finish restart 0 and fail on restart 1.
+    cfg = SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20)
+    with pytest.raises(GridTooLargeError) as expected:
+        sequential_search(cfg)
+    with pytest.raises(GridTooLargeError) as raised:
+        search(cfg)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
+    # Restart 2 fails in round 1 and restart 1 in round 3: run one after
+    # another, restart 1 fails first, so its error is the one raised.
+    real = search_module._estimates
+    rounds = []
+
+    def failing(cfg, indices, vectors):
+        rounds.append(len(vectors))
+        results = real(cfg, indices, vectors)
+        if len(rounds) == 1:
+            results[2] = ValueError("restart 2")
+        if len(rounds) == 3:
+            results[1] = ValueError("restart 1")
+        return results
+
+    monkeypatch.setattr(search_module, "_estimates", failing)
+    cfg = SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=10, grid=16)
+    with pytest.raises(ValueError, match="restart 1"):
+        search(cfg)
+    # Round 1 evaluated all four restarts; the failure of restart 2 dropped
+    # restarts 2 and 3, and that of restart 1 left restart 0 alone.
+    assert rounds[:3] == [4, 2, 2]
+    assert set(rounds[3:]) == {1}

@@ -102,6 +102,17 @@ def test_grid_max_multi_slab_matches_single_slab(monkeypatch):
                 assert torus_grid_max(P, 16) == single
 
 
+def test_grid_max_breaks_ties_lexicographically(monkeypatch):
+    # Of equal grid values the smallest angle vector wins: the smallest index
+    # on the first free axis, then the first column (the second free axis).
+    import bhbounds.supnorm as supnorm_module
+
+    P = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
+    maxima = (np.array([1.0, 3.0, 3.0, 3.0]), np.array([0, 2, 1, 1]))
+    monkeypatch.setattr(supnorm_module, "_grid_maxima", lambda C, K: maxima)
+    assert torus_grid_max(P, 4) == (3.0, (0.0, TWO_PI * 1 / 4, TWO_PI * 2 / 4))
+
+
 def test_grid_max_memory_stays_near_one_array(monkeypatch):
     # The free-axis FFTs run in place, so with small slabs the peak is about
     # one transformed coefficient array; a transform into a fresh array
