@@ -28,8 +28,16 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .poly import HomogeneousPolynomial, bh_exponent, coefficient_lp_norm
-from .supnorm import DEFAULT_GRID, _sup_norms
+import numpy as np
+
+from .poly import HomogeneousPolynomial, _lp_norm, bh_exponent, coefficient_lp_norm
+from .supnorm import (
+    DEFAULT_GRID,
+    _grid_size_error,
+    _line_sup_norms,
+    _sup_norms,
+    _upper_bracket,
+)
 from .supnorm import sup_norm  # noqa: F401  (bench/spans.py wraps family.sup_norm)
 
 _LN2 = math.log(2.0)
@@ -38,6 +46,9 @@ _LN4 = math.log(4.0)
 
 class ZeroPolynomialError(ValueError):
     """The ratio of the zero polynomial is undefined."""
+
+
+_VANISHED = "sup-norm estimate vanished on the grid; use a finer grid"
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -235,7 +246,7 @@ def _bh_ratios(
     """bh_ratio(P, grid) of every P, or the ValueError it raises for P.
 
     The brackets come from one _sup_norms call, so polynomials with one
-    free axis share its batched grid and line passes.
+    free axis share one call of the one-free-axis kernel.
     """
     nonzero = [P for P in polys if not P.is_zero]
     # A zero polynomial gets its own error even at a bad grid, which
@@ -250,9 +261,7 @@ def _bh_ratios(
         if isinstance(bracket, ValueError):
             ratios.append(bracket)
         elif bracket.lower_estimate <= 0.0:
-            ratios.append(
-                ValueError("sup-norm estimate vanished on the grid; use a finer grid")
-            )
+            ratios.append(ValueError(_VANISHED))
         else:
             numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
             ratios.append(
@@ -262,3 +271,32 @@ def _bh_ratios(
                 )
             )
     return ratios
+
+
+def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | ValueError]:
+    """bh_ratio(P, grid).estimate of every polynomial P of this degree with
+    exactly one free axis, or the ValueError bh_ratio raises for P.
+
+    Row b of G holds the coefficients of P_b by their exponent on its free
+    axis, one term per nonzero entry, at least two of them (see
+    supnorm._line_rows).  No polynomial is built: the bracket comes from
+    one _line_sup_norms call, and the numerator and Lipschitz bound from
+    the coefficient magnitudes with math.fsum, which does not depend on
+    the order of the terms, so each estimate is bh_ratio's.
+    """
+    error = _grid_size_error(grid, 1)
+    if error is not None:
+        return [error] * len(G)
+    grid_values, values, _ = _line_sup_norms(G, grid)
+    p = bh_exponent(degree)
+    estimates: list[float | ValueError] = []
+    for row, grid_value, value in zip(G.tolist(), grid_values, values):
+        mags = [abs(c) for c in row if c]
+        upper = _upper_bracket(grid_value, math.fsum([mag * degree for mag in mags]), grid)
+        if isinstance(upper, ValueError):
+            estimates.append(upper)
+        elif value <= 0.0:
+            estimates.append(ValueError(_VANISHED))
+        else:
+            estimates.append(_lp_norm(mags, p) / value)
+    return estimates

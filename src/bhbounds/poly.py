@@ -126,7 +126,12 @@ def coefficient_lp_norm(P: HomogeneousPolynomial, p: float) -> float:
         raise ValueError(f"p must be >= 1 (got {p}); l_p is not a norm below 1")
     if P.is_zero:
         return 0.0
-    mags = [abs(c) for c in P.terms.values()]
+    return _lp_norm([abs(c) for c in P.terms.values()], p)
+
+
+def _lp_norm(mags: list[float], p: float) -> float:
+    """(sum mag^p)^(1/p) of a nonempty list of magnitudes, p >= 1, as
+    coefficient_lp_norm computes it."""
     top = max(mags)
     total = math.fsum((mag / top) ** p for mag in mags)
     return top * total ** (1.0 / p)

@@ -8,13 +8,16 @@ argmax can jump between basins, so a pattern search is used instead of a
 gradient method: perturb one coefficient at a time by +-step, keep strict
 improvements, halve the step after a full stale sweep.
 
-The restarts advance in lockstep: each step gathers the next candidate of
-every live restart and evaluates them together, so the candidates with one
-free sup-norm axis (every candidate on two variables, and every family
-seed) share one batched grid pass and one batched line pass.  Restarts
-share nothing, so each takes the path it takes when the restarts run one
-after another, as long as a candidate's estimate from a batch is the one
-bh_ratio gives it alone (see supnorm._sup_norms for when that holds).
+The restarts run in windows of 256; those of a window advance in lockstep,
+and each step gathers the next candidate of every live restart and
+evaluates them together.  On two variables every candidate with two or
+more terms has one free sup-norm axis, and the candidates are scored from
+their coefficient matrix by the one-free-axis kernel
+(supnorm._line_sup_norms), with no polynomial built; other candidates go
+through family._bh_ratios.  Restarts share nothing, so each takes the
+path it takes when the restarts run one after another, as long as a
+candidate's estimate from a batch is the one bh_ratio gives it alone (see
+supnorm._line_sup_norms for when that holds).
 
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either
@@ -32,7 +35,13 @@ from typing import Generator
 
 import numpy as np
 
-from .family import ZeroPolynomialError, _bh_ratios, optimal_x
+from .family import (
+    _VANISHED,
+    ZeroPolynomialError,
+    _bh_ratios,
+    _line_estimates,
+    optimal_x,
+)
 from .family import bh_ratio  # noqa: F401  (bench/spans.py wraps search.bh_ratio)
 from .poly import (
     HomogeneousPolynomial,
@@ -53,6 +62,11 @@ _STEP_MIN = 1e-6
 # Largest coefficient space, C(m + n - 1, n - 1) multi-indices, that a
 # search enumerates; larger ones could not even be listed in memory.
 _MAX_COEFFICIENTS = 1 << 16
+
+# Restarts advanced in lockstep at once.  Every live restart holds a
+# generator, its RNG and vectors, so this bounds a search's memory whatever
+# the restart count; it changes no result.
+_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -226,21 +240,37 @@ def _estimates(
 ) -> list[float | ValueError]:
     """bh_ratio(P, cfg.grid).estimate of each candidate vector's polynomial,
     or the ValueError bh_ratio raises for it; the zero polynomial scores
-    -inf.  All candidates go to one _bh_ratios call."""
-    polys = [_vector_to_polynomial(cfg.m, cfg.num_vars, indices, v) for v in vectors]
-    estimates: list[float | ValueError] = []
-    for ratio in _bh_ratios(polys, cfg.grid):
+    -inf.
+
+    On two variables a candidate with two or more terms has one free axis,
+    the second, and indices run (0, m), (1, m - 1), ..., (m, 0), so its
+    coefficients by exponent on that axis are its vector reversed: those
+    candidates are scored from their coefficient matrix by one
+    _line_estimates call, without building polynomials.  All other
+    candidates go to one _bh_ratios call.
+    """
+    estimates: list[float | ValueError] = [-math.inf] * len(vectors)
+    rest = list(range(len(vectors)))
+    if cfg.num_vars == 2:
+        V = np.array(vectors)
+        dense = np.count_nonzero(V, axis=1) >= 2
+        if dense.any():
+            line = np.flatnonzero(dense).tolist()
+            for i, estimate in zip(line, _line_estimates(V[dense, ::-1], cfg.m, cfg.grid)):
+                estimates[i] = estimate
+        rest = np.flatnonzero(~dense).tolist()
+    polys = [_vector_to_polynomial(cfg.m, cfg.num_vars, indices, vectors[i]) for i in rest]
+    for i, ratio in zip(rest, _bh_ratios(polys, cfg.grid)):
         if isinstance(ratio, ZeroPolynomialError):
-            estimates.append(-math.inf)  # all-zero candidate, skip
-        elif isinstance(ratio, ValueError):
-            estimates.append(ratio)
-        else:
-            estimates.append(ratio.estimate)
+            continue  # all-zero candidate, scored -inf
+        estimates[i] = ratio if isinstance(ratio, ValueError) else ratio.estimate
     return estimates
 
 
-def _run_restarts(cfg: SearchConfig, indices: list[MultiIndex]) -> list[_RestartOutcome]:
-    """Every restart's outcome, in index order.
+def _run_window(
+    cfg: SearchConfig, indices: list[MultiIndex], window: range
+) -> list[_RestartOutcome]:
+    """The outcome of every restart in window, in index order.
 
     The restarts advance in lockstep: each round is one _estimates call
     for the next candidate of every live restart.  They share nothing, so
@@ -249,8 +279,8 @@ def _run_restarts(cfg: SearchConfig, indices: list[MultiIndex]) -> list[_Restart
     and later ones never run; so a failure drops the restarts above it,
     and the lowest failure is raised once the others finish.
     """
-    runs = [_run_restart(cfg, indices, r) for r in range(cfg.restarts)]
-    pending = {r: next(run) for r, run in enumerate(runs)}
+    runs = {r: _run_restart(cfg, indices, r) for r in window}
+    pending = {r: next(run) for r, run in runs.items()}
     outcomes: list[_RestartOutcome] = []
     failure: ValueError | None = None
     while pending:
@@ -284,9 +314,7 @@ def certify(
     coeff_norm = coefficient_lp_norm(P, bh_exponent(P.degree))
     result = sup_norm(P, grid)
     if result.lower_estimate <= 0.0:
-        raise ValueError(
-            "sup-norm estimate vanished on the grid; use a finer grid"
-        )
+        raise ValueError(_VANISHED)
     return WitnessCertificate(
         polynomial=P,
         coeff_norm=coeff_norm,
@@ -303,22 +331,26 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     """Multi-restart pattern search; returns the best certificate found.
 
     Restarts are independent (restart r owns generator rng_seed + r and
-    its own eval budget).  They advance in lockstep, with one batched
-    evaluation of every live restart's next candidate per step, and each
-    follows the path it follows when they run one after another in index
-    order, given the same estimates.  The merge keeps the maximum ratio estimate, ties broken by the
-    lowest restart index.  The estimate is the merge key because it is the
-    quantity the search optimizes and the quantity the seeded floor
-    guarantees; the certified value is reported alongside it in the
-    certificate.
+    its own eval budget).  They run in consecutive windows of 256, and
+    those of a window advance in lockstep, with one batched evaluation of
+    every live restart's next candidate per step; each follows the path
+    it follows when they run one after another in index order, given the
+    same estimates.  A failure raises before later windows run.  The merge
+    keeps the maximum ratio estimate, ties broken by the lowest restart
+    index, and only the best outcome so far is held between windows.  The
+    estimate is the merge key because it is the quantity the search
+    optimizes and the quantity the seeded floor guarantees; the certified
+    value is reported alongside it in the certificate.
     """
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
     best: _RestartOutcome | None = None
-    for outcome in _run_restarts(cfg, indices):  # strict > keeps the earliest on ties
-        if not math.isfinite(outcome.estimate):
-            continue
-        if best is None or outcome.estimate > best.estimate:
-            best = outcome
+    for first in range(0, cfg.restarts, _WINDOW):
+        window = range(first, min(first + _WINDOW, cfg.restarts))
+        for outcome in _run_window(cfg, indices, window):  # strict > keeps the earliest on ties
+            if not math.isfinite(outcome.estimate):
+                continue
+            if best is None or outcome.estimate > best.estimate:
+                best = outcome
     if best is None:
         raise ValueError("no restart produced a valid (nonzero) polynomial")
 

@@ -23,11 +23,16 @@ exactly (the line is a trigonometric polynomial, maximised through the
 roots of its derivative), which settles one free axis outright.  With two
 or more free axes it takes safeguarded Newton steps on |P|^2 and confirms
 convergence with a sweep of exact line maximisations, so the result is a
-point that no coordinate line improves.
+point that no coordinate line improves; at a saddle it first tries a step
+along the direction where |P|^2 curves upward.
 
-Polynomials with one free axis each share one batched grid pass and one
-batched line pass when bracketed together (the search evaluates its
-candidates so); sup_norm is such a batch of one.
+One free axis has one array kernel, _line_sup_norms: row b of a complex
+array G holds q_b(t) = sum_a G[b, a] e^{i a t}, and the grid, the roots
+of the derivative and the choice of root run on the whole stack of rows.
+Every one-free-axis caller goes through it: sup_norm and its batches, the
+one-axis grid of torus_grid_max and the one-axis refine_local, each a
+batch of one, and the search, which scores two-variable candidates from
+their coefficient matrix without building polynomials.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ _SLAB_POINTS = 1 << 20
 # most this fraction of the value, or after this many iterations.
 _REFINE_RTOL = 1e-10
 _MAX_ITERATIONS = 200
+
+_EPS = float(np.finfo(float).eps)
 
 
 class GridTooLargeError(ValueError):
@@ -150,6 +157,17 @@ def _grid_maxima(C: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     return values, rows
 
 
+def _grid_size_error(K: int, free: int) -> GridTooLargeError | None:
+    """The error a K-point grid over free axes raises, or None if it fits."""
+    total = K**free
+    if total > MAX_GRID_POINTS:
+        return GridTooLargeError(
+            f"grid of {K}^{free} = {total} points exceeds the limit of "
+            f"{MAX_GRID_POINTS}; use fewer variables or a smaller grid"
+        )
+    return None
+
+
 def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float, ...]]:
     """Max of |P(e^{i theta})| over the uniform K^N angle grid.
 
@@ -167,7 +185,8 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     into an array indexed by exponents mod K over the free axes.  Every
     free axis but the first is inverse-transformed by an FFT; the first
     is summed directly against e^{2 pi i a k_0/K}, a slab of rows at a
-    time, which bounds the size of each |P| array.
+    time, which bounds the size of each |P| array.  With one free axis
+    this is the grid pass of _line_sup_norms on a batch of one.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -178,12 +197,14 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
         # No free axis means a single term.
         (coeff,) = P.terms.values()
         return abs(coeff), (0.0,) * P.num_vars
-    total = K ** len(axes)
-    if total > MAX_GRID_POINTS:
-        raise GridTooLargeError(
-            f"grid of {K}^{len(axes)} = {total} points exceeds the limit of "
-            f"{MAX_GRID_POINTS}; use fewer variables or a smaller grid"
-        )
+    error = _grid_size_error(K, len(axes))
+    if error is not None:
+        raise error
+    angles = [0.0] * P.num_vars
+    if len(axes) == 1:
+        values, rows = _line_grid_maxima(_line_rows([P], axes), K)
+        angles[axes[0]] = TWO_PI * int(rows[0]) / K
+        return float(values[0]), tuple(angles)
     first_len = min(K, max(alpha[axes[0]] for alpha in P.terms) + 1)
     C = np.zeros((first_len,) + (K,) * (len(axes) - 1), dtype=np.complex128)
     # Exponents that agree mod K give the same grid values, so add.at
@@ -202,7 +223,6 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     best_val = float(values[col])
     best_flat = int(rows[col]) * len(values) + col
 
-    angles = [0.0] * P.num_vars
     for j, digit in zip(axes, np.unravel_index(best_flat, (K,) * len(axes))):
         angles[j] = TWO_PI * int(digit) / K
     return best_val, tuple(angles)
@@ -212,15 +232,132 @@ def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]
     return tuple([cmath.exp(1j * t) for t in angles])
 
 
+def _line_rows(polys: list[HomogeneousPolynomial], axes: list[int]) -> np.ndarray:
+    """G whose row b holds the coefficients of polys[b] by their exponent on
+    its only free axis axes[b]: q_b(t) = sum_a G[b, a] e^{i a t} is polys[b]
+    with its pinned angles at 0.  Each entry is one term, as the other
+    active axis carries the rest of the degree."""
+    width = max(alpha[j] for P, j in zip(polys, axes) for alpha in P.terms) + 1
+    G = np.zeros((len(polys), width), dtype=np.complex128)
+    for row, P, j in zip(G, polys, axes):
+        for alpha, coeff in P.terms.items():
+            row[alpha[j]] = coeff
+    return G
+
+
 def _line_coefficients(
     P: HomogeneousPolynomial, angles: list[float], axis: int
 ) -> np.ndarray:
-    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}."""
+    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}.
+
+    Each coefficient is multiplied by the powers of the other coordinates
+    as P.evaluate multiplies them, so with one free axis, the last one,
+    the terms _abs_on_line forms are those of P.evaluate.
+    """
+    z = _torus_point(angles)
     g = np.zeros(P.degree + 1, dtype=np.complex128)
     for alpha, coeff in P.terms.items():
-        phase = sum(alpha[l] * angles[l] for l in range(len(angles)) if l != axis)
-        g[alpha[axis]] += coeff * cmath.exp(1j * phase)
+        for l, a in enumerate(alpha):
+            if a and l != axis:
+                coeff *= z[l] ** a
+        g[alpha[axis]] += coeff
     return g
+
+
+def _abs_on_line(row: list[complex], t: float) -> float:
+    """|sum_a row[a] e^{i a t}|, with the arithmetic of P.evaluate: the
+    terms from the highest exponent down, each coefficient times
+    e^{i t} ** a."""
+    w = cmath.exp(1j * t)
+    total = 0j
+    for a in range(len(row) - 1, -1, -1):
+        if row[a]:
+            total += row[a] * w**a if a else row[a]
+    return abs(total)
+
+
+def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float]]:
+    """Maximum of |q_b(t)| = |sum_a G[b, a] e^{i a t}| over t for every row b,
+    and its angle in [0, 2 pi), from the start angle t0[b].
+
+    Scaled to unit peak, |q_b|^2 = sum_{|k|<=D} h_k e^{i k t} with
+    h_k = sum_n g_{n+k} conj(g_n) = conj(h_{-k}) (D + 1 = width of G), so
+    its derivative vanishes where w = e^{i t} is a root of
+    sum_{k=1..D} k (h_k w^(D+k) - conj(h_k) w^(D-k)).  Terms of the largest
+    k that are zero or below rounding (zeros or tiny entries at the ends of
+    a row) are stripped; they only carry roots near 0 or infinity.  Rows
+    of one stripped degree share one eigvals call on their companion
+    matrices, and one evaluation of |q| at all roots picks each row's
+    best.  That root is taken only if |q_b| there strictly beats |q_b| at
+    t0[b], both from _abs_on_line.  Rows with one term keep t0[b].
+    """
+    B, L = G.shape
+    D = L - 1
+    peak = np.abs(G).max(axis=1, keepdims=True)
+    g = G / np.where(peak > 0.0, peak, 1.0)
+    kh = np.zeros((B, D), dtype=np.complex128)  # kh[:, k - 1] = h_k, then k h_k
+    for n in range(D):
+        kh[:, : D - n] += g[:, n + 1 :] * g[:, n : n + 1].conj()
+    kh *= np.arange(1, D + 1)
+    # Coefficients from the highest power of w down.
+    deriv = np.concatenate([kh[:, ::-1], np.zeros((B, 1)), -kh.conj()], axis=1)
+    size = np.abs(kh)
+    # Coefficients below rounding of the largest one change the polynomial
+    # on the unit circle by no more than rounding; kept at the ends, they
+    # would put huge entries into the companion matrix.
+    kept = size > _EPS * size.max(axis=1, keepdims=True)
+    top = (kept * np.arange(1, D + 1)).max(axis=1)  # largest kept k, 0 if none
+    roots = np.repeat(t0[:, None], 2 * D, axis=1)  # angles; t0 where none
+    for k in set(top.tolist()) - {0}:
+        rows = top == k
+        p = deriv[rows, D - k : D + k + 1]
+        N = 2 * k
+        companion = np.zeros((len(p), N, N), dtype=np.complex128)
+        companion[:, np.arange(1, N), np.arange(N - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots[rows, :N] = np.angle(np.linalg.eigvals(companion)) % TWO_PI
+    f = np.abs((np.exp(1j * roots[:, :, None] * np.arange(L)) * g[:, None, :]).sum(axis=2))
+    best = roots[np.arange(B), f.argmax(axis=1)]
+    values, angles = [], []
+    for row, start, t in zip(G.tolist(), t0.tolist(), best.tolist()):
+        value = _abs_on_line(row, start)
+        if t != start:
+            moved = _abs_on_line(row, t)
+            if moved > value:
+                value, start = moved, t
+        values.append(value)
+        angles.append(start)
+    return values, angles
+
+
+def _line_grid_maxima(G: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """First maximum of |q_b| over t = 2 pi k/K, k = 0..K-1, for every row b
+    of G, and its k: the columns folded mod K, from the highest exponent
+    down as torus_grid_max adds aliasing terms, then _grid_maxima."""
+    B, L = G.shape
+    C = np.zeros((min(K, L), B), dtype=np.complex128)
+    for first in range((L - 1) // K * K, -1, -K):
+        C[: min(K, L - first)] += G[:, first : first + K].T
+    return _grid_maxima(C, K)
+
+
+def _line_sup_norms(G: np.ndarray, K: int) -> tuple[list[float], list[float], list[float]]:
+    """The one-free-axis kernel: for every row b of G, with
+    q_b(t) = sum_a G[b, a] e^{i a t} (a polynomial with its pinned angles
+    at 0), the grid maximum of |q_b| over the K-point grid, and the exact
+    maximum of |q_b| with its angle, found from the grid angle.
+
+    Only the two exact values of a row are taken one row at a time; the
+    rest is elementwise work, reductions along rows and eigvals calls.  A
+    row's numbers do not depend on the other rows as long as numpy
+    computes each element, row and matrix the same way whatever the array
+    size (numpy does not promise that; the tests check it on the installed
+    build).
+    """
+    G = np.asarray(G, dtype=np.complex128)
+    grid_values, rows = _line_grid_maxima(G, K)
+    values, angles = _line_maxima(G, TWO_PI * rows / K)
+    return grid_values.tolist(), values, angles
 
 
 def _line_argmaxes(lines: list[np.ndarray]) -> list[float | None]:
@@ -298,23 +435,13 @@ def _line_sweep(
     return theta, value
 
 
-def _refine_one_axis(
-    starts: list[tuple[HomogeneousPolynomial, list[float], int]]
-) -> list[RefineResult]:
-    """refine_local(P, theta) of every P whose only free axis is j, with
-    theta reduced mod 2 pi: one exact line maximisation each, the lines
-    maximised in one batch (see _line_argmaxes)."""
-    lines = [_line_coefficients(P, theta, j) for P, theta, j in starts]
-    results = []
-    for (P, theta, j), t in zip(starts, _line_argmaxes(lines)):
-        theta, value = _line_move(P, theta, abs(P.evaluate(_torus_point(theta))), j, t)
-        results.append(RefineResult(value, tuple(theta), 1, True))
-    return results
-
-
-def _newton_step(coeffs: np.ndarray, a: np.ndarray, t: list[float]) -> np.ndarray | None:
+def _newton_step(
+    coeffs: np.ndarray, a: np.ndarray, t: list[float]
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Newton step on f = |P|^2 over the free angles t, or None unless the
-    Hessian is negative definite.
+    Hessian is negative definite; and, when the Hessian's largest
+    eigenvalue is positive, its eigenvector (f curves upward along it), or
+    None.
 
     a holds the free-axis exponents, one row per term.  With
     e = c e^{i alpha.t} and P = sum e, the derivatives are
@@ -327,12 +454,44 @@ def _newton_step(coeffs: np.ndarray, a: np.ndarray, t: list[float]) -> np.ndarra
     dp = 1j * (e @ a)
     grad = np.real(np.conj(p) * dp)
     hess = np.real(np.outer(np.conj(dp), dp) - np.conj(p) * ((a.T * e) @ a))
+    w, v = np.linalg.eigh(hess)
+    scale = np.abs(w).max()
     # Eigenvalues within rounding of zero (numpy's matrix_rank tolerance)
     # do not count as negative: |P| can be constant along a direction.
-    w, v = np.linalg.eigh(hess)
-    if w[-1] >= -len(w) * np.finfo(float).eps * abs(w[0]):
-        return None
-    return -(v @ ((grad @ v) / w))
+    if w[-1] < -len(w) * _EPS * scale:
+        return -(v @ ((grad @ v) / w)), None
+    # Only a clearly positive one, far above the rounding of the entries,
+    # counts as a direction where f rises both ways.
+    return None, (v[:, -1] if w[-1] > math.sqrt(_EPS) * scale else None)
+
+
+def _escape(
+    P: HomogeneousPolynomial,
+    theta: list[float],
+    value: float,
+    axes: list[int],
+    a: np.ndarray,
+    direction: np.ndarray,
+) -> tuple[list[float], float]:
+    """Step from theta along +-direction, where |P|^2 curves upward, and
+    return the first point where |P| strictly rises, with its value;
+    theta and value if there is none.
+
+    The first step is half a period of the fastest phase difference of two
+    terms along direction; it is halved up to three times.
+    """
+    phases = (a @ direction).tolist()
+    step = math.pi / (max(phases) - min(phases))
+    for _ in range(4):
+        for s in (step, -step):
+            candidate = list(theta)
+            for j, d in zip(axes, direction.tolist()):
+                candidate[j] = (theta[j] + s * d) % TWO_PI
+            cand_value = abs(P.evaluate(_torus_point(candidate)))
+            if cand_value > value:
+                return candidate, cand_value
+        step /= 2
+    return theta, value
 
 
 def refine_local(
@@ -342,15 +501,18 @@ def refine_local(
 
     Pinned axes keep their angles; every diagonal-phase orbit meets the
     points that share them.  With one free axis that axis is the whole
-    quotient torus, so a single exact line maximisation (see _line_argmaxes)
+    quotient torus, so a single exact line maximisation (see _line_maxima)
     finds the global maximum: one iteration, converged.  With two or more,
     each iteration takes a Newton step on |P|^2 over the free axes when
     its Hessian is negative definite.  When Newton is unavailable or
     gains at most 1e-10 times the value, the iteration ends with a sweep
     of exact line maximisations over the free axes; if that sweep also
     gains at most 1e-10 times the value, no coordinate line improves the
-    result and the ascent stops (converged), a test that scaling P does
-    not change.  Otherwise it stops after 200 iterations (not converged);
+    result.  Where the Hessian then has a clearly positive eigenvalue (a
+    saddle or a minimum of |P|), steps along its eigenvector are tried in
+    both signs (see _escape); if none gains more than 1e-10 times the
+    value, the ascent stops (converged), a test that scaling P does not
+    change.  Otherwise it stops after 200 iterations (not converged);
     sweeps counts the iterations.  Every move is accepted only if the
     re-evaluated |P| strictly increases, so the returned value never drops
     below the input value.
@@ -362,7 +524,12 @@ def refine_local(
         )
     axes = _free_axes(P)
     if len(axes) == 1:
-        return _refine_one_axis([(P, theta, axes[0])])[0]
+        (j,) = axes
+        values, angles = _line_maxima(
+            _line_coefficients(P, theta, j)[None], np.array([theta[j]])
+        )
+        theta[j] = angles[0]
+        return RefineResult(values[0], tuple(theta), 1, True)
     value = abs(P.evaluate(_torus_point(theta)))
     if not axes:
         return RefineResult(value, tuple(theta), 0, True)
@@ -377,7 +544,7 @@ def refine_local(
     a = exps[:, axes]
     for iteration in range(1, _MAX_ITERATIONS + 1):
         start = value
-        step = _newton_step(coeffs, a, [theta[j] for j in axes])
+        step, rise = _newton_step(coeffs, a, [theta[j] for j in axes])
         if step is not None:
             candidate = list(theta)
             for j, s in zip(axes, step.tolist()):
@@ -391,7 +558,14 @@ def refine_local(
         # Newton stalled: the line sweep confirms convergence or escapes.
         sweep_start = value
         theta, value = _line_sweep(P, theta, value, axes)
-        if value - sweep_start <= _REFINE_RTOL * value:
+        if value - sweep_start > _REFINE_RTOL * value:
+            continue
+        # No coordinate line improves, but at a saddle (or a minimum) |P|
+        # still rises along the Hessian's positive-curvature direction.
+        settled = value
+        if rise is not None:
+            theta, value = _escape(P, theta, value, axes, a, rise)
+        if value - settled <= _REFINE_RTOL * value:
             return RefineResult(value, tuple(theta), iteration, True)
     return RefineResult(value, tuple(theta), _MAX_ITERATIONS, False)
 
@@ -423,85 +597,66 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     return result
 
 
+def _upper_bracket(grid_value: float, lipschitz: float, K: int) -> float | ValueError:
+    """grid_value + L*pi/K, or the ValueError sup_norm raises when that
+    overflows to a non-finite value."""
+    upper = grid_value + lipschitz * math.pi / K
+    if math.isfinite(upper):
+        return upper
+    return ValueError("sup-norm bracket is not finite; rescale the polynomial")
+
+
 def _sup_norms(
     polys: list[HomogeneousPolynomial], grid: int
 ) -> list[SupNormResult | ValueError]:
     """sup_norm(P, grid) of every P, or the ValueError it raises for P.
 
-    The polynomials with exactly one free axis share one grid pass (one
-    column each, see _one_axis_grid_maxes) and one line pass (see
-    _refine_one_axis); the others go through torus_grid_max and
-    refine_local one at a time.  A batch runs the same code as a batch of
-    one, and each polynomial's numbers come out the same as long as numpy
-    computes each einsum entry and each eigvals matrix the same way
-    whatever the batch width, which numpy does not promise; the tests
-    check it on the installed build.
+    The polynomials with exactly one free axis are bracketed together, one
+    row each of one _line_sup_norms call; the others go through
+    torus_grid_max and refine_local one at a time.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     results: list = [None] * len(polys)
     starts: dict[int, tuple[float, tuple[float, ...]]] = {}
-    one_axis: dict[int, int] = {}
+    line: dict[int, int] = {}
     for i, P in enumerate(polys):
         if P.is_zero:
             results[i] = SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
             continue
         axes = _free_axes(P)
-        if len(axes) == 1 and grid <= MAX_GRID_POINTS:
-            one_axis[i] = axes[0]
+        if len(axes) == 1:
+            line[i] = axes[0]
             continue
         try:
             starts[i] = torus_grid_max(P, grid)
         except GridTooLargeError as exc:
             results[i] = exc
-    batch = [(polys[i], j) for i, j in one_axis.items()]
-    starts.update(zip(one_axis, _one_axis_grid_maxes(batch, grid)))
-
-    uppers = {}
-    for i, (grid_value, _) in starts.items():
-        upper = grid_value + torus_lipschitz_bound(polys[i]) * math.pi / grid
-        if math.isfinite(upper):
-            uppers[i] = upper
-        else:
-            results[i] = ValueError("sup-norm bracket is not finite; rescale the polynomial")
-    # Grid angles already lie in [0, 2 pi), as refine_local would reduce them.
-    lines = [i for i in uppers if i in one_axis]
-    on_line = [(polys[i], list(starts[i][1]), one_axis[i]) for i in lines]
-    refined = dict(zip(lines, _refine_one_axis(on_line)))
-    for i, upper in uppers.items():
-        r = refined[i] if i in refined else refine_local(polys[i], starts[i][1])
+    for i, (grid_value, start) in starts.items():
+        upper = _upper_bracket(grid_value, torus_lipschitz_bound(polys[i]), grid)
+        if isinstance(upper, ValueError):
+            results[i] = upper
+            continue
+        r = refine_local(polys[i], start)
         results[i] = SupNormResult(r.value, upper, r.angles, grid, r.converged)
+    if not line:
+        return results
+    error = _grid_size_error(grid, 1)
+    if error is not None:
+        for i in line:
+            results[i] = error
+        return results
+    G = _line_rows([polys[i] for i in line], list(line.values()))
+    grid_values, values, angles = _line_sup_norms(G, grid)
+    for (i, j), grid_value, value, angle in zip(line.items(), grid_values, values, angles):
+        upper = _upper_bracket(grid_value, torus_lipschitz_bound(polys[i]), grid)
+        if isinstance(upper, ValueError):
+            results[i] = upper
+            continue
+        arg_angles = [0.0] * polys[i].num_vars
+        arg_angles[j] = angle
+        results[i] = SupNormResult(value, upper, tuple(arg_angles), grid, True)
     return results
-
-
-def _one_axis_grid_maxes(
-    batch: list[tuple[HomogeneousPolynomial, int]], K: int
-) -> list[tuple[float, tuple[float, ...]]]:
-    """torus_grid_max(P, K) of every P whose only free axis is j, from one
-    einsum whose columns are the polynomials.
-
-    Column p holds P's coefficients summed by their exponent on j mod K:
-    the array torus_grid_max builds for P, up to zero rows at the end,
-    which add nothing to a sum.
-    """
-    if not batch:
-        return []
-    cells: tuple[list[int], list[int]] = ([], [])
-    coeffs: list[complex] = []
-    for col, (P, j) in enumerate(batch):
-        for alpha, coeff in P.terms.items():
-            cells[0].append(alpha[j] % K)
-            cells[1].append(col)
-            coeffs.append(coeff)
-    C = np.zeros((max(cells[0]) + 1, len(batch)), dtype=np.complex128)
-    np.add.at(C, cells, np.array(coeffs, dtype=np.complex128))
-    values, rows = _grid_maxima(C, K)
-    maxes = []
-    for (P, j), value, k in zip(batch, values.tolist(), rows.tolist()):
-        angles = [0.0] * P.num_vars
-        angles[j] = TWO_PI * k / K
-        maxes.append((value, tuple(angles)))
-    return maxes
 
 
 def quadratic_sup_norm(a: float, b: float, c: float) -> float:

@@ -3,13 +3,16 @@
 Everything here re-derives quantities from first principles (direct grid
 evaluation, direct formula evaluation) without touching the library's
 grid/refine machinery, so a bug in the engine cannot hide in its own
-oracle.  The one exception is the sequential search at the end, a
-reference for the order of the search's work rather than for its numbers:
-it runs the restarts one after another and calls bh_ratio per candidate.
+oracle.  The one-free-axis line maximum is kept in its scalar form (one
+polynomial, np.roots, P.evaluate) as the reference for the array kernel.
+The one exception is the sequential search at the end, a reference for
+the order of the search's work rather than for its numbers: it runs the
+restarts one after another and calls bh_ratio per candidate.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterator
 
@@ -92,6 +95,42 @@ def full_grid_max(P: HomogeneousPolynomial, K: int) -> float:
     for alpha, c in P.terms.items():
         vals += c * np.exp(1j * sum(a * t for a, t in zip(alpha, axes)))
     return float(np.abs(vals).max())
+
+
+def line_coefficients(P: HomogeneousPolynomial, angles, axis: int) -> np.ndarray:
+    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}."""
+    g = np.zeros(P.degree + 1, dtype=np.complex128)
+    for alpha, coeff in P.terms.items():
+        phase = sum(alpha[l] * angles[l] for l in range(len(angles)) if l != axis)
+        g[alpha[axis]] += coeff * cmath.exp(1j * phase)
+    return g
+
+
+def scalar_line_max(P: HomogeneousPolynomial, angles, axis: int) -> tuple[float, float]:
+    """Maximum of |P| along one axis from angles, one polynomial at a time.
+
+    The line g is trimmed to its nonzero span and scaled to unit peak;
+    |sum g_a e^{iat}|^2 has the autocorrelation h = correlate(g, g) as
+    coefficients, and np.roots gives the roots of its derivative.  Returns
+    the best of |P.evaluate| at angles and at every root angle, and that
+    angle.
+    """
+    best = abs(P.evaluate([cmath.exp(1j * t) for t in angles])), angles[axis]
+    g = line_coefficients(P, angles, axis)
+    nonzero = g.nonzero()[0]
+    if len(nonzero) < 2:
+        return best
+    g = g[nonzero[0] : nonzero[-1] + 1]
+    g = g / abs(g).max()
+    D = len(g) - 1
+    h = np.correlate(g, g, "full")
+    for t in np.angle(np.roots((np.arange(-D, D + 1) * h)[::-1])).tolist():
+        point = list(angles)
+        point[axis] = t % (2 * math.pi)
+        value = abs(P.evaluate([cmath.exp(1j * a) for a in point]))
+        if value > best[0]:
+            best = value, point[axis]
+    return best
 
 
 def coefficient_l1(P: HomogeneousPolynomial) -> float:

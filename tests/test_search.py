@@ -431,7 +431,8 @@ def test_batched_brackets_return_failures():
 def test_lockstep_search_equals_sequential(cfg):
     expected_cert, expected = sequential_search(cfg)
     assert certificate_json(search(cfg)) == certificate_json(expected_cert)
-    outcomes = search_module._run_restarts(cfg, degree_multi_indices(cfg.m, cfg.num_vars))
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    outcomes = search_module._run_window(cfg, indices, range(cfg.restarts))
     assert [o.index for o in outcomes] == list(range(cfg.restarts))
     for outcome, reference in zip(outcomes, expected):
         assert np.array_equal(outcome.vector, reference["vector"])
@@ -474,3 +475,55 @@ def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
     # restarts 2 and 3, and that of restart 1 left restart 0 alone.
     assert rounds[:3] == [4, 2, 2]
     assert set(rounds[3:]) == {1}
+
+
+def test_search_memory_does_not_grow_with_restarts():
+    # Restarts run in windows and only the best outcome is kept, so 16 times
+    # the restarts hold about the memory of one window.
+    import tracemalloc
+
+    search(SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=1))  # numpy's caches
+    peaks = []
+    for restarts in (256, 4096):
+        tracemalloc.start()
+        try:
+            search(SearchConfig(m=2, num_vars=2, restarts=restarts, eval_budget=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def test_binary_candidates_build_no_polynomials(monkeypatch):
+    # On two variables the search scores candidates from their coefficient
+    # matrix; building a HomogeneousPolynomial per candidate is the cost it
+    # avoids.
+    calls = []
+    init = HomogeneousPolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    cfg = SearchConfig(m=3, num_vars=2, grid=FAST_GRID)
+    vectors = list(np.random.default_rng(64).uniform(-2.0, 2.0, (64, 4)))
+    monkeypatch.setattr(HomogeneousPolynomial, "__init__", counting_init)
+    estimates = search_module._estimates(cfg, degree_multi_indices(3, 2), vectors)
+    assert calls == []
+    assert len(estimates) == 64 and all(math.isfinite(e) for e in estimates)
+
+
+def test_binary_candidates_fail_as_bh_ratio_fails():
+    # The coefficient-matrix path keeps bh_ratio's errors: a grid above the
+    # limit, and a bracket that overflows.
+    indices = degree_multi_indices(2, 2)
+    big = SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1)
+    vectors = [np.array([1.0, 2.0, -1.0]), np.array([-1e308, 1e308, 1e308])]
+    for cfg in (big, SearchConfig(m=2, num_vars=2, grid=16)):
+        for vec, estimate in zip(vectors, search_module._estimates(cfg, indices, vectors)):
+            try:
+                expected = bh_ratio(_polynomial(2, 2, indices, vec), cfg.grid).estimate
+            except ValueError as exc:
+                assert type(estimate) is type(exc) and str(estimate) == str(exc)
+            else:
+                assert estimate == expected

@@ -20,6 +20,7 @@ from oracles import (
     lipschitz_slack,
     random_polynomial,
     random_valid_quadratic,
+    scalar_line_max,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -300,6 +301,99 @@ def test_refine_climbs_out_of_minimum_and_saddle():
         result = refine_local(P, start)
         assert result.converged
         assert result.value >= start_value + 1.0
+
+
+def test_refine_escapes_saddle_no_line_improves():
+    # At theta = (0, pi/3, pi/3), i.e. (a, b) = (pi, pi), f = 16 is a saddle
+    # (f_aa = -8, f_bb = -6, f_ab = 12) whose two coordinate lines are at
+    # their maxima, so neither Newton nor the line sweep moves; f rises
+    # along the Hessian's positive-curvature direction, and from there the
+    # ascent reaches ||P|| = 6.
+    P = HomogeneousPolynomial(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 2.0, (0, 0, 3): 3.0})
+    start = (0.0, math.pi / 3, math.pi / 3)
+    assert abs(P.evaluate([cmath.exp(1j * a) for a in start])) == pytest.approx(4.0, abs=1e-12)
+    result = refine_local(P, start)
+    assert result.converged
+    assert result.value == pytest.approx(6.0, abs=1e-12)
+
+
+# --- the one-free-axis kernel ------------------------------------------------
+
+
+def _kernel_rows(rng):
+    """Coefficient rows by free-axis exponent, degrees 2 to 8, zero-padded to
+    one width: real and complex, exact zeros inside and at the ends, tiny
+    entries next to 1 (at both ends they make the end coefficients of the
+    derivative underflow), a single term and the zero row."""
+    rows = []
+    for m in range(2, 9):
+        for imag in (0.0, 1.0):
+            g = rng.uniform(-2, 2, m + 1) + imag * 1j * rng.uniform(-2, 2, m + 1)
+            rows.append(g)
+            inner = g.copy()
+            inner[rng.integers(1, m)] = 0.0
+            rows.append(inner)
+            ends = g.copy()
+            ends[[0, -1]] = 0.0
+            rows.append(ends)
+            tiny = g.copy()
+            tiny[0] = 1e-300
+            rows.append(tiny)
+            both = tiny.copy()
+            both[-1] = -1e-300
+            rows.append(both)
+    lone = np.zeros(4, dtype=complex)
+    lone[2] = 0.7 - 0.2j
+    rows += [lone, np.zeros(3)]
+    G = np.zeros((len(rows), 9), dtype=complex)
+    for row, g in zip(G, rows):
+        row[: len(g)] = g
+    return G, [len(g) - 1 for g in rows]
+
+
+@pytest.mark.parametrize("K", [2, 3, 5, 64])
+def test_line_kernel_matches_scalar_reference(K):
+    # K = 2, 3 and 5 lie at or below most degrees, so exponents alias.
+    import bhbounds.supnorm as supnorm_module
+
+    G, degrees = _kernel_rows(np.random.default_rng(900 + K))
+    grid_values, values, angles = supnorm_module._line_sup_norms(G, K)
+    samples = 1 << 14
+    dense_phases = np.exp(1j * np.outer(TWO_PI * np.arange(samples) / samples, np.arange(9)))
+    for b, (g, m) in enumerate(zip(G, degrees)):
+        P = HomogeneousPolynomial(m, 2, {(m - a, a): complex(g[a]) for a in range(m + 1)})
+        grid = [abs(P.evaluate([1.0, cmath.exp(1j * TWO_PI * k / K)])) for k in range(K)]
+        k = int(np.argmax(grid))
+        assert grid_values[b] == pytest.approx(grid[k], rel=1e-13, abs=1e-300)
+        # Entries of 1e-300 change |q| by at most 1e-300; next to them the
+        # roots of the scalar path lose accuracy (or overflow), so its
+        # polynomial leaves them out.
+        big = {(m - a, a): complex(g[a]) for a in range(m + 1) if abs(g[a]) > 1e-200}
+        reference, _ = scalar_line_max(HomogeneousPolynomial(m, 2, big), (0.0, TWO_PI * k / K), 1)
+        assert values[b] == pytest.approx(reference, rel=1e-13, abs=1e-300)
+        dense = float(np.abs(dense_phases @ g).max())
+        assert values[b] >= dense - 1e-12
+        # The value is attained: it is |P| at the reported angle, as
+        # P.evaluate computes it.
+        assert values[b] == abs(P.evaluate([1.0, cmath.exp(1j * angles[b])]))
+        # A row's numbers do not depend on the rest of the batch.
+        alone = supnorm_module._line_sup_norms(G[b : b + 1], K)
+        assert [x[0] for x in alone] == [grid_values[b], values[b], angles[b]]
+
+
+def test_line_kernel_takes_a_root_only_if_it_beats_the_start(monkeypatch):
+    # q(t) = 1 + e^{it}, so |q| = 2|cos(t/2)|.  With every root forced to one
+    # point, the kernel keeps the start unless |q| there is strictly higher.
+    import bhbounds.supnorm as supnorm_module
+
+    G = np.array([[1.0, 1.0]], dtype=complex)
+    for root, angle in ((-1.0, 0.5), (1.0, 0.0)):
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda c, r=root: np.full(c.shape[:-1], r, dtype=complex)
+        )
+        values, angles = supnorm_module._line_maxima(G, np.array([0.5]))
+        assert angles[0] == angle
+        assert values[0] == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
 
 
 # --- torus_lipschitz_bound ----------------------------------------------------
