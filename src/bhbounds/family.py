@@ -35,6 +35,7 @@ from .supnorm import (
     DEFAULT_GRID,
     _grid_size_error,
     _line_sup_norms,
+    _overflowing_fsum,
     _sup_norms,
     _upper_bracket,
 )
@@ -279,10 +280,12 @@ def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | Value
 
     Row b of G holds the coefficients of P_b by their exponent on its free
     axis, one term per nonzero entry, at least two of them (see
-    supnorm._line_rows).  No polynomial is built: the bracket comes from
-    one _line_sup_norms call, and the numerator and Lipschitz bound from
-    the coefficient magnitudes with math.fsum, which does not depend on
-    the order of the terms, so each estimate is bh_ratio's.
+    supnorm._line_rows), padded with zeros to the width of G.  No
+    polynomial is built: the bracket comes from one _line_sup_norms call,
+    whose numbers for a row depend neither on the other rows nor on its
+    padding, and the numerator and Lipschitz bound from the coefficient
+    magnitudes with math.fsum, which does not depend on the order of the
+    terms, so each estimate is bh_ratio's.
     """
     error = _grid_size_error(grid, 1)
     if error is not None:
@@ -292,7 +295,7 @@ def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | Value
     estimates: list[float | ValueError] = []
     for row, grid_value, value in zip(G.tolist(), grid_values, values):
         mags = [abs(c) for c in row if c]
-        upper = _upper_bracket(grid_value, math.fsum([mag * degree for mag in mags]), grid)
+        upper = _upper_bracket(grid_value, _overflowing_fsum([mag * degree for mag in mags]), grid)
         if isinstance(upper, ValueError):
             estimates.append(upper)
         elif value <= 0.0:

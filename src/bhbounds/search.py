@@ -16,8 +16,10 @@ their coefficient matrix by the one-free-axis kernel
 (supnorm._line_sup_norms), with no polynomial built; other candidates go
 through family._bh_ratios.  Restarts share nothing, so each takes the
 path it takes when the restarts run one after another, as long as a
-candidate's estimate from a batch is the one bh_ratio gives it alone (see
-supnorm._line_sup_norms for when that holds).
+candidate's estimate from a batch is the one bh_ratio gives it alone.
+That holds at every degree: the kernel's numbers for a row depend neither
+on its batch nor on its zero padding, provided numpy computes each
+element the same way whatever the array size (see the supnorm module).
 
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either

@@ -26,13 +26,16 @@ convergence with a sweep of exact line maximisations, so the result is a
 point that no coordinate line improves; at a saddle it first tries a step
 along the direction where |P|^2 curves upward.
 
-One free axis has one array kernel, _line_sup_norms: row b of a complex
-array G holds q_b(t) = sum_a G[b, a] e^{i a t}, and the grid, the roots
-of the derivative and the choice of root run on the whole stack of rows.
-Every one-free-axis caller goes through it: sup_norm and its batches, the
-one-axis grid of torus_grid_max and the one-axis refine_local, each a
-batch of one, and the search, which scores two-variable candidates from
-their coefficient matrix without building polynomials.
+There is one line root finder, _line_roots: row b of a complex array G
+holds q_b(t) = sum_a G[b, a] e^{i a t}, and the roots of the derivative
+of |q_b|^2 and the choice among them run on the whole stack of rows.
+refine_local calls it one line at a time.  The one-free-axis kernel
+_line_sup_norms adds the grid and the exact values; sup_norm and its
+batches go through it, and so does the search, which scores two-variable
+candidates from their coefficient matrix without building polynomials.
+A row's numbers depend neither on its batch nor on the zero columns that
+pad it, as long as numpy computes each element the same way whatever the
+array size (numpy does not promise that; the tests check it).
 """
 
 from __future__ import annotations
@@ -185,8 +188,8 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     into an array indexed by exponents mod K over the free axes.  Every
     free axis but the first is inverse-transformed by an FFT; the first
     is summed directly against e^{2 pi i a k_0/K}, a slab of rows at a
-    time, which bounds the size of each |P| array.  With one free axis
-    this is the grid pass of _line_sup_norms on a batch of one.
+    time, which bounds the size of each |P| array.  With one free axis no
+    FFT runs, and the values are those of the grid pass of _line_sup_norms.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -200,11 +203,6 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     error = _grid_size_error(K, len(axes))
     if error is not None:
         raise error
-    angles = [0.0] * P.num_vars
-    if len(axes) == 1:
-        values, rows = _line_grid_maxima(_line_rows([P], axes), K)
-        angles[axes[0]] = TWO_PI * int(rows[0]) / K
-        return float(values[0]), tuple(angles)
     first_len = min(K, max(alpha[axes[0]] for alpha in P.terms) + 1)
     C = np.zeros((first_len,) + (K,) * (len(axes) - 1), dtype=np.complex128)
     # Exponents that agree mod K give the same grid values, so add.at
@@ -222,7 +220,7 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     col = int(tops[rows[tops].argmin()])
     best_val = float(values[col])
     best_flat = int(rows[col]) * len(values) + col
-
+    angles = [0.0] * P.num_vars
     for j, digit in zip(axes, np.unravel_index(best_flat, (K,) * len(axes))):
         angles[j] = TWO_PI * int(digit) / K
     return best_val, tuple(angles)
@@ -251,8 +249,7 @@ def _line_coefficients(
     """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}.
 
     Each coefficient is multiplied by the powers of the other coordinates
-    as P.evaluate multiplies them, so with one free axis, the last one,
-    the terms _abs_on_line forms are those of P.evaluate.
+    as P.evaluate multiplies them.
     """
     z = _torus_point(angles)
     g = np.zeros(P.degree + 1, dtype=np.complex128)
@@ -276,9 +273,10 @@ def _abs_on_line(row: list[complex], t: float) -> float:
     return abs(total)
 
 
-def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float]]:
-    """Maximum of |q_b(t)| = |sum_a G[b, a] e^{i a t}| over t for every row b,
-    and its angle in [0, 2 pi), from the start angle t0[b].
+def _line_roots(G: np.ndarray, t0: np.ndarray) -> np.ndarray:
+    """For every row b of G, the critical angle in [0, 2 pi) where
+    |q_b(t)| = |sum_a G[b, a] e^{i a t}| is largest, or t0[b] where q_b has
+    no critical point to offer (one term, or |q_b| constant up to rounding).
 
     Scaled to unit peak, |q_b|^2 = sum_{|k|<=D} h_k e^{i k t} with
     h_k = sum_n g_{n+k} conj(g_n) = conj(h_{-k}) (D + 1 = width of G), so
@@ -288,8 +286,11 @@ def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float
     a row) are stripped; they only carry roots near 0 or infinity.  Rows
     of one stripped degree share one eigvals call on their companion
     matrices, and one evaluation of |q| at all roots picks each row's
-    best.  That root is taken only if |q_b| there strictly beats |q_b| at
-    t0[b], both from _abs_on_line.  Rows with one term keep t0[b].
+    best among its own 2k roots.
+
+    The choice does not depend on the width of G: zero entries add exact
+    zeros to h, and |q| is summed along a non-contiguous axis, which adds
+    the terms in order of a, where numpy may regroup a contiguous sum.
     """
     B, L = G.shape
     D = L - 1
@@ -307,7 +308,7 @@ def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float
     # would put huge entries into the companion matrix.
     kept = size > _EPS * size.max(axis=1, keepdims=True)
     top = (kept * np.arange(1, D + 1)).max(axis=1)  # largest kept k, 0 if none
-    roots = np.repeat(t0[:, None], 2 * D, axis=1)  # angles; t0 where none
+    roots = np.repeat(t0[:, None], 2 * D, axis=1)
     for k in set(top.tolist()) - {0}:
         rows = top == k
         p = deriv[rows, D - k : D + k + 1]
@@ -316,15 +317,26 @@ def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float
         companion[:, np.arange(1, N), np.arange(N - 1)] = 1.0
         companion[:, 0, :] = -p[:, 1:] / p[:, :1]
         roots[rows, :N] = np.angle(np.linalg.eigvals(companion)) % TWO_PI
-    f = np.abs((np.exp(1j * roots[:, :, None] * np.arange(L)) * g[:, None, :]).sum(axis=2))
-    best = roots[np.arange(B), f.argmax(axis=1)]
+    phases = np.exp(1j * roots[:, None, :] * np.arange(L)[:, None])
+    f = np.abs((phases * g[:, :, None]).sum(axis=1))
+    # Slots past a row's own roots hold t0; they never win, so a row with
+    # no roots keeps t0 from slot 0.
+    f[np.arange(2 * D) >= 2 * top[:, None]] = -1.0
+    return roots[np.arange(B), f.argmax(axis=1)]
+
+
+def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float]]:
+    """Maximum of |q_b(t)| = |sum_a G[b, a] e^{i a t}| over t for every row b,
+    and its angle in [0, 2 pi), from the start angle t0[b]: the angle of
+    _line_roots, taken only if |q_b| there strictly beats |q_b| at t0[b],
+    both from _abs_on_line.
+    """
     values, angles = [], []
-    for row, start, t in zip(G.tolist(), t0.tolist(), best.tolist()):
+    for row, start, t in zip(G.tolist(), t0.tolist(), _line_roots(G, t0).tolist()):
         value = _abs_on_line(row, start)
-        if t != start:
-            moved = _abs_on_line(row, t)
-            if moved > value:
-                value, start = moved, t
+        moved = _abs_on_line(row, t)
+        if moved > value:
+            value, start = moved, t
         values.append(value)
         angles.append(start)
     return values, angles
@@ -348,11 +360,9 @@ def _line_sup_norms(G: np.ndarray, K: int) -> tuple[list[float], list[float], li
     maximum of |q_b| with its angle, found from the grid angle.
 
     Only the two exact values of a row are taken one row at a time; the
-    rest is elementwise work, reductions along rows and eigvals calls.  A
-    row's numbers do not depend on the other rows as long as numpy
-    computes each element, row and matrix the same way whatever the array
-    size (numpy does not promise that; the tests check it on the installed
-    build).
+    rest is elementwise work, reductions and eigvals calls.  A row's
+    numbers depend neither on the other rows nor on its zero padding (see
+    the module docstring for the condition).
     """
     G = np.asarray(G, dtype=np.complex128)
     grid_values, rows = _line_grid_maxima(G, K)
@@ -360,78 +370,20 @@ def _line_sup_norms(G: np.ndarray, K: int) -> tuple[list[float], list[float], li
     return grid_values.tolist(), values, angles
 
 
-def _line_argmaxes(lines: list[np.ndarray]) -> list[float | None]:
-    """Global maximiser t of f(t) = |sum_a g_a e^{i a t}|^2 for every g in
-    lines, or None where f is constant (up to rounding).
-
-    Trimmed to its nonzero span of D+1 entries (a unimodular factor drops
-    out) and scaled to unit peak, f(t) = sum_{|k|<=D} h_k e^{i k t} with
-    h = correlate(g, g), and f'(t) = 0 exactly when w = e^{i t} is a root
-    of sum_k k h_k w^(k+D).  f is evaluated at the angle of every root, so
-    the best is the global maximiser up to root accuracy.
-
-    The roots are those np.roots gives: the eigenvalues of the companion
-    matrix of the polynomial stripped of its leading and trailing zeros,
-    plus one zero root per trailing zero.  Polynomials of one shape (length
-    and zero ends) share one eigvals call and one evaluation of f.
-    """
-    out: list[float | None] = [None] * len(lines)
-    shapes: dict[tuple[int, int, int], list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    for i, g in enumerate(lines):
-        nonzero = g.nonzero()[0]
-        if len(nonzero) < 2:
-            continue
-        g = g[nonzero[0] : nonzero[-1] + 1]
-        g = g / abs(g).max()
-        D = len(g) - 1
-        h = np.correlate(g, g, "full")
-        deriv = (np.arange(-D, D + 1) * h)[::-1]
-        ends = deriv.nonzero()[0]
-        if len(ends) < 2:  # every term of f' underflowed: f is constant
-            continue
-        shapes.setdefault((len(deriv), ends[0], ends[-1]), []).append((i, g, deriv))
-    for (length, lead, last), members in shapes.items():
-        stripped = np.array([deriv[lead : last + 1] for _, _, deriv in members])
-        batch, N = stripped.shape
-        companion = np.zeros((batch, N - 1, N - 1), dtype=np.complex128)
-        companion[:, np.arange(1, N - 1), np.arange(N - 2)] = 1.0
-        companion[:, 0, :] = -stripped[:, 1:] / stripped[:, :1]
-        roots = np.linalg.eigvals(companion)
-        roots = np.hstack([roots, np.zeros((batch, length - 1 - last), roots.dtype)])
-        ts = np.angle(roots)
-        gs = np.array([g for _, g, _ in members])
-        phases = np.exp(1j * ts[:, :, None] * np.arange(gs.shape[1]))
-        fs = np.abs(phases @ gs[:, :, None])[:, :, 0]
-        for (i, _, _), t in zip(members, ts[np.arange(batch), fs.argmax(axis=1)].tolist()):
-            out[i] = t
-    return out
-
-
-def _line_move(
-    P: HomogeneousPolynomial, theta: list[float], value: float, axis: int, t: float | None
-) -> tuple[list[float], float]:
-    """theta with theta_axis = t and its |P|, if that strictly exceeds
-    value; otherwise theta and value unchanged."""
-    if t is None:
-        return theta, value
-    candidate = list(theta)
-    candidate[axis] = t % TWO_PI
-    cand_value = abs(P.evaluate(_torus_point(candidate)))
-    if cand_value > value:
-        return candidate, cand_value
-    return theta, value
-
-
 def _line_sweep(
     P: HomogeneousPolynomial, theta: list[float], value: float, axes: list[int]
 ) -> tuple[list[float], float]:
-    """Move each free coordinate in turn to the exact maximum of its line.
-
-    A move is kept only if the re-evaluated |P| strictly increases.
-    """
+    """Move each free coordinate in turn to the maximum of its line (see
+    _line_roots), keeping a move only if the re-evaluated |P| strictly
+    increases."""
     for j in axes:
-        (t,) = _line_argmaxes([_line_coefficients(P, theta, j)])
-        theta, value = _line_move(P, theta, value, j, t)
+        row = _line_coefficients(P, theta, j)
+        (t,) = _line_roots(row[None], np.array([theta[j]])).tolist()
+        candidate = list(theta)
+        candidate[j] = t
+        cand_value = abs(P.evaluate(_torus_point(candidate)))
+        if cand_value > value:
+            theta, value = candidate, cand_value
     return theta, value
 
 
@@ -501,7 +453,7 @@ def refine_local(
 
     Pinned axes keep their angles; every diagonal-phase orbit meets the
     points that share them.  With one free axis that axis is the whole
-    quotient torus, so a single exact line maximisation (see _line_maxima)
+    quotient torus, so a single exact line maximisation (see _line_roots)
     finds the global maximum: one iteration, converged.  With two or more,
     each iteration takes a Newton step on |P|^2 over the free axes when
     its Hessian is negative definite.  When Newton is unavailable or
@@ -523,16 +475,10 @@ def refine_local(
             f"angle vector has length {len(theta)}, expected {P.num_vars}"
         )
     axes = _free_axes(P)
-    if len(axes) == 1:
-        (j,) = axes
-        values, angles = _line_maxima(
-            _line_coefficients(P, theta, j)[None], np.array([theta[j]])
-        )
-        theta[j] = angles[0]
-        return RefineResult(values[0], tuple(theta), 1, True)
     value = abs(P.evaluate(_torus_point(theta)))
-    if not axes:
-        return RefineResult(value, tuple(theta), 0, True)
+    if len(axes) < 2:
+        theta, value = _line_sweep(P, theta, value, axes)
+        return RefineResult(value, tuple(theta), len(axes), True)
 
     exps = np.array(list(P.terms), dtype=np.float64)
     coeffs = np.array(list(P.terms.values()), dtype=np.complex128)
@@ -576,9 +522,18 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     |d/dtheta_j P(e^{i theta})| <= sum_alpha |c_alpha| alpha_j, so moving
     every coordinate by at most delta changes |P| by at most L*delta.
     For a homogeneous polynomial the double sum collapses to degree times
-    the l_1 coefficient norm.
+    the l_1 coefficient norm.  It is inf when the sum overflows.
     """
-    return math.fsum(abs(c) * sum(alpha) for alpha, c in P.terms.items())
+    return _overflowing_fsum([abs(c) * sum(alpha) for alpha, c in P.terms.items()])
+
+
+def _overflowing_fsum(terms: list[float]) -> float:
+    """math.fsum(terms), or inf where the sum overflows (fsum raises
+    OverflowError when finite terms add up past the largest float)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResult:

@@ -105,15 +105,18 @@ def test_ratio_non_finite_coefficient(tmp_path):
 
 
 def test_ratio_overflowing_coefficients(tmp_path):
-    terms = [
-        {"alpha": alpha, "re": re, "im": 0.0}
-        for alpha, re in (([2, 0], 1e308), ([0, 2], -1e308), ([1, 1], 1e308))
-    ]
-    doc = {"m": 2, "n": 2, "terms": terms}
-    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "huge.json"))
-    assert proc.returncode == 2
-    assert "not finite" in proc.stderr
-    assert proc.stdout == ""
+    # At 1e308 each term of the Lipschitz bound overflows; at 7e307 the
+    # terms are finite and only their sum overflows.
+    for size in (1e308, 7e307):
+        terms = [
+            {"alpha": alpha, "re": re, "im": 0.0}
+            for alpha, re in (([2, 0], size), ([0, 2], -size), ([1, 1], size))
+        ]
+        doc = {"m": 2, "n": 2, "terms": terms}
+        proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "huge.json"))
+        assert proc.returncode == 2, size
+        assert "not finite" in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_ratio_missing_file():

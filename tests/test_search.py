@@ -344,11 +344,15 @@ def _one_axis_candidates(rng, m, count):
 @pytest.mark.parametrize("grid", [2, 3, 4, 16, 64])
 def test_batched_estimates_equal_bh_ratio(grid):
     # grid 2, 3 and 4 lie below most of the degrees, so exponents alias.
+    # A vector whose first entry is 0 has no term of free-axis exponent m:
+    # its row in the batch is wider than its polynomial's row alone.
     rng = np.random.default_rng(grid)
-    for m in range(2, 6):
+    for m in (2, 3, 4, 5, 7, 8, 12):
         cfg = SearchConfig(m=m, num_vars=2, grid=grid)
         indices = degree_multi_indices(m, 2)
         vectors = _one_axis_candidates(rng, m, 40)
+        for vec in vectors[:10]:
+            vec[0] = 0.0
         estimates = search_module._estimates(cfg, indices, vectors)
         for vec, estimate in zip(vectors, estimates):
             P = _polynomial(m, 2, indices, vec)
@@ -362,11 +366,16 @@ def _mixed_polynomials(rng):
     """One batch mixing degrees (columns of different lengths), family seeds
     on three to five variables, single terms, the zero polynomial and
     polynomials with two free axes, which go through torus_grid_max and
-    refine_local one at a time."""
+    refine_local one at a time.  A degree-8 pair, one of it without terms
+    of free-axis exponent 7 or 8, widens every other row of the batch."""
     polys = []
     for m in range(2, 6):
         indices = degree_multi_indices(m, 2)
         polys += [_polynomial(m, 2, indices, v) for v in _one_axis_candidates(rng, m, 10)]
+    indices = degree_multi_indices(8, 2)
+    wide, narrow = rng.uniform(-2.0, 2.0, (2, 9))
+    narrow[:2] = 0.0
+    polys += [_polynomial(8, 2, indices, wide), _polynomial(8, 2, indices, narrow)]
     for m, n in ((2, 3), (3, 3), (4, 4), (3, 5)):
         indices = degree_multi_indices(m, n)
         polys.append(_polynomial(m, n, indices, family_seed_vector(m, n, indices)))

@@ -199,19 +199,31 @@ def test_refine_reaches_closed_form_from_k32_start():
 
 def test_refine_single_line_matches_dense_sampling():
     # Two variables leave one free axis after the diagonal pin, so refine
-    # maximises a single line exactly, in one sweep, from any start.
+    # maximises a single line exactly, in one sweep, from any start.  So do
+    # three when one variable has the same exponent in every term; its
+    # start angle stays as given and enters every term of the line.
     rng = np.random.default_rng(61)
     samples = 1 << 16
     t = TWO_PI * np.arange(samples) / samples
+    cases = []
     for m in (2, 3, 5, 8):
         P = random_polynomial(rng, m, 2)
-        start = tuple(rng.uniform(0, TWO_PI, 2))
+        cases.append((P, tuple(rng.uniform(0, TWO_PI, 2))))
+    for m in (2, 3, 5, 8):
+        for fixed in (0, 1, 2):
+            Q = random_polynomial(rng, m - 1, 2, density=1.0)
+            terms = {a[:fixed] + (1,) + a[fixed:]: c for a, c in Q.terms.items()}
+            P = HomogeneousPolynomial(m, 3, terms)
+            cases += [(P, tuple(rng.uniform(0, TWO_PI, 3))) for _ in range(2)]
+    for P, start in cases:
+        (j,) = free_axes(P)
         result = refine_local(P, start)
         assert result.sweeps == 1
         assert result.converged
-        line = sum(
-            c * np.exp(1j * (a[0] * start[0] + a[1] * t)) for a, c in P.terms.items()
-        )
+        line = 0
+        for a, c in P.terms.items():
+            rest = sum(a[l] * start[l] for l in range(P.num_vars) if l != j)
+            line = line + c * np.exp(1j * (rest + a[j] * t))
         dense = float(np.abs(line).max())
         assert dense <= result.value + 1e-12
         assert result.value <= dense + lipschitz_slack(P, samples)
@@ -276,6 +288,34 @@ def test_refine_newton_reaches_coordinatewise_max_fast():
                 rest = sum(a[l] * result.angles[l] for l in range(P.num_vars) if l != j)
                 line = line + c * np.exp(1j * (rest + a[j] * t))
             assert float(np.abs(line).max()) <= result.value * (1 + 1e-9)
+
+
+def test_refine_ignores_tiny_end_terms_on_multi_axis_lines():
+    # A 1e-150 term at the top exponent of a free axis makes the end
+    # coefficients of that axis's line derivatives tiny.  Kept, they spoil
+    # the line roots: one line sweep then lost up to half the value, which
+    # Newton steps won back.  Stripped, the sweep and the refinement give
+    # what they give for the polynomial without the term.
+    import bhbounds.supnorm as supnorm_module
+
+    rng = np.random.default_rng(73)
+    for m in (3, 4, 5):
+        for _ in range(8):
+            P = random_polynomial(rng, m, 3)
+            clean = {a: c for a, c in P.terms.items() if a not in ((0, 0, m), (0, m, 0))}
+            Q = HomogeneousPolynomial(m, 3, clean)
+            assert len(free_axes(Q)) == 2
+            tiny = HomogeneousPolynomial(m, 3, {**clean, (0, 0, m): 1e-150, (0, m, 0): -1e-150j})
+            _, start = torus_grid_max(Q, 16)
+            expected = refine_local(Q, start)
+            result = refine_local(tiny, start)
+            assert result.converged
+            assert result.value == pytest.approx(expected.value, rel=1e-13)
+            theta = [0.0, *rng.uniform(0, TWO_PI, 2)]
+            z = [cmath.exp(1j * t) for t in theta]
+            _, swept = supnorm_module._line_sweep(Q, theta, abs(Q.evaluate(z)), [1, 2])
+            _, swept_tiny = supnorm_module._line_sweep(tiny, theta, abs(tiny.evaluate(z)), [1, 2])
+            assert swept_tiny == pytest.approx(swept, rel=1e-13)
 
 
 def test_refine_singular_hessian():
@@ -379,6 +419,30 @@ def test_line_kernel_matches_scalar_reference(K):
         # A row's numbers do not depend on the rest of the batch.
         alone = supnorm_module._line_sup_norms(G[b : b + 1], K)
         assert [x[0] for x in alone] == [grid_values[b], values[b], angles[b]]
+
+
+def test_line_roots_do_not_depend_on_padding(monkeypatch):
+    # Zero columns past a row's last entry change neither its roots nor the
+    # one it picks.
+    import bhbounds.supnorm as supnorm_module
+
+    G, degrees = _kernel_rows(np.random.default_rng(7))
+    t0 = np.random.default_rng(8).uniform(0, TWO_PI, len(G))
+    padded = supnorm_module._line_roots(np.hstack([G, np.zeros((len(G), 7))]), t0)
+    for b, m in enumerate(degrees):
+        (alone,) = supnorm_module._line_roots(G[b : b + 1, : m + 1], t0[b : b + 1])
+        assert padded[b] == alone, b
+    # q(t) = 1 + e^{it} peaks at the start t = 0.  With its roots forced to
+    # t = 1, the extra slots of a padded row, which hold the start, must
+    # still not win.
+    monkeypatch.setattr(
+        np.linalg, "eigvals", lambda c: np.full(c.shape[:-1], cmath.exp(1j), dtype=complex)
+    )
+    for width in (2, 3, 9):
+        row = np.zeros((1, width), dtype=complex)
+        row[0, :2] = 1.0
+        (t,) = supnorm_module._line_roots(row, np.array([0.0]))
+        assert t == pytest.approx(1.0, abs=1e-15)
 
 
 def test_line_kernel_takes_a_root_only_if_it_beats_the_start(monkeypatch):
