@@ -36,13 +36,17 @@ from .supnorm import (
     _grid_size_error,
     _line_sup_norms,
     _overflowing_fsum,
-    _sup_norms,
     _upper_bracket,
+    sup_norm,
 )
-from .supnorm import sup_norm  # noqa: F401  (bench/spans.py wraps family.sup_norm)
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
+
+# The largest degrees whose upper bound and optimal weight are finite
+# floats: upper_bound(2036) overflows math.exp and optimal_x(2047) is 2^1024.
+_MAX_UPPER_DEGREE = 2035
+_MAX_WEIGHT_DEGREE = 2046
 
 
 class ZeroPolynomialError(ValueError):
@@ -138,9 +142,14 @@ def family_ratio(m: int, x: float) -> float:
 
 
 def optimal_x(m: int) -> float:
-    """The cross-term weight 2^{(m+1)/2} maximizing family_ratio(m, .)."""
+    """The cross-term weight 2^{(m+1)/2} maximizing family_ratio(m, .);
+    a ValueError from m = 2047, where it exceeds the largest float."""
     if m < 2:
         raise ValueError(f"optimal weight needs m >= 2, got {m}")
+    if m > _MAX_WEIGHT_DEGREE:
+        raise ValueError(
+            f"optimal weight is a finite float only up to m = {_MAX_WEIGHT_DEGREE}, got {m}"
+        )
     return 2.0 ** ((m + 1) / 2.0)
 
 
@@ -175,10 +184,15 @@ def lower_bound_excess(m: int) -> float:
 def upper_bound(m: int) -> float:
     """Hypercontractive upper bound (1 + 1/m)^{m-1} sqrt(m) (sqrt 2)^{m-1}.
 
-    Evaluated in log space so large m cannot overflow.
+    Evaluated in log space; it exceeds the largest float from m = 2036,
+    where a ValueError is raised.
     """
     if m < 1:
         raise ValueError(f"upper bound needs m >= 1, got {m}")
+    if m > _MAX_UPPER_DEGREE:
+        raise ValueError(
+            f"upper bound is a finite float only up to m = {_MAX_UPPER_DEGREE}, got {m}"
+        )
     return math.exp(
         (m - 1) * math.log1p(1.0 / m) + 0.5 * math.log(m) + (m - 1) * 0.5 * _LN2
     )
@@ -235,43 +249,16 @@ def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
     denominator is an upper bound on ||P||).  grid is the sup-norm grid
     K, as in sup_norm.
     """
-    (ratio,) = _bh_ratios([P], grid)
-    if isinstance(ratio, ValueError):
-        raise ratio
-    return ratio
-
-
-def _bh_ratios(
-    polys: list[HomogeneousPolynomial], grid: int
-) -> list[RatioResult | ValueError]:
-    """bh_ratio(P, grid) of every P, or the ValueError it raises for P.
-
-    The brackets come from one _sup_norms call, so polynomials with one
-    free axis share one call of the one-free-axis kernel.
-    """
-    nonzero = [P for P in polys if not P.is_zero]
-    # A zero polynomial gets its own error even at a bad grid, which
-    # _sup_norms would refuse.
-    brackets = iter(_sup_norms(nonzero, grid) if nonzero else [])
-    ratios: list[RatioResult | ValueError] = []
-    for P in polys:
-        if P.is_zero:
-            ratios.append(ZeroPolynomialError("the zero polynomial has no ratio"))
-            continue
-        bracket = next(brackets)
-        if isinstance(bracket, ValueError):
-            ratios.append(bracket)
-        elif bracket.lower_estimate <= 0.0:
-            ratios.append(ValueError(_VANISHED))
-        else:
-            numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
-            ratios.append(
-                RatioResult(
-                    estimate=numerator / bracket.lower_estimate,
-                    certified=numerator / bracket.upper_bracket,
-                )
-            )
-    return ratios
+    if P.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no ratio")
+    bracket = sup_norm(P, grid)
+    if bracket.lower_estimate <= 0.0:
+        raise ValueError(_VANISHED)
+    numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
+    return RatioResult(
+        estimate=numerator / bracket.lower_estimate,
+        certified=numerator / bracket.upper_bracket,
+    )
 
 
 def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | ValueError]:
@@ -280,7 +267,7 @@ def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | Value
 
     Row b of G holds the coefficients of P_b by their exponent on its free
     axis, one term per nonzero entry, at least two of them (see
-    supnorm._line_rows), padded with zeros to the width of G.  No
+    supnorm.sup_norm), padded with zeros to the width of G.  No
     polynomial is built: the bracket comes from one _line_sup_norms call,
     whose numbers for a row depend neither on the other rows nor on its
     padding, and the numerator and Lipschitz bound from the coefficient
@@ -295,11 +282,10 @@ def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | Value
     estimates: list[float | ValueError] = []
     for row, grid_value, value in zip(G.tolist(), grid_values, values):
         mags = [abs(c) for c in row if c]
-        upper = _upper_bracket(grid_value, _overflowing_fsum([mag * degree for mag in mags]), grid)
-        if isinstance(upper, ValueError):
-            estimates.append(upper)
-        elif value <= 0.0:
-            estimates.append(ValueError(_VANISHED))
-        else:
-            estimates.append(_lp_norm(mags, p) / value)
+        try:
+            _upper_bracket(grid_value, _overflowing_fsum([mag * degree for mag in mags]), grid)
+        except ValueError as exc:
+            estimates.append(exc)
+            continue
+        estimates.append(_lp_norm(mags, p) / value if value > 0.0 else ValueError(_VANISHED))
     return estimates

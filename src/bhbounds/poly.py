@@ -156,6 +156,26 @@ def polynomial_to_dict(P: HomogeneousPolynomial) -> dict:
     }
 
 
+def _is_json_int(value) -> bool:
+    """An integer, and not a bool (JSON true and false read as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _coefficient_part(entry: dict, key: str) -> float:
+    """entry[key] (0.0 if absent) as a float; it must be a JSON number."""
+    value = entry.get(key, 0.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PolynomialFormatError(
+            f"term {entry['alpha']!r}: {key!r} must be a number, got {value!r}"
+        )
+    try:
+        return float(value)
+    except OverflowError:
+        raise PolynomialFormatError(
+            f"term {entry['alpha']!r}: {key!r} is too large for a float"
+        ) from None
+
+
 def polynomial_from_dict(doc: dict) -> HomogeneousPolynomial:
     if not isinstance(doc, dict):
         raise PolynomialFormatError("polynomial document must be a JSON object")
@@ -163,19 +183,27 @@ def polynomial_from_dict(doc: dict) -> HomogeneousPolynomial:
         if key not in doc:
             raise PolynomialFormatError(f"polynomial document missing field {key!r}")
     m, n = doc["m"], doc["n"]
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    if not _is_json_int(m) or not _is_json_int(n) or m < 1 or n < 1:
         raise PolynomialFormatError(f"invalid degree/variable count: m={m!r}, n={n!r}")
+    if not isinstance(doc["terms"], list):
+        raise PolynomialFormatError(f"terms must be a list, got {doc['terms']!r}")
     terms: dict[MultiIndex, complex] = {}
     for entry in doc["terms"]:
         if not isinstance(entry, dict) or "alpha" not in entry:
             raise PolynomialFormatError(f"malformed term entry: {entry!r}")
+        if not isinstance(entry["alpha"], list) or not all(
+            _is_json_int(a) for a in entry["alpha"]
+        ):
+            raise PolynomialFormatError(
+                f"term {entry['alpha']!r}: multi-index must be a list of integers"
+            )
         try:
             alpha = _canonical_index(entry["alpha"], m, n)
         except ValueError as exc:
             raise PolynomialFormatError(f"term {entry['alpha']!r}: {exc}") from exc
         if alpha in terms:
             raise PolynomialFormatError(f"duplicate multi-index {list(alpha)!r}")
-        terms[alpha] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        terms[alpha] = complex(_coefficient_part(entry, "re"), _coefficient_part(entry, "im"))
     return HomogeneousPolynomial(m, n, terms)
 
 

@@ -9,17 +9,18 @@ gradient method: perturb one coefficient at a time by +-step, keep strict
 improvements, halve the step after a full stale sweep.
 
 The restarts run in windows of 256; those of a window advance in lockstep,
-and each step gathers the next candidate of every live restart and
-evaluates them together.  On two variables every candidate with two or
-more terms has one free sup-norm axis, and the candidates are scored from
+and each step gathers the next candidate of every live restart into one
+evaluation call.  On two variables every candidate with two or more
+terms has one free sup-norm axis, and the candidates are scored from
 their coefficient matrix by the one-free-axis kernel
-(supnorm._line_sup_norms), with no polynomial built; other candidates go
-through family._bh_ratios.  Restarts share nothing, so each takes the
-path it takes when the restarts run one after another, as long as a
-candidate's estimate from a batch is the one bh_ratio gives it alone.
-That holds at every degree: the kernel's numbers for a row depend neither
-on its batch nor on its zero padding, provided numpy computes each
-element the same way whatever the array size (see the supnorm module).
+(supnorm._line_sup_norms), with no polynomial built; every other
+candidate goes through bh_ratio on its own.  Restarts share nothing, so
+each takes the path it takes when the restarts run one after another, as
+long as a candidate's estimate from a batch is the one bh_ratio gives it
+alone.  That holds at every degree: the kernel's numbers for a row
+depend neither on its batch nor on its zero padding, provided numpy
+computes each element the same way whatever the array size (see the
+supnorm module).
 
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either
@@ -37,14 +38,7 @@ from typing import Generator
 
 import numpy as np
 
-from .family import (
-    _VANISHED,
-    ZeroPolynomialError,
-    _bh_ratios,
-    _line_estimates,
-    optimal_x,
-)
-from .family import bh_ratio  # noqa: F401  (bench/spans.py wraps search.bh_ratio)
+from .family import _VANISHED, ZeroPolynomialError, _line_estimates, bh_ratio, optimal_x
 from .poly import (
     HomogeneousPolynomial,
     MultiIndex,
@@ -248,11 +242,11 @@ def _estimates(
     the second, and indices run (0, m), (1, m - 1), ..., (m, 0), so its
     coefficients by exponent on that axis are its vector reversed: those
     candidates are scored from their coefficient matrix by one
-    _line_estimates call, without building polynomials.  All other
-    candidates go to one _bh_ratios call.
+    _line_estimates call, without building polynomials.  Every other
+    candidate goes to bh_ratio on its own.
     """
     estimates: list[float | ValueError] = [-math.inf] * len(vectors)
-    rest = list(range(len(vectors)))
+    rest = range(len(vectors))
     if cfg.num_vars == 2:
         V = np.array(vectors)
         dense = np.count_nonzero(V, axis=1) >= 2
@@ -261,11 +255,14 @@ def _estimates(
             for i, estimate in zip(line, _line_estimates(V[dense, ::-1], cfg.m, cfg.grid)):
                 estimates[i] = estimate
         rest = np.flatnonzero(~dense).tolist()
-    polys = [_vector_to_polynomial(cfg.m, cfg.num_vars, indices, vectors[i]) for i in rest]
-    for i, ratio in zip(rest, _bh_ratios(polys, cfg.grid)):
-        if isinstance(ratio, ZeroPolynomialError):
+    for i in rest:
+        P = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vectors[i])
+        if P.is_zero:
             continue  # all-zero candidate, scored -inf
-        estimates[i] = ratio if isinstance(ratio, ValueError) else ratio.estimate
+        try:
+            estimates[i] = bh_ratio(P, cfg.grid).estimate
+        except ValueError as exc:
+            estimates[i] = exc
     return estimates
 
 
@@ -334,7 +331,7 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
 
     Restarts are independent (restart r owns generator rng_seed + r and
     its own eval budget).  They run in consecutive windows of 256, and
-    those of a window advance in lockstep, with one batched evaluation of
+    those of a window advance in lockstep, with one evaluation call for
     every live restart's next candidate per step; each follows the path
     it follows when they run one after another in index order, given the
     same estimates.  A failure raises before later windows run.  The merge

@@ -30,12 +30,14 @@ There is one line root finder, _line_roots: row b of a complex array G
 holds q_b(t) = sum_a G[b, a] e^{i a t}, and the roots of the derivative
 of |q_b|^2 and the choice among them run on the whole stack of rows.
 refine_local calls it one line at a time.  The one-free-axis kernel
-_line_sup_norms adds the grid and the exact values; sup_norm and its
-batches go through it, and so does the search, which scores two-variable
-candidates from their coefficient matrix without building polynomials.
-A row's numbers depend neither on its batch nor on the zero columns that
-pad it, as long as numpy computes each element the same way whatever the
-array size (numpy does not promise that; the tests check it).
+_line_sup_norms adds the grid and the exact values.  sup_norm brackets a
+polynomial with one free axis through it, as one row, and any other
+through torus_grid_max and refine_local; the search scores two-variable
+candidates through it too, from their coefficient matrix, without
+building polynomials.  A row's numbers depend neither on its batch nor
+on the zero columns that pad it, as long as numpy computes each element
+the same way whatever the array size (numpy does not promise that; the
+tests check it).
 """
 
 from __future__ import annotations
@@ -228,19 +230,6 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
 
 def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
     return tuple([cmath.exp(1j * t) for t in angles])
-
-
-def _line_rows(polys: list[HomogeneousPolynomial], axes: list[int]) -> np.ndarray:
-    """G whose row b holds the coefficients of polys[b] by their exponent on
-    its only free axis axes[b]: q_b(t) = sum_a G[b, a] e^{i a t} is polys[b]
-    with its pinned angles at 0.  Each entry is one term, as the other
-    active axis carries the rest of the degree."""
-    width = max(alpha[j] for P, j in zip(polys, axes) for alpha in P.terms) + 1
-    G = np.zeros((len(polys), width), dtype=np.complex128)
-    for row, P, j in zip(G, polys, axes):
-        for alpha, coeff in P.terms.items():
-            row[alpha[j]] = coeff
-    return G
 
 
 def _line_coefficients(
@@ -545,73 +534,44 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     bound and pi/K the worst per-coordinate distance to a grid point, so
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
     Raises ValueError when the bracket overflows to a non-finite value.
-    """
-    (result,) = _sup_norms([P], grid)
-    if isinstance(result, ValueError):
-        raise result
-    return result
 
-
-def _upper_bracket(grid_value: float, lipschitz: float, K: int) -> float | ValueError:
-    """grid_value + L*pi/K, or the ValueError sup_norm raises when that
-    overflows to a non-finite value."""
-    upper = grid_value + lipschitz * math.pi / K
-    if math.isfinite(upper):
-        return upper
-    return ValueError("sup-norm bracket is not finite; rescale the polynomial")
-
-
-def _sup_norms(
-    polys: list[HomogeneousPolynomial], grid: int
-) -> list[SupNormResult | ValueError]:
-    """sup_norm(P, grid) of every P, or the ValueError it raises for P.
-
-    The polynomials with exactly one free axis are bracketed together, one
-    row each of one _line_sup_norms call; the others go through
-    torus_grid_max and refine_local one at a time.
+    With exactly one free axis, P is the row of its coefficients by their
+    exponent on that axis (each entry is one term, as the other active
+    axis carries the rest of the degree), and the one-free-axis kernel
+    _line_sup_norms gives the grid maximum and the exact maximum, the
+    values torus_grid_max and refine_local give.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    results: list = [None] * len(polys)
-    starts: dict[int, tuple[float, tuple[float, ...]]] = {}
-    line: dict[int, int] = {}
-    for i, P in enumerate(polys):
-        if P.is_zero:
-            results[i] = SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
-            continue
-        axes = _free_axes(P)
-        if len(axes) == 1:
-            line[i] = axes[0]
-            continue
-        try:
-            starts[i] = torus_grid_max(P, grid)
-        except GridTooLargeError as exc:
-            results[i] = exc
-    for i, (grid_value, start) in starts.items():
-        upper = _upper_bracket(grid_value, torus_lipschitz_bound(polys[i]), grid)
-        if isinstance(upper, ValueError):
-            results[i] = upper
-            continue
-        r = refine_local(polys[i], start)
-        results[i] = SupNormResult(r.value, upper, r.angles, grid, r.converged)
-    if not line:
-        return results
+    if P.is_zero:
+        return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
+    axes = _free_axes(P)
+    if len(axes) != 1:
+        grid_value, start = torus_grid_max(P, grid)
+        upper = _upper_bracket(grid_value, torus_lipschitz_bound(P), grid)
+        r = refine_local(P, start)
+        return SupNormResult(r.value, upper, r.angles, grid, r.converged)
     error = _grid_size_error(grid, 1)
     if error is not None:
-        for i in line:
-            results[i] = error
-        return results
-    G = _line_rows([polys[i] for i in line], list(line.values()))
-    grid_values, values, angles = _line_sup_norms(G, grid)
-    for (i, j), grid_value, value, angle in zip(line.items(), grid_values, values, angles):
-        upper = _upper_bracket(grid_value, torus_lipschitz_bound(polys[i]), grid)
-        if isinstance(upper, ValueError):
-            results[i] = upper
-            continue
-        arg_angles = [0.0] * polys[i].num_vars
-        arg_angles[j] = angle
-        results[i] = SupNormResult(value, upper, tuple(arg_angles), grid, True)
-    return results
+        raise error
+    (j,) = axes
+    G = np.zeros((1, max(alpha[j] for alpha in P.terms) + 1), dtype=np.complex128)
+    for alpha, coeff in P.terms.items():
+        G[0, alpha[j]] = coeff
+    (grid_value,), (value,), (angle,) = _line_sup_norms(G, grid)
+    upper = _upper_bracket(grid_value, torus_lipschitz_bound(P), grid)
+    arg_angles = [0.0] * P.num_vars
+    arg_angles[j] = angle
+    return SupNormResult(value, upper, tuple(arg_angles), grid, True)
+
+
+def _upper_bracket(grid_value: float, lipschitz: float, K: int) -> float:
+    """grid_value + L*pi/K; raises the ValueError of sup_norm when that
+    overflows to a non-finite value."""
+    upper = grid_value + lipschitz * math.pi / K
+    if not math.isfinite(upper):
+        raise ValueError("sup-norm bracket is not finite; rescale the polynomial")
+    return upper
 
 
 def quadratic_sup_norm(a: float, b: float, c: float) -> float:

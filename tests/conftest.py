@@ -2,8 +2,9 @@ import numpy as np
 
 
 def _build() -> str:
-    # Several tests require bit-equal results between a batch and a batch of
-    # one; they hold only on the numpy build and LAPACK they ran on.
+    # Several tests require bit-equal results between a row of a batch and
+    # the same row alone; they hold only on the numpy build and LAPACK they
+    # ran on.
     lapack = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
     return f"numpy {np.__version__}, LAPACK {lapack.get('name')} {lapack.get('version')}"
 

@@ -263,6 +263,40 @@ def test_search_refuses_unlistable_coefficient_space(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _term(alpha, re=1.0):
+    return {"alpha": alpha, "re": re, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (("ratio",), {"m": 2, "n": 2, "terms": [_term([2.7, 0.3])]}),
+        (("ratio",), {"m": True, "n": 2, "terms": [_term([1, 0])]}),
+        (("ratio",), {"m": 2, "n": True, "terms": [_term([2])]}),
+        (("ratio",), {"m": 2, "n": 2, "terms": [_term([True, True])]}),
+        (("ratio",), {"m": 2, "n": 2, "terms": [_term([2, 0], re=[1])]}),
+        (("ratio",), {"m": 2, "n": 2, "terms": [_term([2, 0], re=10**400)]}),
+        (("ratio",), {"m": 2, "n": 2, "terms": 5}),
+        (("ratio",), {"m": 2, "n": 2, "terms": [_term(5)]}),
+        (("bounds", "--from", "2", "--to", "2036"), None),
+        (("fm-curve", "--m", "2047"), None),
+    ],
+    ids=[
+        "fractional-exponent", "bool-degree", "bool-variables", "bool-exponent",
+        "list-coefficient", "huge-int-coefficient", "terms-not-list", "alpha-not-list",
+        "bounds-overflow", "fm-curve-overflow",
+    ],
+)
+def test_bad_input_is_usage_error(tmp_path, args, doc):
+    if doc is not None:
+        args = (*args, "--file", write_witness_file(tmp_path, doc, "bad.json"))
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_subcommand_is_usage_error():
     assert run_cli("frobnicate").returncode == 2
 

@@ -116,6 +116,15 @@ def test_upper_bound_values():
         assert upper_bound(m) == pytest.approx(direct_upper_bound(m), rel=1e-12)
 
 
+def test_largest_degrees_of_upper_bound_and_optimal_weight():
+    # The limits are the last degrees with finite values, and the error names them.
+    assert math.isfinite(upper_bound(2035)) and math.isfinite(optimal_x(2046))
+    with pytest.raises(ValueError, match="up to m = 2035"):
+        upper_bound(2036)
+    with pytest.raises(ValueError, match="up to m = 2046"):
+        optimal_x(2047)
+
+
 def test_multilinear_lower_bound_values():
     assert multilinear_lower_bound(1) == 1.0
     assert multilinear_lower_bound(2) == pytest.approx(math.sqrt(2.0), rel=1e-15)

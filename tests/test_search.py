@@ -12,12 +12,15 @@ from bhbounds import (
     HomogeneousPolynomial,
     SearchConfig,
     SupNormResult,
+    RatioResult,
     ZeroPolynomialError,
+    bh_exponent,
     build_witness,
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,
     certify,
+    coefficient_lp_norm,
     degree_multi_indices,
     bh_ratio,
     family_ratio,
@@ -38,7 +41,6 @@ from oracles import random_polynomial, recursive_multi_indices, sequential_searc
 # The package's search function shadows its search module as an attribute.
 search_module = importlib.import_module("bhbounds.search")
 supnorm_module = importlib.import_module("bhbounds.supnorm")
-family_module = importlib.import_module("bhbounds.family")
 
 FAST_GRID = 32
 
@@ -341,33 +343,54 @@ def _one_axis_candidates(rng, m, count):
     return vectors + [lone, np.zeros(m + 1)]
 
 
+def _three_variable_candidates(rng, m):
+    """n = 3 coefficient vectors: the zero vector, a single term, the family
+    seed, dense vectors and one whose sup-norm bracket overflows."""
+    indices = degree_multi_indices(m, 3)
+    lone = np.zeros(len(indices))
+    lone[int(rng.integers(len(indices)))] = rng.uniform(0.5, 2.0)
+    dense = list(rng.uniform(-2.0, 2.0, (3, len(indices))))
+    return [np.zeros(len(indices)), lone, family_seed_vector(m, 3, indices), *dense,
+            np.full(len(indices), 1e308)]
+
+
 @pytest.mark.parametrize("grid", [2, 3, 4, 16, 64])
 def test_batched_estimates_equal_bh_ratio(grid):
     # grid 2, 3 and 4 lie below most of the degrees, so exponents alias.
     # A vector whose first entry is 0 has no term of free-axis exponent m:
-    # its row in the batch is wider than its polynomial's row alone.
+    # its row in the batch is wider than its polynomial's row alone.  On
+    # three variables each nonzero candidate goes to bh_ratio on its own.
     rng = np.random.default_rng(grid)
+    cases = []
     for m in (2, 3, 4, 5, 7, 8, 12):
-        cfg = SearchConfig(m=m, num_vars=2, grid=grid)
-        indices = degree_multi_indices(m, 2)
         vectors = _one_axis_candidates(rng, m, 40)
         for vec in vectors[:10]:
             vec[0] = 0.0
+        cases.append((m, 2, vectors))
+    cases += [(m, 3, _three_variable_candidates(rng, m)) for m in (2, 3, 4)]
+    for m, n, vectors in cases:
+        cfg = SearchConfig(m=m, num_vars=n, grid=grid)
+        indices = degree_multi_indices(m, n)
         estimates = search_module._estimates(cfg, indices, vectors)
         for vec, estimate in zip(vectors, estimates):
-            P = _polynomial(m, 2, indices, vec)
+            P = _polynomial(m, n, indices, vec)
             if P.is_zero:
                 assert estimate == -math.inf
+            elif isinstance(estimate, ValueError):
+                with pytest.raises(ValueError, match="not finite"):
+                    bh_ratio(P, grid)
+                assert "not finite" in str(estimate)
             else:
                 assert estimate == bh_ratio(P, grid).estimate, vec
+    # The last case ends with the overflowing vector, whose error is stored.
+    assert isinstance(estimates[-1], ValueError)
 
 
 def _mixed_polynomials(rng):
-    """One batch mixing degrees (columns of different lengths), family seeds
-    on three to five variables, single terms, the zero polynomial and
-    polynomials with two free axes, which go through torus_grid_max and
-    refine_local one at a time.  A degree-8 pair, one of it without terms
-    of free-axis exponent 7 or 8, widens every other row of the batch."""
+    """Polynomials of mixed degrees with one free axis, family seeds on three
+    to five variables, single terms, the zero polynomial and polynomials
+    with two free axes.  A degree-8 pair, one of it without terms of
+    free-axis exponent 7 or 8, gives rows of two widths."""
     polys = []
     for m in range(2, 6):
         indices = degree_multi_indices(m, 2)
@@ -394,37 +417,50 @@ def _bracket_from_parts(P, grid):
 
 @pytest.mark.parametrize("grid", [2, 5, 16, 64])
 def test_batched_brackets_equal_sup_norm(grid):
-    # The batch gives each polynomial the bracket of a batch of one, and
-    # that of torus_grid_max, whose one-axis grid is built another way.
+    # sup_norm brackets a polynomial with one free axis through the line
+    # kernel, and gets the bracket of torus_grid_max and refine_local, whose
+    # one-axis grid is built another way.
     polys = _mixed_polynomials(np.random.default_rng(100 + grid))
-    brackets = supnorm_module._sup_norms(polys, grid)
-    for P, bracket in zip(polys, brackets):
-        assert bracket == sup_norm(P, grid) == _bracket_from_parts(P, grid), dict(P.terms)
+    for P in polys:
+        assert sup_norm(P, grid) == _bracket_from_parts(P, grid), dict(P.terms)
     assert sum(len(supnorm_module._free_axes(P)) == 1 for P in polys) >= 40
 
 
 @pytest.mark.parametrize("grid", [2, 16, 64])
 def test_batched_ratios_equal_bh_ratio(grid):
-    polys = _mixed_polynomials(np.random.default_rng(200 + grid))
-    for P, ratio in zip(polys, family_module._bh_ratios(polys, grid)):
+    for P in _mixed_polynomials(np.random.default_rng(200 + grid)):
         if P.is_zero:
-            assert isinstance(ratio, ZeroPolynomialError)
-        else:
-            assert ratio == bh_ratio(P, grid), dict(P.terms)
+            with pytest.raises(ZeroPolynomialError):
+                bh_ratio(P, grid)
+            continue
+        bracket = _bracket_from_parts(P, grid)
+        numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
+        expected = RatioResult(
+            numerator / bracket.lower_estimate, numerator / bracket.upper_bracket
+        )
+        assert bh_ratio(P, grid) == expected, dict(P.terms)
 
 
 def test_batched_brackets_return_failures():
-    P = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (1, 1): 1e308, (0, 2): -1e308})
-    Q = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): -1.0})
-    first, second = supnorm_module._sup_norms([P, Q], 16)
-    assert isinstance(first, ValueError) and "not finite" in str(first)
-    with pytest.raises(ValueError, match="not finite"):
-        sup_norm(P, 16)
-    assert second == sup_norm(Q, 16)
-    (too_large,) = supnorm_module._sup_norms([Q], supnorm_module.MAX_GRID_POINTS + 1)
-    assert isinstance(too_large, GridTooLargeError)
-    with pytest.raises(ValueError, match="grid must be >= 2"):
-        supnorm_module._sup_norms([Q], 1)
+    # One polynomial of each path: one free axis, and two free axes.
+    huge_line = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (1, 1): 1e308, (0, 2): -1e308})
+    huge_torus = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1e308, (0, 1, 1): 1e308, (0, 0, 2): -1e308})
+    line = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): -1.0})
+    torus = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1.0, (0, 1, 1): 2.0, (0, 0, 2): -1.0})
+    assert [len(supnorm_module._free_axes(P)) for P in (huge_line, huge_torus)] == [1, 2]
+    for P in (huge_line, huge_torus):
+        with pytest.raises(ValueError, match="not finite"):
+            sup_norm(P, 16)
+        with pytest.raises(ValueError, match="not finite"):
+            bh_ratio(P, 16)
+    for P in (line, torus):
+        with pytest.raises(GridTooLargeError):
+            sup_norm(P, supnorm_module.MAX_GRID_POINTS + 1)
+        with pytest.raises(ValueError, match="grid must be >= 2"):
+            sup_norm(P, 1)
+    zero = HomogeneousPolynomial(2, 2, {})
+    with pytest.raises(ZeroPolynomialError):
+        bh_ratio(zero, 1)  # the zero polynomial has no ratio, whatever the grid
 
 
 @pytest.mark.parametrize(
