@@ -28,17 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .poly import HomogeneousPolynomial, _lp_norm, bh_exponent, coefficient_lp_norm
-from .supnorm import (
-    DEFAULT_GRID,
-    _grid_size_error,
-    _line_sup_norms,
-    _overflowing_fsum,
-    _upper_bracket,
-    sup_norm,
-)
+from .poly import HomogeneousPolynomial, bh_exponent, coefficient_lp_norm
+from .supnorm import DEFAULT_GRID, sup_norm
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
@@ -260,32 +251,3 @@ def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
         certified=numerator / bracket.upper_bracket,
     )
 
-
-def _line_estimates(G: np.ndarray, degree: int, grid: int) -> list[float | ValueError]:
-    """bh_ratio(P, grid).estimate of every polynomial P of this degree with
-    exactly one free axis, or the ValueError bh_ratio raises for P.
-
-    Row b of G holds the coefficients of P_b by their exponent on its free
-    axis, one term per nonzero entry, at least two of them (see
-    supnorm.sup_norm), padded with zeros to the width of G.  No
-    polynomial is built: the bracket comes from one _line_sup_norms call,
-    whose numbers for a row depend neither on the other rows nor on its
-    padding, and the numerator and Lipschitz bound from the coefficient
-    magnitudes with math.fsum, which does not depend on the order of the
-    terms, so each estimate is bh_ratio's.
-    """
-    error = _grid_size_error(grid, 1)
-    if error is not None:
-        return [error] * len(G)
-    grid_values, values, _ = _line_sup_norms(G, grid)
-    p = bh_exponent(degree)
-    estimates: list[float | ValueError] = []
-    for row, grid_value, value in zip(G.tolist(), grid_values, values):
-        mags = [abs(c) for c in row if c]
-        try:
-            _upper_bracket(grid_value, _overflowing_fsum([mag * degree for mag in mags]), grid)
-        except ValueError as exc:
-            estimates.append(exc)
-            continue
-        estimates.append(_lp_norm(mags, p) / value if value > 0.0 else ValueError(_VANISHED))
-    return estimates

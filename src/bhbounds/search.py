@@ -2,25 +2,26 @@
 
 The one-parameter family optimization (over the cross-term weight) is
 generalized to the full space of real coefficient vectors indexed by all
-degree-m multi-indices on N variables.  The objective -- the ratio
-estimate from bh_ratio -- is only piecewise smooth because the sup-norm
-argmax can jump between basins, so a pattern search is used instead of a
-gradient method: perturb one coefficient at a time by +-step, keep strict
-improvements, halve the step after a full stale sweep.
+degree-m multi-indices on N variables.  The objective is only piecewise
+smooth because the sup-norm argmax can jump between basins, so a pattern
+search is used instead of a gradient method: perturb one coefficient at a
+time by +-step, keep strict improvements, halve the step after a full
+stale sweep.
 
-The restarts run in windows of 256; those of a window advance in lockstep,
-and each step gathers the next candidate of every live restart into one
-evaluation call.  On two variables every candidate with two or more
-terms has one free sup-norm axis, and the candidates are scored from
-their coefficient matrix by the one-free-axis kernel
-(supnorm._line_sup_norms), with no polynomial built; every other
-candidate goes through bh_ratio on its own.  Restarts share nothing, so
-each takes the path it takes when the restarts run one after another, as
-long as a candidate's estimate from a batch is the one bh_ratio gives it
-alone.  That holds at every degree: the kernel's numbers for a row
-depend neither on its batch nor on its zero padding, provided numpy
-computes each element the same way whatever the array size (see the
-supnorm module).
+Every candidate of a search has the same multi-indices, so its values on
+the torus grid are one fixed linear map of its coefficient vector c,
+v = Phi c.  Axis 0 is pinned at angle 0 (a homogeneous P keeps |P| under
+the diagonal phase, so every grid value has a copy there) and axes
+1..N-1 take K = grid points each: Phi[k, alpha] is the product over
+j >= 1 of e^{2 pi i alpha_j k_j/K}.  A move adds s to one coefficient, so
+the candidate's grid values are v + s Phi[:, i]; the column is built when
+needed from one table of e^{2 pi i a k/K} and Phi itself never is, so a
+restart holds K^(N-1) values per vector and builds no polynomial.  The
+search maximises the grid score ||c||_p / max_k |v_k|, p = 2m/(m+1).
+A grid maximum is at most the sup norm, so the grid score is at least the
+ratio estimate and can reward a vector the grid undersamples; each
+restart's start and final vectors are therefore re-scored exactly, by
+bh_ratio(P, grid).estimate, and the best of these finalists is certified.
 
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either
@@ -34,20 +35,26 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Generator
 
 import numpy as np
 
-from .family import _VANISHED, ZeroPolynomialError, _line_estimates, bh_ratio, optimal_x
+from .family import _VANISHED, ZeroPolynomialError, bh_ratio, optimal_x
 from .poly import (
     HomogeneousPolynomial,
     MultiIndex,
+    _lp_norm,
     bh_exponent,
     coefficient_lp_norm,
     polynomial_from_dict,
     polynomial_to_dict,
 )
-from .supnorm import DEFAULT_GRID, SupNormResult, sup_norm
+from .supnorm import (
+    _NOT_FINITE,
+    DEFAULT_GRID,
+    SupNormResult,
+    _grid_size_error,
+    sup_norm,
+)
 
 CERTIFICATE_SCHEMA = "bh-cert-1"
 
@@ -59,23 +66,20 @@ _STEP_MIN = 1e-6
 # search enumerates; larger ones could not even be listed in memory.
 _MAX_COEFFICIENTS = 1 << 16
 
-# Restarts advanced in lockstep at once.  Every live restart holds a
-# generator, its RNG and vectors, so this bounds a search's memory whatever
-# the restart count; it changes no result.
-_WINDOW = 256
-
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of the multi-restart pattern search.
 
-    eval_budget counts ratio evaluations per restart, so restarts stay
-    independent of one another.  Restart r draws its start from a
-    generator seeded with rng_seed + r; restart 0 is always seeded from
-    the witness family instead.  grid is the sup-norm grid K (at least 2)
-    of every evaluation and of the final certificate.  The coefficient
-    space, C(m + num_vars - 1, num_vars - 1) multi-indices, may hold at
-    most 65536 of them.
+    eval_budget counts the grid scores of a restart, its start included,
+    so restarts stay independent of one another; each restart adds up to
+    two exact scores, of its start and final vectors.  Restart r draws
+    its start from a generator seeded with rng_seed + r; restart 0 is
+    always seeded from the witness family instead.  grid is the K of the
+    grid scores (K^(num_vars - 1) points, within the sup-norm grid
+    limit), of the exact scores and of the final certificate; it is at
+    least 2.  The coefficient space, C(m + num_vars - 1, num_vars - 1)
+    multi-indices, may hold at most 65536 of them.
     """
 
     m: int
@@ -187,116 +191,84 @@ def _vector_to_polynomial(
     return HomogeneousPolynomial(m, n, terms)
 
 
-@dataclass
-class _RestartOutcome:
-    index: int
-    vector: np.ndarray
-    estimate: float
-    evals: int
+def _phase_table(m: int, K: int) -> np.ndarray:
+    """T[a, k] = e^{2 pi i a k/K} for exponents a = 0..m and k = 0..K-1,
+    taken from the K-th roots of unity at a k mod K."""
+    roots = np.exp(2j * np.pi * np.arange(K) / K)
+    return roots[np.outer(np.arange(m + 1), np.arange(K)) % K]
+
+
+def _grid_column(table: np.ndarray, alpha: MultiIndex) -> np.ndarray:
+    """Phi[:, alpha]: the values of z^alpha on the grid, axis 0 at angle 0
+    and the grid points of axes 1..N-1 flattened with the last fastest."""
+    if len(alpha) == 1:
+        return np.ones(1, dtype=np.complex128)
+    column = table[alpha[1]]
+    for a in alpha[2:]:
+        column = np.multiply.outer(column, table[a]).ravel()
+    return column
+
+
+def _grid_values(table: np.ndarray, indices: list[MultiIndex], vec: np.ndarray) -> np.ndarray:
+    """v = Phi vec, one column at a time."""
+    values = np.zeros(table.shape[1] ** (len(indices[0]) - 1), dtype=np.complex128)
+    for alpha, c in zip(indices, vec.tolist()):
+        if c:
+            values += c * _grid_column(table, alpha)
+    return values
+
+
+def _grid_score(vec: np.ndarray, values: np.ndarray, p: float) -> float:
+    """||vec||_p / max_k |values_k|; -inf for the zero vector or an all-zero
+    grid, and the ValueError of sup_norm for a grid value that is not
+    finite."""
+    peak = float(np.abs(values).max())
+    if not math.isfinite(peak):
+        raise ValueError(_NOT_FINITE)
+    mags = np.abs(vec).tolist()
+    if peak == 0.0 or not any(mags):
+        return -math.inf
+    return _lp_norm(mags, p) / peak
 
 
 def _run_restart(
-    cfg: SearchConfig, indices: list[MultiIndex], r: int
-) -> Generator[np.ndarray, float, _RestartOutcome]:
-    """Pattern search of restart r: yields each candidate vector, is sent
-    its ratio estimate, and returns the outcome."""
+    cfg: SearchConfig, indices: list[MultiIndex], table: np.ndarray, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern search of restart r on grid scores: its start vector and the
+    best vector it reached."""
     rng = np.random.default_rng(cfg.rng_seed + r)
     if r == 0:
         start = family_seed_vector(cfg.m, cfg.num_vars, indices)
     else:
         start = rng.uniform(-2.0, 2.0, len(indices))
 
-    best_vec = start.copy()
-    best_val = yield best_vec
+    p = bh_exponent(cfg.m)
+    best_vec = start
+    best_values = _grid_values(table, indices, start)
+    best_val = _grid_score(best_vec, best_values, p)
     evals = 1
     step = _STEP_INIT
     while step >= _STEP_MIN and evals < cfg.eval_budget:
         improved = False
         for i in range(len(indices)):
+            column = _grid_column(table, indices[i])
             for sign in (1.0, -1.0):
                 if evals >= cfg.eval_budget:
                     break
                 candidate = best_vec.copy()
                 candidate[i] += sign * step
-                val = yield candidate
+                values = best_values + (sign * step) * column
+                val = _grid_score(candidate, values, p)
                 evals += 1
                 if val > best_val:
-                    best_vec, best_val = candidate, val
+                    best_vec, best_values, best_val = candidate, values, val
                     improved = True
                     break
             if evals >= cfg.eval_budget:
                 break
         if not improved:
             step *= 0.5
-    return _RestartOutcome(index=r, vector=best_vec, estimate=best_val, evals=evals)
-
-
-def _estimates(
-    cfg: SearchConfig, indices: list[MultiIndex], vectors: list[np.ndarray]
-) -> list[float | ValueError]:
-    """bh_ratio(P, cfg.grid).estimate of each candidate vector's polynomial,
-    or the ValueError bh_ratio raises for it; the zero polynomial scores
-    -inf.
-
-    On two variables a candidate with two or more terms has one free axis,
-    the second, and indices run (0, m), (1, m - 1), ..., (m, 0), so its
-    coefficients by exponent on that axis are its vector reversed: those
-    candidates are scored from their coefficient matrix by one
-    _line_estimates call, without building polynomials.  Every other
-    candidate goes to bh_ratio on its own.
-    """
-    estimates: list[float | ValueError] = [-math.inf] * len(vectors)
-    rest = range(len(vectors))
-    if cfg.num_vars == 2:
-        V = np.array(vectors)
-        dense = np.count_nonzero(V, axis=1) >= 2
-        if dense.any():
-            line = np.flatnonzero(dense).tolist()
-            for i, estimate in zip(line, _line_estimates(V[dense, ::-1], cfg.m, cfg.grid)):
-                estimates[i] = estimate
-        rest = np.flatnonzero(~dense).tolist()
-    for i in rest:
-        P = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vectors[i])
-        if P.is_zero:
-            continue  # all-zero candidate, scored -inf
-        try:
-            estimates[i] = bh_ratio(P, cfg.grid).estimate
-        except ValueError as exc:
-            estimates[i] = exc
-    return estimates
-
-
-def _run_window(
-    cfg: SearchConfig, indices: list[MultiIndex], window: range
-) -> list[_RestartOutcome]:
-    """The outcome of every restart in window, in index order.
-
-    The restarts advance in lockstep: each round is one _estimates call
-    for the next candidate of every live restart.  They share nothing, so
-    each gets the candidates, evals and outcome it gets when the restarts
-    run one after another.  Run that way, the first restart to fail raises
-    and later ones never run; so a failure drops the restarts above it,
-    and the lowest failure is raised once the others finish.
-    """
-    runs = {r: _run_restart(cfg, indices, r) for r in window}
-    pending = {r: next(run) for r, run in runs.items()}
-    outcomes: list[_RestartOutcome] = []
-    failure: ValueError | None = None
-    while pending:
-        live = list(pending)
-        for r, result in zip(live, _estimates(cfg, indices, [pending[r] for r in live])):
-            if isinstance(result, ValueError):
-                failure = result
-                pending = {s: vec for s, vec in pending.items() if s < r}
-                break
-            try:
-                pending[r] = runs[r].send(result)
-            except StopIteration as stop:
-                outcomes.append(stop.value)
-                del pending[r]
-    if failure is not None:
-        raise failure
-    return sorted(outcomes, key=lambda outcome: outcome.index)
+    return start, best_vec
 
 
 def certify(
@@ -330,36 +302,38 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     """Multi-restart pattern search; returns the best certificate found.
 
     Restarts are independent (restart r owns generator rng_seed + r and
-    its own eval budget).  They run in consecutive windows of 256, and
-    those of a window advance in lockstep, with one evaluation call for
-    every live restart's next candidate per step; each follows the path
-    it follows when they run one after another in index order, given the
-    same estimates.  A failure raises before later windows run.  The merge
-    keeps the maximum ratio estimate, ties broken by the lowest restart
-    index, and only the best outcome so far is held between windows.  The
-    estimate is the merge key because it is the quantity the search
-    optimizes and the quantity the seeded floor guarantees; the certified
-    value is reported alongside it in the certificate.
+    its own eval budget) and run one after another.  A restart's start and
+    final vectors are its finalists, in that order, scored by
+    bh_ratio(P, cfg.grid).estimate; the merge keeps the largest estimate,
+    ties broken by the earliest finalist, and holds only the best one so
+    far.  Restart 0 starts from the family seed, so the result is never
+    below the family's ratio.  The estimate is the merge key because it is
+    the quantity the seeded floor guarantees; the certified value is
+    reported alongside it in the certificate.  A grid of K^(num_vars - 1)
+    points over the limit raises GridTooLargeError before any restart, and
+    the first restart to fail raises its error.
     """
+    error = _grid_size_error(cfg.grid, cfg.num_vars - 1)
+    if error is not None:
+        raise error
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    best: _RestartOutcome | None = None
-    for first in range(0, cfg.restarts, _WINDOW):
-        window = range(first, min(first + _WINDOW, cfg.restarts))
-        for outcome in _run_window(cfg, indices, window):  # strict > keeps the earliest on ties
-            if not math.isfinite(outcome.estimate):
-                continue
-            if best is None or outcome.estimate > best.estimate:
-                best = outcome
-    if best is None:
-        raise ValueError("no restart produced a valid (nonzero) polynomial")
-
-    poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, best.vector)
+    table = _phase_table(cfg.m, cfg.grid)
+    best: tuple[float, int, HomogeneousPolynomial] | None = None
+    for r in range(cfg.restarts):
+        start, final = _run_restart(cfg, indices, table, r)
+        finalists = (start,) if final is start else (start, final)
+        for vec in finalists:
+            poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
+            estimate = bh_ratio(poly, cfg.grid).estimate
+            if best is None or estimate > best[0]:  # strict > keeps the earliest
+                best = (estimate, r, poly)
+    _, index, poly = best  # set by restart 0, as restarts >= 1
     return certify(
         poly,
         cfg.grid,
         search_config=cfg,
         seed=cfg.rng_seed,
-        restart_index=best.index,
+        restart_index=index,
     )
 
 

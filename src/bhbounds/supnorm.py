@@ -32,12 +32,12 @@ of |q_b|^2 and the choice among them run on the whole stack of rows.
 refine_local calls it one line at a time.  The one-free-axis kernel
 _line_sup_norms adds the grid and the exact values.  sup_norm brackets a
 polynomial with one free axis through it, as one row, and any other
-through torus_grid_max and refine_local; the search scores two-variable
-candidates through it too, from their coefficient matrix, without
-building polynomials.  A row's numbers depend neither on its batch nor
-on the zero columns that pad it, as long as numpy computes each element
-the same way whatever the array size (numpy does not promise that; the
-tests check it).
+through torus_grid_max and refine_local.  A row's numbers depend neither
+on its batch nor on the zero columns that pad it, as long as numpy
+computes each element the same way whatever the array size (numpy does
+not promise that; the tests check it).  The search scores its candidates
+on the grid without this module (see the search module) and calls
+sup_norm only for its finalists.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ _REFINE_RTOL = 1e-10
 _MAX_ITERATIONS = 200
 
 _EPS = float(np.finfo(float).eps)
+
+_NOT_FINITE = "sup-norm bracket is not finite; rescale the polynomial"
 
 
 class GridTooLargeError(ValueError):
@@ -211,11 +213,14 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     # accumulates the terms that alias onto one cell.
     cells = tuple(np.array([alpha[j] % K for alpha in P.terms]) for j in axes)
     np.add.at(C, cells, np.array(list(P.terms.values()), dtype=np.complex128))
-    for ax in range(1, C.ndim):
-        # norm="forward" leaves the inverse transform unscaled; out=C keeps
-        # a single copy of the array (numpy >= 2.0).
-        np.fft.ifft(C, axis=ax, norm="forward", out=C)
-    values, rows = _grid_maxima(C.reshape(first_len, -1), K)
+    # Coefficients near the largest float overflow here; sup_norm reports
+    # the bracket that is not finite, so numpy's warning is not wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in range(1, C.ndim):
+            # norm="forward" leaves the inverse transform unscaled; out=C
+            # keeps a single copy of the array (numpy >= 2.0).
+            np.fft.ifft(C, axis=ax, norm="forward", out=C)
+        values, rows = _grid_maxima(C.reshape(first_len, -1), K)
     # The lexicographically smallest argmax: the smallest first-axis index
     # among the columns that reach the maximum, then the first such column.
     tops = np.flatnonzero(values == values.max())
@@ -570,7 +575,7 @@ def _upper_bracket(grid_value: float, lipschitz: float, K: int) -> float:
     overflows to a non-finite value."""
     upper = grid_value + lipschitz * math.pi / K
     if not math.isfinite(upper):
-        raise ValueError("sup-norm bracket is not finite; rescale the polynomial")
+        raise ValueError(_NOT_FINITE)
     return upper
 
 

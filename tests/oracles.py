@@ -5,29 +5,18 @@ evaluation, direct formula evaluation) without touching the library's
 grid/refine machinery, so a bug in the engine cannot hide in its own
 oracle.  The one-free-axis line maximum is kept in its scalar form (one
 polynomial, np.roots, P.evaluate) as the reference for the array kernel.
-The one exception is the sequential search at the end, a reference for
-the order of the search's work rather than for its numbers: it runs the
-restarts one after another and calls bh_ratio per candidate.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from typing import Iterator
 
 import numpy as np
 
-from bhbounds import (
-    HomogeneousPolynomial,
-    SearchConfig,
-    WitnessCertificate,
-    ZeroPolynomialError,
-    bh_ratio,
-    certify,
-    degree_multi_indices,
-    family_seed_vector,
-)
+from bhbounds import HomogeneousPolynomial, degree_multi_indices
 
 
 def brute_force_torus_max(P: HomogeneousPolynomial, K: int) -> float:
@@ -95,6 +84,17 @@ def full_grid_max(P: HomogeneousPolynomial, K: int) -> float:
     for alpha, c in P.terms.items():
         vals += c * np.exp(1j * sum(a * t for a, t in zip(alpha, axes)))
     return float(np.abs(vals).max())
+
+
+def evaluate_grid_max(P: HomogeneousPolynomial, K: int) -> float:
+    """Max of |P.evaluate| over the K^(N-1) grid points with theta_1 = 0,
+    one point at a time; by the diagonal phase (see _brute_3d) these hold
+    every value of the full K^N grid."""
+    roots = [cmath.exp(2j * math.pi * k / K) for k in range(K)]
+    return max(
+        abs(P.evaluate((1.0 + 0j,) + tuple(roots[k] for k in point)))
+        for point in itertools.product(range(K), repeat=P.num_vars - 1)
+    )
 
 
 def line_coefficients(P: HomogeneousPolynomial, angles, axis: int) -> np.ndarray:
@@ -195,66 +195,3 @@ def recursive_multi_indices(m: int, n: int) -> list[tuple[int, ...]]:
 
     return sorted(gen((), m, n))
 
-
-# --- the search run one restart after another, one bh_ratio per candidate ----
-
-
-def sequential_restart(cfg: SearchConfig, indices: list, r: int) -> dict:
-    """Restart r's pattern search, evaluating each candidate with bh_ratio."""
-    rng = np.random.default_rng(cfg.rng_seed + r)
-    if r == 0:
-        start = family_seed_vector(cfg.m, cfg.num_vars, indices)
-    else:
-        start = rng.uniform(-2.0, 2.0, len(indices))
-
-    evals = 0
-
-    def ratio_of(vec: np.ndarray) -> float:
-        terms = {alpha: complex(v) for alpha, v in zip(indices, vec) if v != 0.0}
-        poly = HomogeneousPolynomial(cfg.m, cfg.num_vars, terms)
-        try:
-            return bh_ratio(poly, cfg.grid).estimate
-        except ZeroPolynomialError:
-            return -math.inf
-
-    best_vec = start.copy()
-    best_val = ratio_of(best_vec)
-    evals += 1
-    step = 0.5
-    while step >= 1e-6 and evals < cfg.eval_budget:
-        improved = False
-        for i in range(len(indices)):
-            for sign in (1.0, -1.0):
-                if evals >= cfg.eval_budget:
-                    break
-                candidate = best_vec.copy()
-                candidate[i] += sign * step
-                val = ratio_of(candidate)
-                evals += 1
-                if val > best_val:
-                    best_vec, best_val = candidate, val
-                    improved = True
-                    break
-            if evals >= cfg.eval_budget:
-                break
-        if not improved:
-            step *= 0.5
-    return {"index": r, "vector": best_vec, "estimate": best_val, "evals": evals}
-
-
-def sequential_search(cfg: SearchConfig) -> tuple[WitnessCertificate, list[dict]]:
-    """The search with its restarts run in index order, and their outcomes."""
-    indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    outcomes = [sequential_restart(cfg, indices, r) for r in range(cfg.restarts)]
-    best = None
-    for outcome in outcomes:
-        if not math.isfinite(outcome["estimate"]):
-            continue
-        if best is None or outcome["estimate"] > best["estimate"]:
-            best = outcome
-    terms = {alpha: complex(v) for alpha, v in zip(indices, best["vector"]) if v != 0.0}
-    poly = HomogeneousPolynomial(cfg.m, cfg.num_vars, terms)
-    cert = certify(
-        poly, cfg.grid, search_config=cfg, seed=cfg.rng_seed, restart_index=best["index"]
-    )
-    return cert, outcomes

@@ -119,6 +119,22 @@ def test_ratio_overflowing_coefficients(tmp_path):
         assert proc.stdout == ""
 
 
+def test_ratio_overflowing_grid_prints_one_error_line(tmp_path):
+    # With two free axes the grid's inverse FFT overflows before the bracket
+    # is found not finite; numpy's RuntimeWarning must not reach stderr.
+    terms = [
+        {"alpha": alpha, "re": re, "im": 0.0}
+        for alpha, re in (([2, 0, 0], 1e308), ([0, 1, 1], 1e308), ([0, 0, 2], -1e308))
+    ]
+    doc = {"m": 2, "n": 3, "terms": terms}
+    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "huge3.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and "not finite" in line
+
+
 def test_ratio_missing_file():
     assert run_cli("ratio", "--file", "/no/such/file.json").returncode == 2
 

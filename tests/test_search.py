@@ -36,7 +36,12 @@ from bhbounds import (
     torus_lipschitz_bound,
     upper_bound,
 )
-from oracles import random_polynomial, recursive_multi_indices, sequential_search
+from oracles import (
+    evaluate_grid_max,
+    full_grid_max,
+    random_polynomial,
+    recursive_multi_indices,
+)
 
 # The package's search function shadows its search module as an attribute.
 search_module = importlib.import_module("bhbounds.search")
@@ -322,7 +327,7 @@ def test_search_certificate_echoes_config():
     assert json.dumps(doc)  # serializable
 
 
-# --- lockstep restarts and batched evaluation ------------------------------------
+# --- one-free-axis brackets -------------------------------------------------------
 
 
 def _polynomial(m, n, indices, vec):
@@ -341,49 +346,6 @@ def _one_axis_candidates(rng, m, count):
     lone = np.zeros(m + 1)
     lone[int(rng.integers(m + 1))] = rng.uniform(0.5, 2.0)
     return vectors + [lone, np.zeros(m + 1)]
-
-
-def _three_variable_candidates(rng, m):
-    """n = 3 coefficient vectors: the zero vector, a single term, the family
-    seed, dense vectors and one whose sup-norm bracket overflows."""
-    indices = degree_multi_indices(m, 3)
-    lone = np.zeros(len(indices))
-    lone[int(rng.integers(len(indices)))] = rng.uniform(0.5, 2.0)
-    dense = list(rng.uniform(-2.0, 2.0, (3, len(indices))))
-    return [np.zeros(len(indices)), lone, family_seed_vector(m, 3, indices), *dense,
-            np.full(len(indices), 1e308)]
-
-
-@pytest.mark.parametrize("grid", [2, 3, 4, 16, 64])
-def test_batched_estimates_equal_bh_ratio(grid):
-    # grid 2, 3 and 4 lie below most of the degrees, so exponents alias.
-    # A vector whose first entry is 0 has no term of free-axis exponent m:
-    # its row in the batch is wider than its polynomial's row alone.  On
-    # three variables each nonzero candidate goes to bh_ratio on its own.
-    rng = np.random.default_rng(grid)
-    cases = []
-    for m in (2, 3, 4, 5, 7, 8, 12):
-        vectors = _one_axis_candidates(rng, m, 40)
-        for vec in vectors[:10]:
-            vec[0] = 0.0
-        cases.append((m, 2, vectors))
-    cases += [(m, 3, _three_variable_candidates(rng, m)) for m in (2, 3, 4)]
-    for m, n, vectors in cases:
-        cfg = SearchConfig(m=m, num_vars=n, grid=grid)
-        indices = degree_multi_indices(m, n)
-        estimates = search_module._estimates(cfg, indices, vectors)
-        for vec, estimate in zip(vectors, estimates):
-            P = _polynomial(m, n, indices, vec)
-            if P.is_zero:
-                assert estimate == -math.inf
-            elif isinstance(estimate, ValueError):
-                with pytest.raises(ValueError, match="not finite"):
-                    bh_ratio(P, grid)
-                assert "not finite" in str(estimate)
-            else:
-                assert estimate == bh_ratio(P, grid).estimate, vec
-    # The last case ends with the overflowing vector, whose error is stored.
-    assert isinstance(estimates[-1], ValueError)
 
 
 def _mixed_polynomials(rng):
@@ -463,68 +425,9 @@ def test_batched_brackets_return_failures():
         bh_ratio(zero, 1)  # the zero polynomial has no ratio, whatever the grid
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        SearchConfig(m=2, num_vars=2, restarts=4, rng_seed=3, eval_budget=60, grid=32),
-        SearchConfig(m=3, num_vars=2, restarts=3, rng_seed=5, eval_budget=60, grid=32),
-        SearchConfig(m=2, num_vars=3, restarts=3, rng_seed=7, eval_budget=40, grid=16),
-        SearchConfig(m=3, num_vars=1, restarts=3, rng_seed=9, eval_budget=30, grid=16),
-    ],
-    ids=["m2n2", "m3n2", "m2n3", "m3n1"],
-)
-def test_lockstep_search_equals_sequential(cfg):
-    expected_cert, expected = sequential_search(cfg)
-    assert certificate_json(search(cfg)) == certificate_json(expected_cert)
-    indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    outcomes = search_module._run_window(cfg, indices, range(cfg.restarts))
-    assert [o.index for o in outcomes] == list(range(cfg.restarts))
-    for outcome, reference in zip(outcomes, expected):
-        assert np.array_equal(outcome.vector, reference["vector"])
-        assert outcome.estimate == reference["estimate"]
-        assert outcome.evals == reference["evals"] <= cfg.eval_budget
-
-
-def test_lockstep_search_raises_what_sequential_raises():
-    # With six variables a random start has five free axes: 64^5 grid points
-    # exceed the limit.  Restart 0 (the family seed, perturbed one term at a
-    # time) never does, so both runs finish restart 0 and fail on restart 1.
-    cfg = SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20)
-    with pytest.raises(GridTooLargeError) as expected:
-        sequential_search(cfg)
-    with pytest.raises(GridTooLargeError) as raised:
-        search(cfg)
-    assert str(raised.value) == str(expected.value)
-
-
-def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
-    # Restart 2 fails in round 1 and restart 1 in round 3: run one after
-    # another, restart 1 fails first, so its error is the one raised.
-    real = search_module._estimates
-    rounds = []
-
-    def failing(cfg, indices, vectors):
-        rounds.append(len(vectors))
-        results = real(cfg, indices, vectors)
-        if len(rounds) == 1:
-            results[2] = ValueError("restart 2")
-        if len(rounds) == 3:
-            results[1] = ValueError("restart 1")
-        return results
-
-    monkeypatch.setattr(search_module, "_estimates", failing)
-    cfg = SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=10, grid=16)
-    with pytest.raises(ValueError, match="restart 1"):
-        search(cfg)
-    # Round 1 evaluated all four restarts; the failure of restart 2 dropped
-    # restarts 2 and 3, and that of restart 1 left restart 0 alone.
-    assert rounds[:3] == [4, 2, 2]
-    assert set(rounds[3:]) == {1}
-
-
 def test_search_memory_does_not_grow_with_restarts():
-    # Restarts run in windows and only the best outcome is kept, so 16 times
-    # the restarts hold about the memory of one window.
+    # Restarts run one after another and only the best finalist is kept, so
+    # 16 times the restarts hold about the same memory.
     import tracemalloc
 
     search(SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=1))  # numpy's caches
@@ -539,36 +442,152 @@ def test_search_memory_does_not_grow_with_restarts():
     assert peaks[1] <= 2 * peaks[0]
 
 
-def test_binary_candidates_build_no_polynomials(monkeypatch):
-    # On two variables the search scores candidates from their coefficient
-    # matrix; building a HomogeneousPolynomial per candidate is the cost it
-    # avoids.
+# --- grid scores and finalists -----------------------------------------------------
+
+
+def _score(m, n, K, vec):
+    """The search's grid score of vec, from a fresh v = Phi vec."""
+    table = search_module._phase_table(m, K)
+    values = search_module._grid_values(table, degree_multi_indices(m, n), vec)
+    return search_module._grid_score(vec, values, bh_exponent(m))
+
+
+@pytest.mark.parametrize("K", [2, 3, 16, 64])
+def test_grid_score_equals_brute_force_grid_ratio(K):
+    # Degrees of K and above put exponents that agree mod K on one grid
+    # column; some coefficients are exact zeros.
+    rng = np.random.default_rng(K)
+    for n, degrees in ((1, (2, 5)), (2, (2, 3, 5, 8)), (3, (2, 3, 5))):
+        for m in degrees:
+            indices = degree_multi_indices(m, n)
+            for _ in range(3):
+                vec = rng.uniform(-2.0, 2.0, len(indices))
+                vec[rng.uniform(size=len(indices)) < 0.2] = 0.0
+                vec[int(rng.integers(len(indices)))] = 1.0
+                P = _polynomial(m, n, indices, vec)
+                grid_max = evaluate_grid_max(P, K)
+                if K <= 16:
+                    assert grid_max == pytest.approx(full_grid_max(P, K), rel=1e-12)
+                expected = coefficient_lp_norm(P, bh_exponent(m)) / grid_max
+                assert _score(m, n, K, vec) == pytest.approx(expected, rel=1e-12), (m, n)
+
+
+def test_grid_score_edge_cases():
+    assert _score(2, 2, 16, np.zeros(3)) == -math.inf
+    # z1^2 - z2^2 is not zero, but on the K = 2 grid it is 1 - e^{2 pi i k} = 0.
+    assert _score(2, 2, 2, np.array([-1.0, 0.0, 1.0])) == -math.inf
+    assert _score(2, 2, 3, np.array([-1.0, 0.0, 1.0])) > 0.0
+    huge = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (1, 1): 1e308, (0, 2): -1e308})
+    with pytest.raises(ValueError, match="not finite") as raised:
+        sup_norm(huge, 16)
+    vec = np.array([-1e308, 1e308, 1e308])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError) as scored:
+            search_module._grid_score(vec, np.array([1.0, bad]), bh_exponent(2))
+        assert str(scored.value) == str(raised.value)
+
+
+@pytest.mark.parametrize("m, n", [(4, 2), (4, 3)])
+def test_column_updates_track_fresh_grid_values(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    indices = degree_multi_indices(m, n)
+    table = search_module._phase_table(m, 16)
+    vec = rng.uniform(-2.0, 2.0, len(indices))
+    values = search_module._grid_values(table, indices, vec)
+    for _ in range(200):
+        i = int(rng.integers(len(indices)))
+        s = float(rng.choice([-1.0, 1.0])) * 0.5 ** int(rng.integers(1, 21))
+        vec[i] += s
+        values = values + s * search_module._grid_column(table, indices[i])
+    fresh = search_module._grid_values(table, indices, vec)
+    assert values.shape == (16 ** (n - 1),)
+    assert np.abs(values - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])
+def test_search_returns_the_best_finalist(monkeypatch, m, n):
+    cfg = small_config(m, n, restarts=4, eval_budget=60)
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    table = search_module._phase_table(cfg.m, cfg.grid)
+    finalists = []  # (restart, vector, is a final vector)
+    for r in range(cfg.restarts):
+        start, final = search_module._run_restart(cfg, indices, table, r)
+        finalists.append((r, start, False))
+        if final is not start:
+            finalists.append((r, final, True))
+    scored = []
+    real = search_module.bh_ratio
+
+    def recording(P, grid):
+        result = real(P, grid)
+        scored.append((result.estimate, P))
+        return result
+
+    monkeypatch.setattr(search_module, "bh_ratio", recording)
+    cert = search(cfg)
+    assert [P for _, P in scored] == [
+        _polynomial(cfg.m, cfg.num_vars, indices, vec) for _, vec, _ in finalists
+    ]
+    # max keeps the first of equal estimates, as the merge does.
+    best = max(range(len(scored)), key=lambda i: scored[i][0])
+    assert (cert.estimate, cert.polynomial) == scored[best]
+    assert cert.restart_index == finalists[best][0]
+    assert cert.estimate == max(e for e, _ in scored)
+    # Here the winner is a restart's final vector, not a start.
+    assert finalists[best][2]
+
+
+def test_search_refuses_a_grid_over_the_limit_before_scoring(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("the search scored a candidate")
+
+    for name in ("_phase_table", "_grid_score", "bh_ratio"):
+        monkeypatch.setattr(search_module, name, unexpected)
+    # Six variables take 64^5 grid points; two take one axis over the limit.
+    for cfg in (
+        SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20),
+        SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1),
+    ):
+        with pytest.raises(GridTooLargeError):
+            search(cfg)
+
+
+def test_search_raises_the_first_failing_finalist(monkeypatch):
     calls = []
+    real = search_module.bh_ratio
+
+    def failing(P, grid):
+        calls.append(P)
+        if len(calls) in (3, 5):
+            raise ValueError(f"finalist {len(calls)}")
+        return real(P, grid)
+
+    monkeypatch.setattr(search_module, "bh_ratio", failing)
+    with pytest.raises(ValueError, match="finalist 3"):
+        search(small_config(2, 2, restarts=4))
+    assert len(calls) == 3
+
+
+def test_default_search_builds_polynomials_only_for_finalists(monkeypatch):
+    # Candidates are scored from their grid values; only the start and
+    # final vectors of each restart become polynomials, and the winner's
+    # certificate reuses its polynomial.
+    built, ratios = [], []
     init = HomogeneousPolynomial.__init__
+    real = search_module.bh_ratio
 
     def counting_init(self, *args, **kwargs):
-        calls.append(args)
+        built.append(args)
         init(self, *args, **kwargs)
 
-    cfg = SearchConfig(m=3, num_vars=2, grid=FAST_GRID)
-    vectors = list(np.random.default_rng(64).uniform(-2.0, 2.0, (64, 4)))
+    def counting_ratio(P, grid):
+        ratios.append(P)
+        return real(P, grid)
+
     monkeypatch.setattr(HomogeneousPolynomial, "__init__", counting_init)
-    estimates = search_module._estimates(cfg, degree_multi_indices(3, 2), vectors)
-    assert calls == []
-    assert len(estimates) == 64 and all(math.isfinite(e) for e in estimates)
-
-
-def test_binary_candidates_fail_as_bh_ratio_fails():
-    # The coefficient-matrix path keeps bh_ratio's errors: a grid above the
-    # limit, and a bracket that overflows.
-    indices = degree_multi_indices(2, 2)
-    big = SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1)
-    vectors = [np.array([1.0, 2.0, -1.0]), np.array([-1e308, 1e308, 1e308])]
-    for cfg in (big, SearchConfig(m=2, num_vars=2, grid=16)):
-        for vec, estimate in zip(vectors, search_module._estimates(cfg, indices, vectors)):
-            try:
-                expected = bh_ratio(_polynomial(2, 2, indices, vec), cfg.grid).estimate
-            except ValueError as exc:
-                assert type(estimate) is type(exc) and str(estimate) == str(exc)
-            else:
-                assert estimate == expected
+    monkeypatch.setattr(search_module, "bh_ratio", counting_ratio)
+    cfg = SearchConfig(m=2, num_vars=2, restarts=8)
+    cert = search(cfg)
+    assert len(built) <= 2 * cfg.restarts + 1
+    assert len(ratios) <= 2 * cfg.restarts
+    assert cert.estimate >= 1.1066
