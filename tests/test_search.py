@@ -591,3 +591,91 @@ def test_default_search_builds_polynomials_only_for_finalists(monkeypatch):
     assert len(built) <= 2 * cfg.restarts + 1
     assert len(ratios) <= 2 * cfg.restarts
     assert cert.estimate >= 1.1066
+
+
+# Four tests keep the names they had when candidates were scored exactly and
+# restarts ran in lockstep; what each checks still holds of the grid search.
+
+
+def test_lockstep_search_raises_what_sequential_raises():
+    # With six variables a random start has five free axes: 64^5 grid points
+    # exceed the limit.  A search scoring each candidate with bh_ratio, one
+    # after another, finishes restart 0 (the family seed, perturbed one term
+    # at a time, never has that many) and fails on restart 1's start; the
+    # grid search raises the same error, before any restart.
+    cfg = SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20)
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    seed = _polynomial(cfg.m, cfg.num_vars, indices, family_seed_vector(cfg.m, cfg.num_vars, indices))
+    assert len(supnorm_module._free_axes(seed)) < cfg.num_vars - 1
+    start = np.random.default_rng(cfg.rng_seed + 1).uniform(-2.0, 2.0, len(indices))
+    with pytest.raises(GridTooLargeError) as expected:
+        bh_ratio(_polynomial(cfg.m, cfg.num_vars, indices, start), cfg.grid)
+    with pytest.raises(GridTooLargeError) as raised:
+        search(cfg)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
+    # Restarts 1 and 2 fail: restart 1's error is raised and restart 2 never
+    # runs.
+    real = search_module._run_restart
+    ran = []
+
+    def failing(cfg, indices, table, r):
+        ran.append(r)
+        if r in (1, 2):
+            raise ValueError(f"restart {r}")
+        return real(cfg, indices, table, r)
+
+    monkeypatch.setattr(search_module, "_run_restart", failing)
+    with pytest.raises(ValueError, match="restart 1"):
+        search(SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=10, grid=16))
+    assert ran == [0, 1]
+
+
+def test_binary_candidates_build_no_polynomials(monkeypatch):
+    # On two variables the search scores candidates from their grid values;
+    # building a HomogeneousPolynomial per candidate is the cost it avoids.
+    calls = []
+    init = HomogeneousPolynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    indices = degree_multi_indices(3, 2)
+    vectors = list(np.random.default_rng(64).uniform(-2.0, 2.0, (64, 4)))
+    monkeypatch.setattr(HomogeneousPolynomial, "__init__", counting_init)
+    table = search_module._phase_table(3, FAST_GRID)
+    p = bh_exponent(3)
+    estimates = [
+        search_module._grid_score(vec, search_module._grid_values(table, indices, vec), p)
+        for vec in vectors
+    ]
+    assert calls == []
+    assert len(estimates) == 64 and all(math.isfinite(e) and e > 0.0 for e in estimates)
+
+
+def test_binary_candidates_fail_as_bh_ratio_fails():
+    # Grid scoring keeps bh_ratio's errors: a grid above the limit, and grid
+    # values that overflow.  Where bh_ratio succeeds the score is finite.
+    indices = degree_multi_indices(2, 2)
+    vectors = [np.array([1.0, 2.0, -1.0]), np.array([-1e308, 1e308, 1e308])]
+    big = SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1)
+    with pytest.raises(GridTooLargeError) as raised:
+        search(big)
+    for vec in vectors:
+        with pytest.raises(GridTooLargeError) as expected:
+            bh_ratio(_polynomial(2, 2, indices, vec), big.grid)
+        assert str(raised.value) == str(expected.value)
+    for vec in vectors:
+        try:
+            bh_ratio(_polynomial(2, 2, indices, vec), 16)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as scored:
+                _score(2, 2, 16, vec)
+            assert str(scored.value) == str(exc)
+        else:
+            assert math.isfinite(_score(2, 2, 16, vec))
+    with pytest.raises(ValueError, match="not finite"):
+        _score(2, 2, 16, vectors[1])
