@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .poly import HomogeneousPolynomial, bh_exponent, coefficient_lp_norm
-from .supnorm import DEFAULT_GRID, sup_norm
+from .supnorm import DEFAULT_GRID, SupNormResult, sup_norm
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
@@ -229,6 +229,28 @@ class RatioResult(NamedTuple):
     certified: float
 
 
+def _bracketed_ratio(
+    P: HomogeneousPolynomial, grid: int
+) -> tuple[float, SupNormResult, RatioResult]:
+    """P's coefficient norm, its sup-norm bracket at grid K and their
+    ratios: the one implementation behind bh_ratio and certify.
+
+    Raises ZeroPolynomialError for the zero polynomial, whatever the grid,
+    and ValueError when the lower sup-norm estimate vanishes.
+    """
+    if P.is_zero:
+        raise ZeroPolynomialError("the zero polynomial has no ratio")
+    bracket = sup_norm(P, grid)
+    if bracket.lower_estimate <= 0.0:
+        raise ValueError(_VANISHED)
+    numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
+    ratio = RatioResult(
+        estimate=numerator / bracket.lower_estimate,
+        certified=numerator / bracket.upper_bracket,
+    )
+    return numerator, bracket, ratio
+
+
 def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
     """Coefficient-norm-to-sup-norm ratio of P, both optimistic and certified.
 
@@ -238,16 +260,6 @@ def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
     Every polynomial's certified ratio is a true lower bound on D(m) up to
     floating-point rounding (the numerator is exact to rounding and the
     denominator is an upper bound on ||P||).  grid is the sup-norm grid
-    K, as in sup_norm.
+    K, as in sup_norm.  The ratios are those of certify(P, grid).
     """
-    if P.is_zero:
-        raise ZeroPolynomialError("the zero polynomial has no ratio")
-    bracket = sup_norm(P, grid)
-    if bracket.lower_estimate <= 0.0:
-        raise ValueError(_VANISHED)
-    numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
-    return RatioResult(
-        estimate=numerator / bracket.lower_estimate,
-        certified=numerator / bracket.upper_bracket,
-    )
-
+    return _bracketed_ratio(P, grid)[2]

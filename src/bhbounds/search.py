@@ -38,13 +38,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .family import _VANISHED, ZeroPolynomialError, bh_ratio, optimal_x
+from .family import _bracketed_ratio, bh_ratio, optimal_x
 from .poly import (
     HomogeneousPolynomial,
     MultiIndex,
     _lp_norm,
     bh_exponent,
-    coefficient_lp_norm,
+    coefficient_lp_norm,  # noqa: F401  (bench/spans.py wraps search.coefficient_lp_norm)
     polynomial_from_dict,
     polynomial_to_dict,
 )
@@ -53,7 +53,7 @@ from .supnorm import (
     DEFAULT_GRID,
     SupNormResult,
     _grid_size_error,
-    sup_norm,
+    sup_norm,  # noqa: F401  (bench/spans.py wraps search.sup_norm)
 )
 
 CERTIFICATE_SCHEMA = "bh-cert-1"
@@ -279,19 +279,15 @@ def certify(
     seed: int | None = None,
     restart_index: int | None = None,
 ) -> WitnessCertificate:
-    """Audit-ready certificate for one polynomial at sup-norm grid K = grid."""
-    if P.is_zero:
-        raise ZeroPolynomialError("cannot certify the zero polynomial")
-    coeff_norm = coefficient_lp_norm(P, bh_exponent(P.degree))
-    result = sup_norm(P, grid)
-    if result.lower_estimate <= 0.0:
-        raise ValueError(_VANISHED)
+    """Audit-ready certificate for one polynomial at sup-norm grid K = grid;
+    its numbers, and its errors, are those of bh_ratio(P, grid)."""
+    coeff_norm, bracket, ratio = _bracketed_ratio(P, grid)
     return WitnessCertificate(
         polynomial=P,
         coeff_norm=coeff_norm,
-        supnorm=result,
-        certified_lower=coeff_norm / result.upper_bracket,
-        estimate=coeff_norm / result.lower_estimate,
+        supnorm=bracket,
+        certified_lower=ratio.certified,
+        estimate=ratio.estimate,
         search_config=search_config,
         seed=seed,
         restart_index=restart_index,

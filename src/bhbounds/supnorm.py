@@ -26,18 +26,13 @@ convergence with a sweep of exact line maximisations, so the result is a
 point that no coordinate line improves; at a saddle it first tries a step
 along the direction where |P|^2 curves upward.
 
-There is one line root finder, _line_roots: row b of a complex array G
-holds q_b(t) = sum_a G[b, a] e^{i a t}, and the roots of the derivative
-of |q_b|^2 and the choice among them run on the whole stack of rows.
-refine_local calls it one line at a time.  The one-free-axis kernel
-_line_sup_norms adds the grid and the exact values.  sup_norm brackets a
-polynomial with one free axis through it, as one row, and any other
-through torus_grid_max and refine_local.  A row's numbers depend neither
-on its batch nor on the zero columns that pad it, as long as numpy
-computes each element the same way whatever the array size (numpy does
-not promise that; the tests check it).  The search scores its candidates
-on the grid without this module (see the search module) and calls
-sup_norm only for its finalists.
+sup_norm brackets every polynomial on one path: the grid maximum of
+torus_grid_max plus the Lipschitz slack is the upper end, and
+refine_local, started from the grid point, gives the lower end.  Every
+line maximisation goes through one root finder, _line_roots, which takes
+one line and one start angle.  The search scores its candidates on the
+grid without this module (see the search module) and calls sup_norm only
+for its finalists.
 """
 
 from __future__ import annotations
@@ -127,13 +122,10 @@ def _free_axes(P: HomogeneousPolynomial) -> list[int]:
     terms of equal degree that differ on one axis differ on two, so a
     polynomial with two or more terms always keeps a free axis.
     """
-    alphas = list(P.terms)
-    if len(alphas) <= 1:
-        return []
-    first = alphas[0]
-    return [
-        j for j in range(P.num_vars) if any(alpha[j] != first[j] for alpha in alphas)
-    ][1:]
+    varying = [
+        j for j, column in enumerate(zip(*P.terms)) if column.count(column[0]) != len(column)
+    ]
+    return varying[1:]
 
 
 def _grid_maxima(C: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +185,7 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     free axis but the first is inverse-transformed by an FFT; the first
     is summed directly against e^{2 pi i a k_0/K}, a slab of rows at a
     time, which bounds the size of each |P| array.  With one free axis no
-    FFT runs, and the values are those of the grid pass of _line_sup_norms.
+    FFT runs.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -209,10 +201,14 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
         raise error
     first_len = min(K, max(alpha[axes[0]] for alpha in P.terms) + 1)
     C = np.zeros((first_len,) + (K,) * (len(axes) - 1), dtype=np.complex128)
-    # Exponents that agree mod K give the same grid values, so add.at
-    # accumulates the terms that alias onto one cell.
-    cells = tuple(np.array([alpha[j] % K for alpha in P.terms]) for j in axes)
-    np.add.at(C, cells, np.array(list(P.terms.values()), dtype=np.complex128))
+    # Exponents that agree mod K give the same grid values, so the terms
+    # that alias onto one cell are added, in term order.
+    cells = C.reshape(-1)
+    for alpha, coeff in P.terms.items():
+        cell = 0
+        for j in axes:
+            cell = cell * K + alpha[j] % K
+        cells[cell] += coeff
     # Coefficients near the largest float overflow here; sup_norm reports
     # the bracket that is not finite, so numpy's warning is not wanted.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,140 +224,79 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     best_val = float(values[col])
     best_flat = int(rows[col]) * len(values) + col
     angles = [0.0] * P.num_vars
-    for j, digit in zip(axes, np.unravel_index(best_flat, (K,) * len(axes))):
-        angles[j] = TWO_PI * int(digit) / K
+    for j in reversed(axes):
+        best_flat, digit = divmod(best_flat, K)
+        angles[j] = TWO_PI * digit / K
     return best_val, tuple(angles)
 
 
 def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
-    return tuple([cmath.exp(1j * t) for t in angles])
+    # e^{i 0} is exactly 1, and pinned angles are mostly 0.
+    return tuple([cmath.exp(1j * t) if t else 1 + 0j for t in angles])
 
 
 def _line_coefficients(
     P: HomogeneousPolynomial, angles: list[float], axis: int
 ) -> np.ndarray:
-    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}.
+    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}, up to the
+    largest exponent of the axis.
 
     Each coefficient is multiplied by the powers of the other coordinates
-    as P.evaluate multiplies them.
+    in the order P.evaluate multiplies them; coordinates at angle 0 are 1
+    and are skipped.
     """
-    z = _torus_point(angles)
-    g = np.zeros(P.degree + 1, dtype=np.complex128)
+    z = {l: cmath.exp(1j * t) for l, t in enumerate(angles) if t and l != axis}
+    g = np.zeros(max(alpha[axis] for alpha in P.terms) + 1, dtype=np.complex128)
     for alpha, coeff in P.terms.items():
-        for l, a in enumerate(alpha):
-            if a and l != axis:
-                coeff *= z[l] ** a
+        for l, w in z.items():
+            if alpha[l]:
+                coeff *= w ** alpha[l]
         g[alpha[axis]] += coeff
     return g
 
 
-def _abs_on_line(row: list[complex], t: float) -> float:
-    """|sum_a row[a] e^{i a t}|, with the arithmetic of P.evaluate: the
-    terms from the highest exponent down, each coefficient times
-    e^{i t} ** a."""
-    w = cmath.exp(1j * t)
-    total = 0j
-    for a in range(len(row) - 1, -1, -1):
-        if row[a]:
-            total += row[a] * w**a if a else row[a]
-    return abs(total)
+def _line_roots(g: np.ndarray, t0: float) -> float:
+    """The critical angle in [0, 2 pi) where |q(t)| = |sum_a g_a e^{i a t}|
+    is largest, or t0 where q has no critical point to offer (one term, or
+    |q| constant up to rounding).
 
-
-def _line_roots(G: np.ndarray, t0: np.ndarray) -> np.ndarray:
-    """For every row b of G, the critical angle in [0, 2 pi) where
-    |q_b(t)| = |sum_a G[b, a] e^{i a t}| is largest, or t0[b] where q_b has
-    no critical point to offer (one term, or |q_b| constant up to rounding).
-
-    Scaled to unit peak, |q_b|^2 = sum_{|k|<=D} h_k e^{i k t} with
-    h_k = sum_n g_{n+k} conj(g_n) = conj(h_{-k}) (D + 1 = width of G), so
-    its derivative vanishes where w = e^{i t} is a root of
+    Scaled to unit peak, |q|^2 = sum_{|k|<=D} h_k e^{i k t} with
+    h_k = sum_n g_{n+k} conj(g_n) = conj(h_{-k}) (D + 1 = len(g)), so its
+    derivative vanishes where w = e^{i t} is a root of
     sum_{k=1..D} k (h_k w^(D+k) - conj(h_k) w^(D-k)).  Terms of the largest
     k that are zero or below rounding (zeros or tiny entries at the ends of
-    a row) are stripped; they only carry roots near 0 or infinity.  Rows
-    of one stripped degree share one eigvals call on their companion
-    matrices, and one evaluation of |q| at all roots picks each row's
-    best among its own 2k roots.
-
-    The choice does not depend on the width of G: zero entries add exact
-    zeros to h, and |q| is summed along a non-contiguous axis, which adds
-    the terms in order of a, where numpy may regroup a contiguous sum.
+    g) are stripped; they only carry roots near 0 or infinity.  The roots
+    are the eigenvalues of a companion matrix, and the best of them is
+    the one where |q|, summed in order of a, is largest.  Zero entries at
+    the end of g add exact zeros to h and to |q|, so they change nothing.
     """
-    B, L = G.shape
+    L = len(g)
     D = L - 1
-    peak = np.abs(G).max(axis=1, keepdims=True)
-    g = G / np.where(peak > 0.0, peak, 1.0)
-    kh = np.zeros((B, D), dtype=np.complex128)  # kh[:, k - 1] = h_k, then k h_k
+    peak = np.abs(g).max()
+    if not peak:
+        return t0
+    g = g / peak
+    kh = np.zeros(D, dtype=np.complex128)  # kh[k - 1] = h_k, then k h_k
     for n in range(D):
-        kh[:, : D - n] += g[:, n + 1 :] * g[:, n : n + 1].conj()
+        kh[: D - n] += g[n + 1 :] * g[n : n + 1].conj()
     kh *= np.arange(1, D + 1)
-    # Coefficients from the highest power of w down.
-    deriv = np.concatenate([kh[:, ::-1], np.zeros((B, 1)), -kh.conj()], axis=1)
-    size = np.abs(kh)
+    size = np.abs(kh).tolist()
     # Coefficients below rounding of the largest one change the polynomial
     # on the unit circle by no more than rounding; kept at the ends, they
     # would put huge entries into the companion matrix.
-    kept = size > _EPS * size.max(axis=1, keepdims=True)
-    top = (kept * np.arange(1, D + 1)).max(axis=1)  # largest kept k, 0 if none
-    roots = np.repeat(t0[:, None], 2 * D, axis=1)
-    for k in set(top.tolist()) - {0}:
-        rows = top == k
-        p = deriv[rows, D - k : D + k + 1]
-        N = 2 * k
-        companion = np.zeros((len(p), N, N), dtype=np.complex128)
-        companion[:, np.arange(1, N), np.arange(N - 1)] = 1.0
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        roots[rows, :N] = np.angle(np.linalg.eigvals(companion)) % TWO_PI
-    phases = np.exp(1j * roots[:, None, :] * np.arange(L)[:, None])
-    f = np.abs((phases * g[:, :, None]).sum(axis=1))
-    # Slots past a row's own roots hold t0; they never win, so a row with
-    # no roots keeps t0 from slot 0.
-    f[np.arange(2 * D) >= 2 * top[:, None]] = -1.0
-    return roots[np.arange(B), f.argmax(axis=1)]
-
-
-def _line_maxima(G: np.ndarray, t0: np.ndarray) -> tuple[list[float], list[float]]:
-    """Maximum of |q_b(t)| = |sum_a G[b, a] e^{i a t}| over t for every row b,
-    and its angle in [0, 2 pi), from the start angle t0[b]: the angle of
-    _line_roots, taken only if |q_b| there strictly beats |q_b| at t0[b],
-    both from _abs_on_line.
-    """
-    values, angles = [], []
-    for row, start, t in zip(G.tolist(), t0.tolist(), _line_roots(G, t0).tolist()):
-        value = _abs_on_line(row, start)
-        moved = _abs_on_line(row, t)
-        if moved > value:
-            value, start = moved, t
-        values.append(value)
-        angles.append(start)
-    return values, angles
-
-
-def _line_grid_maxima(G: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """First maximum of |q_b| over t = 2 pi k/K, k = 0..K-1, for every row b
-    of G, and its k: the columns folded mod K, from the highest exponent
-    down as torus_grid_max adds aliasing terms, then _grid_maxima."""
-    B, L = G.shape
-    C = np.zeros((min(K, L), B), dtype=np.complex128)
-    for first in range((L - 1) // K * K, -1, -K):
-        C[: min(K, L - first)] += G[:, first : first + K].T
-    return _grid_maxima(C, K)
-
-
-def _line_sup_norms(G: np.ndarray, K: int) -> tuple[list[float], list[float], list[float]]:
-    """The one-free-axis kernel: for every row b of G, with
-    q_b(t) = sum_a G[b, a] e^{i a t} (a polynomial with its pinned angles
-    at 0), the grid maximum of |q_b| over the K-point grid, and the exact
-    maximum of |q_b| with its angle, found from the grid angle.
-
-    Only the two exact values of a row are taken one row at a time; the
-    rest is elementwise work, reductions and eigvals calls.  A row's
-    numbers depend neither on the other rows nor on its zero padding (see
-    the module docstring for the condition).
-    """
-    G = np.asarray(G, dtype=np.complex128)
-    grid_values, rows = _line_grid_maxima(G, K)
-    values, angles = _line_maxima(G, TWO_PI * rows / K)
-    return grid_values.tolist(), values, angles
+    floor = _EPS * max(size)
+    k = next((k for k in range(D, 0, -1) if size[k - 1] > floor), 0)
+    if not k:
+        return t0
+    # Coefficients from the highest power of w down.
+    p = np.concatenate([kh[k - 1 :: -1], [0.0], -kh[:k].conj()])
+    N = 2 * k
+    companion = np.eye(N, k=-1, dtype=np.complex128)
+    companion[0] = -p[1:] / p[:1]
+    roots = np.angle(np.linalg.eigvals(companion)) % TWO_PI
+    phases = np.exp(1j * roots * np.arange(L)[:, None])
+    f = np.abs((phases * g[:, None]).sum(axis=0))
+    return float(roots[f.argmax()])
 
 
 def _line_sweep(
@@ -371,10 +306,8 @@ def _line_sweep(
     _line_roots), keeping a move only if the re-evaluated |P| strictly
     increases."""
     for j in axes:
-        row = _line_coefficients(P, theta, j)
-        (t,) = _line_roots(row[None], np.array([theta[j]])).tolist()
         candidate = list(theta)
-        candidate[j] = t
+        candidate[j] = _line_roots(_line_coefficients(P, theta, j), theta[j])
         cand_value = abs(P.evaluate(_torus_point(candidate)))
         if cand_value > value:
             theta, value = candidate, cand_value
@@ -534,49 +467,23 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     """Two-sided bracket of ||P|| on the unit polydisc.
 
     grid is K, the grid points per free axis (at least 2).
-    lower_estimate: grid maximum polished by refine_local (attained value).
+    lower_estimate: the maximum of torus_grid_max polished by
+    refine_local (an attained value).
     upper_bracket:  grid maximum + L*(pi/K), where L is the Lipschitz
     bound and pi/K the worst per-coordinate distance to a grid point, so
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
     Raises ValueError when the bracket overflows to a non-finite value.
-
-    With exactly one free axis, P is the row of its coefficients by their
-    exponent on that axis (each entry is one term, as the other active
-    axis carries the rest of the degree), and the one-free-axis kernel
-    _line_sup_norms gives the grid maximum and the exact maximum, the
-    values torus_grid_max and refine_local give.
     """
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
-    axes = _free_axes(P)
-    if len(axes) != 1:
-        grid_value, start = torus_grid_max(P, grid)
-        upper = _upper_bracket(grid_value, torus_lipschitz_bound(P), grid)
-        r = refine_local(P, start)
-        return SupNormResult(r.value, upper, r.angles, grid, r.converged)
-    error = _grid_size_error(grid, 1)
-    if error is not None:
-        raise error
-    (j,) = axes
-    G = np.zeros((1, max(alpha[j] for alpha in P.terms) + 1), dtype=np.complex128)
-    for alpha, coeff in P.terms.items():
-        G[0, alpha[j]] = coeff
-    (grid_value,), (value,), (angle,) = _line_sup_norms(G, grid)
-    upper = _upper_bracket(grid_value, torus_lipschitz_bound(P), grid)
-    arg_angles = [0.0] * P.num_vars
-    arg_angles[j] = angle
-    return SupNormResult(value, upper, tuple(arg_angles), grid, True)
-
-
-def _upper_bracket(grid_value: float, lipschitz: float, K: int) -> float:
-    """grid_value + L*pi/K; raises the ValueError of sup_norm when that
-    overflows to a non-finite value."""
-    upper = grid_value + lipschitz * math.pi / K
+    grid_value, start = torus_grid_max(P, grid)
+    upper = grid_value + torus_lipschitz_bound(P) * math.pi / grid
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
-    return upper
+    r = refine_local(P, start)
+    return SupNormResult(r.value, upper, r.angles, grid, r.converged)
 
 
 def quadratic_sup_norm(a: float, b: float, c: float) -> float:

@@ -2,9 +2,9 @@ import numpy as np
 
 
 def _build() -> str:
-    # Several tests require bit-equal results between a row of a batch and
-    # the same row alone; they hold only on the numpy build and LAPACK they
-    # ran on.
+    # Several tests require bit-equal results: a line's roots with and
+    # without zero padding, and CLI output equal to golden files byte for
+    # byte.  They hold only on the numpy build and LAPACK they ran on.
     lapack = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
     return f"numpy {np.__version__}, LAPACK {lapack.get('name')} {lapack.get('version')}"
 

@@ -3,8 +3,9 @@
 Everything here re-derives quantities from first principles (direct grid
 evaluation, direct formula evaluation) without touching the library's
 grid/refine machinery, so a bug in the engine cannot hide in its own
-oracle.  The one-free-axis line maximum is kept in its scalar form (one
-polynomial, np.roots, P.evaluate) as the reference for the array kernel.
+oracle.  The one-free-axis line maximum is kept in its scalar form (np.roots
+on the whole line, P.evaluate) as the reference for sup_norm on one free
+axis.
 """
 
 from __future__ import annotations

@@ -327,7 +327,7 @@ def test_search_certificate_echoes_config():
     assert json.dumps(doc)  # serializable
 
 
-# --- one-free-axis brackets -------------------------------------------------------
+# --- brackets on one path ---------------------------------------------------------
 
 
 def _polynomial(m, n, indices, vec):
@@ -352,7 +352,7 @@ def _mixed_polynomials(rng):
     """Polynomials of mixed degrees with one free axis, family seeds on three
     to five variables, single terms, the zero polynomial and polynomials
     with two free axes.  A degree-8 pair, one of it without terms of
-    free-axis exponent 7 or 8, gives rows of two widths."""
+    free-axis exponent 7 or 8, gives lines of two widths."""
     polys = []
     for m in range(2, 6):
         indices = degree_multi_indices(m, 2)
@@ -379,9 +379,8 @@ def _bracket_from_parts(P, grid):
 
 @pytest.mark.parametrize("grid", [2, 5, 16, 64])
 def test_batched_brackets_equal_sup_norm(grid):
-    # sup_norm brackets a polynomial with one free axis through the line
-    # kernel, and gets the bracket of torus_grid_max and refine_local, whose
-    # one-axis grid is built another way.
+    # sup_norm is torus_grid_max, the Lipschitz slack and refine_local,
+    # whatever the number of free axes; most of these polynomials have one.
     polys = _mixed_polynomials(np.random.default_rng(100 + grid))
     for P in polys:
         assert sup_norm(P, grid) == _bracket_from_parts(P, grid), dict(P.terms)
@@ -404,7 +403,7 @@ def test_batched_ratios_equal_bh_ratio(grid):
 
 
 def test_batched_brackets_return_failures():
-    # One polynomial of each path: one free axis, and two free axes.
+    # One polynomial with one free axis and one with two.
     huge_line = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (1, 1): 1e308, (0, 2): -1e308})
     huge_torus = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1e308, (0, 1, 1): 1e308, (0, 0, 2): -1e308})
     line = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 2.0, (0, 2): -1.0})

@@ -357,7 +357,7 @@ def test_refine_escapes_saddle_no_line_improves():
     assert result.value == pytest.approx(6.0, abs=1e-12)
 
 
-# --- the one-free-axis kernel ------------------------------------------------
+# --- one free axis through sup_norm ------------------------------------------
 
 
 def _kernel_rows(rng):
@@ -393,71 +393,69 @@ def _kernel_rows(rng):
 
 @pytest.mark.parametrize("K", [2, 3, 5, 64])
 def test_line_kernel_matches_scalar_reference(K):
-    # K = 2, 3 and 5 lie at or below most degrees, so exponents alias.
-    import bhbounds.supnorm as supnorm_module
-
+    # Each row is a polynomial on two variables, which leaves one free axis
+    # (none for the single term and the zero row).  K = 2, 3 and 5 lie at
+    # or below most degrees, so exponents alias.
     G, degrees = _kernel_rows(np.random.default_rng(900 + K))
-    grid_values, values, angles = supnorm_module._line_sup_norms(G, K)
     samples = 1 << 14
     dense_phases = np.exp(1j * np.outer(TWO_PI * np.arange(samples) / samples, np.arange(9)))
-    for b, (g, m) in enumerate(zip(G, degrees)):
+    for g, m in zip(G, degrees):
         P = HomogeneousPolynomial(m, 2, {(m - a, a): complex(g[a]) for a in range(m + 1)})
+        result = sup_norm(P, K)
         grid = [abs(P.evaluate([1.0, cmath.exp(1j * TWO_PI * k / K)])) for k in range(K)]
         k = int(np.argmax(grid))
-        assert grid_values[b] == pytest.approx(grid[k], rel=1e-13, abs=1e-300)
+        grid_value, _ = torus_grid_max(P, K)
+        assert grid_value == pytest.approx(grid[k], rel=1e-13, abs=1e-300)
+        assert result.upper_bracket == grid_value + torus_lipschitz_bound(P) * math.pi / K
         # Entries of 1e-300 change |q| by at most 1e-300; next to them the
         # roots of the scalar path lose accuracy (or overflow), so its
         # polynomial leaves them out.
         big = {(m - a, a): complex(g[a]) for a in range(m + 1) if abs(g[a]) > 1e-200}
         reference, _ = scalar_line_max(HomogeneousPolynomial(m, 2, big), (0.0, TWO_PI * k / K), 1)
-        assert values[b] == pytest.approx(reference, rel=1e-13, abs=1e-300)
+        assert result.lower_estimate == pytest.approx(reference, rel=1e-13, abs=1e-300)
         dense = float(np.abs(dense_phases @ g).max())
-        assert values[b] >= dense - 1e-12
-        # The value is attained: it is |P| at the reported angle, as
+        assert result.lower_estimate >= dense - 1e-12
+        # The value is attained: it is |P| at the reported angles, as
         # P.evaluate computes it.
-        assert values[b] == abs(P.evaluate([1.0, cmath.exp(1j * angles[b])]))
-        # A row's numbers do not depend on the rest of the batch.
-        alone = supnorm_module._line_sup_norms(G[b : b + 1], K)
-        assert [x[0] for x in alone] == [grid_values[b], values[b], angles[b]]
+        z = [cmath.exp(1j * t) for t in result.arg_angles]
+        assert result.lower_estimate == abs(P.evaluate(z))
 
 
 def test_line_roots_do_not_depend_on_padding(monkeypatch):
-    # Zero columns past a row's last entry change neither its roots nor the
-    # one it picks.
+    # Zero entries past a line's last coefficient change neither its roots
+    # nor the one it picks.
     import bhbounds.supnorm as supnorm_module
 
     G, degrees = _kernel_rows(np.random.default_rng(7))
-    t0 = np.random.default_rng(8).uniform(0, TWO_PI, len(G))
-    padded = supnorm_module._line_roots(np.hstack([G, np.zeros((len(G), 7))]), t0)
-    for b, m in enumerate(degrees):
-        (alone,) = supnorm_module._line_roots(G[b : b + 1, : m + 1], t0[b : b + 1])
-        assert padded[b] == alone, b
+    t0 = np.random.default_rng(8).uniform(0, TWO_PI, len(G)).tolist()
+    for g, m, start in zip(G, degrees, t0):
+        alone = supnorm_module._line_roots(g[: m + 1], start)
+        assert supnorm_module._line_roots(np.concatenate([g, np.zeros(7)]), start) == alone
     # q(t) = 1 + e^{it} peaks at the start t = 0.  With its roots forced to
-    # t = 1, the extra slots of a padded row, which hold the start, must
-    # still not win.
+    # t = 1, the root is returned whatever the padding: the choice between
+    # the root and the start is refine_local's (see the next test).
     monkeypatch.setattr(
         np.linalg, "eigvals", lambda c: np.full(c.shape[:-1], cmath.exp(1j), dtype=complex)
     )
     for width in (2, 3, 9):
-        row = np.zeros((1, width), dtype=complex)
-        row[0, :2] = 1.0
-        (t,) = supnorm_module._line_roots(row, np.array([0.0]))
-        assert t == pytest.approx(1.0, abs=1e-15)
+        row = np.zeros(width, dtype=complex)
+        row[:2] = 1.0
+        assert supnorm_module._line_roots(row, 0.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_line_kernel_takes_a_root_only_if_it_beats_the_start(monkeypatch):
-    # q(t) = 1 + e^{it}, so |q| = 2|cos(t/2)|.  With every root forced to one
-    # point, the kernel keeps the start unless |q| there is strictly higher.
-    import bhbounds.supnorm as supnorm_module
-
-    G = np.array([[1.0, 1.0]], dtype=complex)
+    # P = z1 + z2 leaves the line q(t) = 1 + e^{it} on the free axis, so
+    # |q| = 2|cos(t/2)|.  With every root forced to one point, refine_local
+    # keeps the start unless |P| there is strictly higher.
+    P = HomogeneousPolynomial(1, 2, {(1, 0): 1.0, (0, 1): 1.0})
     for root, angle in ((-1.0, 0.5), (1.0, 0.0)):
         monkeypatch.setattr(
             np.linalg, "eigvals", lambda c, r=root: np.full(c.shape[:-1], r, dtype=complex)
         )
-        values, angles = supnorm_module._line_maxima(G, np.array([0.5]))
-        assert angles[0] == angle
-        assert values[0] == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
+        result = refine_local(P, (0.0, 0.5))
+        assert result.angles == (0.0, angle)
+        assert result.value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
+        assert (result.sweeps, result.converged) == (1, True)
 
 
 # --- torus_lipschitz_bound ----------------------------------------------------
