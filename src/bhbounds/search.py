@@ -212,9 +212,11 @@ def _grid_column(table: np.ndarray, alpha: MultiIndex) -> np.ndarray:
 def _grid_values(table: np.ndarray, indices: list[MultiIndex], vec: np.ndarray) -> np.ndarray:
     """v = Phi vec, one column at a time."""
     values = np.zeros(table.shape[1] ** (len(indices[0]) - 1), dtype=np.complex128)
-    for alpha, c in zip(indices, vec.tolist()):
-        if c:
-            values += c * _grid_column(table, alpha)
+    # _grid_score reports an overflow, so numpy's warning is not wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, c in zip(indices, vec.tolist()):
+            if c:
+                values += c * _grid_column(table, alpha)
     return values
 
 

@@ -14,17 +14,17 @@ first remaining (active) axis is pinned to zero as well and the search
 runs on the quotient torus over the other, free, axes.  For the witness
 family this leaves one free axis at every degree.
 
-Strategy: a uniform angle grid over the free axes gives a lower bound and
-a starting point (on the K-point grid P is an inverse DFT of its
-coefficients, with exponents taken mod K); refinement climbs from there
-and a first-order Lipschitz slack turns the grid value into a rigorous
-upper bracket.  Refinement maximises a line of one free coordinate
-exactly (the line is a trigonometric polynomial, maximised through the
-roots of its derivative), which settles one free axis outright.  With two
-or more free axes it takes safeguarded Newton steps on |P|^2 and confirms
-convergence with a sweep of exact line maximisations, so the result is a
-point that no coordinate line improves; at a saddle it first tries a step
-along the direction where |P|^2 curves upward.
+Strategy: a uniform angle grid over the free axes, one inverse FFT per
+free axis, gives a lower bound and a starting point; refinement climbs
+from there and a first-order Lipschitz slack turns the grid value into a
+rigorous upper bracket.  Refinement maximises a line of one free
+coordinate exactly (the line is a trigonometric polynomial, maximised
+through the roots of its derivative), which settles one free axis
+outright.  With two or more free axes it takes safeguarded Newton steps
+on |P|^2 and confirms convergence with a sweep of exact line
+maximisations, so the result is a point that no coordinate line improves;
+at a saddle it first tries a step along the direction where |P|^2 curves
+upward.
 
 sup_norm brackets every polynomial on one path: the grid maximum of
 torus_grid_max plus the Lipschitz slack is the upper end, and
@@ -56,7 +56,7 @@ DEFAULT_GRID = 64
 # complex values, so the largest grid holds up to 1 GiB at once.
 MAX_GRID_POINTS = 1 << 26
 
-# Grid points evaluated per numpy slab; bounds the size of each |P| array.
+# Grid points per slab of the last free axis's FFT; bounds each |P| array.
 _SLAB_POINTS = 1 << 20
 
 # refine_local stops once an iteration's confirming line sweep gains at
@@ -128,34 +128,6 @@ def _free_axes(P: HomogeneousPolynomial) -> list[int]:
     return varying[1:]
 
 
-def _grid_maxima(C: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """For every column p of C, the first maximum over k = 0..K-1 of
-    |sum_a e^{2 pi i a k/K} C[a, p]|: its value and its k.
-
-    Rows k are computed a slab at a time, which bounds the size of each
-    |P| array; slabs in order and a strict > keep the first maximum across
-    slabs, as argmax does within one.  einsum sums each entry over a in
-    order whatever the slab size (a BLAS product need not), so slabbing
-    does not change a value.
-    """
-    first_len, cols = C.shape
-    slab = max(1, _SLAB_POINTS // cols)
-    roots = np.exp(2j * np.pi * np.arange(K) / K)
-    every = np.arange(cols)
-    values = np.full(cols, -1.0)
-    rows = np.zeros(cols, dtype=np.intp)
-    for k0 in range(0, K, slab):
-        k = np.arange(k0, min(k0 + slab, K))
-        phases = roots[np.outer(k, np.arange(first_len)) % K]
-        mags = np.abs(np.einsum("ka,ap->kp", phases, C))
-        local = mags.argmax(axis=0)
-        slab_values = mags[local, every]
-        better = slab_values > values
-        values[better] = slab_values[better]
-        rows[better] = k0 + local[better]
-    return values, rows
-
-
 def _grid_size_error(K: int, free: int) -> GridTooLargeError | None:
     """The error a K-point grid over free axes raises, or None if it fits."""
     total = K**free
@@ -181,11 +153,11 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
 
     On the grid, P is an inverse DFT of its coefficients: e^{2 pi i a k/K}
     depends on the exponent a only mod K, so the coefficients are summed
-    into an array indexed by exponents mod K over the free axes.  Every
-    free axis but the first is inverse-transformed by an FFT; the first
-    is summed directly against e^{2 pi i a k_0/K}, a slab of rows at a
-    time, which bounds the size of each |P| array.  With one free axis no
-    FFT runs.
+    into an array indexed by exponents mod K over the free axes, and each
+    free axis is inverse-transformed by an FFT.  The last free axis holds
+    only the exponents up to its largest; it is transformed last, padded
+    to K points, a slab of rows at a time, which bounds each |P| array.
+    A grid value that overflows in the transforms makes the value inf.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -199,35 +171,36 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     error = _grid_size_error(K, len(axes))
     if error is not None:
         raise error
-    first_len = min(K, max(alpha[axes[0]] for alpha in P.terms) + 1)
-    C = np.zeros((first_len,) + (K,) * (len(axes) - 1), dtype=np.complex128)
-    # Exponents that agree mod K give the same grid values, so the terms
-    # that alias onto one cell are added, in term order.
-    cells = C.reshape(-1)
-    for alpha, coeff in P.terms.items():
-        cell = 0
-        for j in axes:
-            cell = cell * K + alpha[j] % K
-        cells[cell] += coeff
+    last_len = min(K, max(alpha[axes[-1]] for alpha in P.terms) + 1)
+    C = np.zeros((K,) * (len(axes) - 1) + (last_len,), dtype=np.complex128)
+    slab = max(1, _SLAB_POINTS // K)
+    best_val, best_flat = -1.0, 0
     # Coefficients near the largest float overflow here; sup_norm reports
     # the bracket that is not finite, so numpy's warning is not wanted.
     with np.errstate(over="ignore", invalid="ignore"):
-        for ax in range(1, C.ndim):
+        # Exponents that agree mod K give the same grid values, so the
+        # terms that alias onto one cell are added, in term order.
+        for alpha, coeff in P.terms.items():
+            C[tuple([alpha[j] % K for j in axes])] += coeff
+        for ax in range(C.ndim - 1):
             # norm="forward" leaves the inverse transform unscaled; out=C
             # keeps a single copy of the array (numpy >= 2.0).
             np.fft.ifft(C, axis=ax, norm="forward", out=C)
-        values, rows = _grid_maxima(C.reshape(first_len, -1), K)
-    # The lexicographically smallest argmax: the smallest first-axis index
-    # among the columns that reach the maximum, then the first such column.
-    tops = np.flatnonzero(values == values.max())
-    col = int(tops[rows[tops].argmin()])
-    best_val = float(values[col])
-    best_flat = int(rows[col]) * len(values) + col
+        rows = C.reshape(-1, last_len)
+        for r in range(0, len(rows), slab):
+            mags = np.abs(np.fft.ifft(rows[r : r + slab], n=K, norm="forward"))
+            # argmax and a strict > across slabs keep the first maximum in
+            # flat (lexicographic) order; both take NaN, which ends the scan.
+            i = int(mags.argmax())
+            if not mags.flat[i] <= best_val:
+                best_val, best_flat = float(mags.flat[i]), r * K + i
+                if math.isnan(best_val):
+                    break
     angles = [0.0] * P.num_vars
     for j in reversed(axes):
         best_flat, digit = divmod(best_flat, K)
         angles[j] = TWO_PI * digit / K
-    return best_val, tuple(angles)
+    return (math.inf if math.isnan(best_val) else best_val), tuple(angles)
 
 
 def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:

@@ -104,14 +104,62 @@ def test_grid_max_multi_slab_matches_single_slab(monkeypatch):
 
 
 def test_grid_max_breaks_ties_lexicographically(monkeypatch):
-    # Of equal grid values the smallest angle vector wins: the smallest index
-    # on the first free axis, then the first column (the second free axis).
+    # |z1^2 - z2^2 - z3^2| = 3 exactly where z2^2 = z3^2 = -1: four points of
+    # the K = 4 grid with theta1 = 0.  The smallest angle vector wins, also
+    # when the tied points fall in different slabs.
     import bhbounds.supnorm as supnorm_module
 
-    P = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0})
-    maxima = (np.array([1.0, 3.0, 3.0, 3.0]), np.array([0, 2, 1, 1]))
-    monkeypatch.setattr(supnorm_module, "_grid_maxima", lambda C, K: maxima)
-    assert torus_grid_max(P, 4) == (3.0, (0.0, TWO_PI * 1 / 4, TWO_PI * 2 / 4))
+    P = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0})
+    expected = (3.0, (0.0, TWO_PI * 1 / 4, TWO_PI * 1 / 4))
+    assert torus_grid_max(P, 4) == expected
+    for slab_points in (4, 8):  # one and two rows of the grid per slab
+        with monkeypatch.context() as patch:
+            patch.setattr(supnorm_module, "_SLAB_POINTS", slab_points)
+            assert torus_grid_max(P, 4) == expected
+
+
+def test_grid_max_overflow_is_inf(monkeypatch):
+    # Grid values near the largest float overflow to inf or NaN; the grid
+    # maximum is then inf, never a finite value that skipped them, also
+    # when finite values follow in later slabs.
+    import bhbounds.supnorm as supnorm_module
+
+    polys = [
+        quadratic(1e308, -1e308, 1e308),
+        HomogeneousPolynomial(
+            2, 3, {(2, 0, 0): 1e308, (0, 2, 0): 1e308, (0, 1, 1): 1e308, (1, 0, 1): -1e308}
+        ),
+        HomogeneousPolynomial(2, 2, {(2, 0): 1.7e308, (0, 2): 1.7e308}),
+    ]
+    for P in polys:
+        for K in (4, 8, 64):
+            assert torus_grid_max(P, K)[0] == math.inf
+            with monkeypatch.context() as patch:
+                patch.setattr(supnorm_module, "_SLAB_POINTS", 1)
+                assert torus_grid_max(P, K)[0] == math.inf
+        with pytest.raises(ValueError, match="not finite"):
+            sup_norm(P)
+
+
+def test_grid_max_near_overflow_is_inf_or_exact():
+    # Random grids scaled to the edge of the float range: the value is inf
+    # wherever the grid maximum, computed on the unscaled polynomial, does
+    # not fit in a float, and otherwise inf or that maximum.
+    rng = np.random.default_rng(308)
+    scale = 3e307
+    infinite = 0
+    for _ in range(120):
+        P = random_polynomial(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
+        value, angles = torus_grid_max(P.scaled(scale), 8)
+        exact = full_grid_max(P, 8) * scale
+        if value == math.inf:
+            infinite += 1
+        else:
+            assert math.isfinite(exact)
+            assert value == pytest.approx(exact, rel=1e-12)
+            z = [cmath.exp(1j * t) for t in angles]
+            assert abs(P.evaluate(z)) * scale == pytest.approx(value, rel=1e-12)
+    assert 0 < infinite < 120
 
 
 def test_grid_max_memory_stays_near_one_array(monkeypatch):
@@ -125,11 +173,11 @@ def test_grid_max_memory_stays_near_one_array(monkeypatch):
     monkeypatch.setattr(supnorm_module, "_SLAB_POINTS", 64)
     K = 32
     # Four varying axes leave three free ones; the degree-40 term on the
-    # first free axis gives it K rows, so the array is K^3 complex values.
+    # last free axis gives it K columns, so the array is K^3 complex values.
     P = HomogeneousPolynomial(
         40,
         4,
-        {(40, 0, 0, 0): 1.0, (0, 40, 0, 0): -0.5, (10, 10, 10, 10): 0.7,
+        {(40, 0, 0, 0): 1.0, (0, 0, 0, 40): -0.5, (10, 10, 10, 10): 0.7,
          (1, 13, 20, 6): 0.3j, (20, 0, 5, 15): 1.1},
     )
     array_bytes = K**3 * np.dtype(np.complex128).itemsize
