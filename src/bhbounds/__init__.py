@@ -22,12 +22,10 @@ from .poly import (
     save_polynomial,
 )
 from .supnorm import (
-    FormulaDomainError,
     GridTooLargeError,
     MAX_GRID_POINTS,
     RefineResult,
     SupNormResult,
-    quadratic_sup_norm,
     refine_local,
     sup_norm,
     torus_grid_max,
@@ -36,6 +34,7 @@ from .supnorm import (
 from .family import (
     BoundsRow,
     FamilyParams,
+    FormulaDomainError,
     RatioResult,
     ZeroPolynomialError,
     bh_ratio,
@@ -48,6 +47,7 @@ from .family import (
     lower_bound_excess,
     multilinear_lower_bound,
     optimal_x,
+    quadratic_sup_norm,
     upper_bound,
 )
 from .search import (
@@ -77,18 +77,17 @@ __all__ = [
     "polynomial_from_dict",
     "polynomial_to_dict",
     "save_polynomial",
-    "FormulaDomainError",
     "GridTooLargeError",
     "MAX_GRID_POINTS",
     "RefineResult",
     "SupNormResult",
-    "quadratic_sup_norm",
     "refine_local",
     "sup_norm",
     "torus_grid_max",
     "torus_lipschitz_bound",
     "BoundsRow",
     "FamilyParams",
+    "FormulaDomainError",
     "RatioResult",
     "ZeroPolynomialError",
     "bh_ratio",
@@ -101,6 +100,7 @@ __all__ = [
     "lower_bound_excess",
     "multilinear_lower_bound",
     "optimal_x",
+    "quadratic_sup_norm",
     "upper_bound",
     "CERTIFICATE_SCHEMA",
     "SearchConfig",

@@ -32,6 +32,9 @@ from .supnorm import DEFAULT_GRID
 
 VERIFY_TOLERANCE = 1e-6
 
+# Most rows fm-curve samples; more is refused before anything is allocated.
+MAX_CURVE_POINTS = 1 << 20
+
 
 def _sig12(x: float) -> float:
     """Round a float to 12 significant digits for stable JSON output."""
@@ -118,8 +121,11 @@ def cmd_fm_curve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.points < 1:
-        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
+    if not 1 <= args.points <= MAX_CURVE_POINTS:
+        print(
+            f"error: --points must be in [1, {MAX_CURVE_POINTS}], got {args.points}",
+            file=sys.stderr,
+        )
         return 2
     xs = list(np.logspace(math.log10(args.xmin), math.log10(args.xmax), args.points))
     x_star = optimal_x(args.m)

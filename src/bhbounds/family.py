@@ -20,6 +20,9 @@ b = -1 the achieved ratio as a function of the cross-term weight x is
 maximized at x = 2^{(m+1)/2}, which yields the closed-form lower bound
 
     D(m) >= (2 + 2^m)^{(m+1)/(2m)} / sqrt(4 + 2^{m+1}) > 1.
+
+FamilyParams is the family's one domain check, quadratic_sup_norm its closed
+form ||Q||, and _witness_exponents its one lift to any n >= 2 variables.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .poly import HomogeneousPolynomial, bh_exponent, coefficient_lp_norm
+from .poly import HomogeneousPolynomial, MultiIndex, bh_exponent, coefficient_lp_norm
 from .supnorm import DEFAULT_GRID, SupNormResult, sup_norm
 
 _LN2 = math.log(2.0)
@@ -42,6 +45,10 @@ _MAX_WEIGHT_DEGREE = 2046
 
 class ZeroPolynomialError(ValueError):
     """The ratio of the zero polynomial is undefined."""
+
+
+class FormulaDomainError(ValueError):
+    """A closed-form norm formula was requested outside its validity domain."""
 
 
 _VANISHED = "sup-norm estimate vanished on the grid; use a finer grid"
@@ -61,7 +68,7 @@ class FamilyParams:
     """Coefficients (a, b, c) of the base quadratic a z1^2 + b z2^2 + c z1 z2.
 
     Constrained to the domain where the closed-form sup norm holds:
-    ab < 0 and |c(a+b)| <= 4|ab|.
+    ab < 0 and |c(a+b)| <= 4|ab|; FormulaDomainError outside it.
     """
 
     a: float
@@ -70,12 +77,20 @@ class FamilyParams:
 
     def __post_init__(self) -> None:
         if not self.a * self.b < 0:
-            raise ValueError(f"family requires ab < 0 (got a={self.a}, b={self.b})")
+            raise FormulaDomainError(f"family requires ab < 0 (got a={self.a}, b={self.b})")
         if abs(self.c * (self.a + self.b)) > 4 * abs(self.a * self.b):
-            raise ValueError(
+            raise FormulaDomainError(
                 f"family requires |c(a+b)| <= 4|ab| "
                 f"(got a={self.a}, b={self.b}, c={self.c})"
             )
+
+
+def quadratic_sup_norm(a: float, b: float, c: float) -> float:
+    """Closed-form sup norm (|a|+|b|) sqrt(1 + c^2/(4|ab|)) of the base
+    quadratic on the bidisc, for real a, b, c; outside the family's domain
+    it raises the FormulaDomainError of FamilyParams."""
+    FamilyParams(a, b, c)
+    return (abs(a) + abs(b)) * math.sqrt(1.0 + c * c / (4.0 * abs(a * b)))
 
 
 @dataclass(frozen=True)
@@ -91,11 +106,21 @@ class BoundsRow:
     optimal_x: float
 
 
+def _witness_exponents(m: int, n: int) -> tuple[MultiIndex, MultiIndex, MultiIndex]:
+    """Multi-indices of the a, b and c terms of the family's lift to
+    degree m on n >= 2 variables: z1 and z2 carry the quadratic,
+    z3..z_min(n, m) one unit each, and any degree still missing goes on
+    the last variable (z2 when n = 2)."""
+    lift = [0] * n
+    k = min(n, m)
+    lift[2:k] = [1] * (k - 2)
+    lift[-1] += m - k
+    return tuple((q, 2 - q + lift[1], *lift[2:]) for q in (2, 0, 1))
+
+
 def build_quadratic(params: FamilyParams) -> HomogeneousPolynomial:
-    """The base quadratic on C^2 (terms with zero coefficient dropped)."""
-    return HomogeneousPolynomial(
-        2, 2, {(2, 0): params.a, (0, 2): params.b, (1, 1): params.c}
-    )
+    """The base quadratic on C^2, build_witness(2, params)."""
+    return build_witness(2, params)
 
 
 def build_witness(m: int, params: FamilyParams) -> HomogeneousPolynomial:
@@ -106,12 +131,7 @@ def build_witness(m: int, params: FamilyParams) -> HomogeneousPolynomial:
     """
     if m < 2:
         raise ValueError(f"witness family needs m >= 2, got {m}")
-    ext = (1,) * (m - 2)
-    terms = {
-        (2, 0) + ext: params.a,
-        (0, 2) + ext: params.b,
-        (1, 1) + ext: params.c,
-    }
+    terms = dict(zip(_witness_exponents(m, m), (params.a, params.b, params.c)))
     return HomogeneousPolynomial(m, m, terms)
 
 

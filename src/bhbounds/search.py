@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .family import _bracketed_ratio, bh_ratio, optimal_x
+from .family import _bracketed_ratio, _witness_exponents, bh_ratio, optimal_x
 from .poly import (
     HomogeneousPolynomial,
     MultiIndex,
@@ -52,7 +52,7 @@ from .supnorm import (
     _NOT_FINITE,
     DEFAULT_GRID,
     SupNormResult,
-    _grid_size_error,
+    _check_grid_size,
     sup_norm,  # noqa: F401  (bench/spans.py wraps search.sup_norm)
 )
 
@@ -151,36 +151,15 @@ def degree_multi_indices(m: int, n: int) -> list[MultiIndex]:
 
 
 def family_seed_vector(m: int, n: int, indices: list[MultiIndex]) -> np.ndarray:
-    """Start vector encoding the witness family on n variables.
-
-    Unit exponents go on variables 3..min(n, m); any degree still missing
-    (n < m) is stacked on the last variable, which keeps the lift
-    norm-preserving whenever n >= 3.  With a single variable the only
-    candidate is the lone monomial.
-    """
+    """Start vector with 1, -1 and optimal_x(m) on the a, b and c terms of
+    the witness family's lift to n variables; the lone monomial if n = 1."""
     vec = np.zeros(len(indices))
     position = {alpha: i for i, alpha in enumerate(indices)}
     if n == 1:
         vec[position[(m,)]] = 1.0
         return vec
-    x = optimal_x(m)
-    if n == 2:
-        # No spare variables: stack the leftover degree on z2.
-        d = m - 2
-        vec[position[(2, d)]] = 1.0
-        vec[position[(0, d + 2)]] = -1.0
-        vec[position[(1, d + 1)]] = x
-        return vec
-    ext = [0] * (n - 2)
-    for k in range(min(n, m) - 2):
-        ext[k] = 1
-    deficit = m - 2 - sum(ext)
-    if deficit > 0:
-        ext[-1] += deficit
-    ext_t = tuple(ext)
-    vec[position[(2, 0) + ext_t]] = 1.0
-    vec[position[(0, 2) + ext_t]] = -1.0
-    vec[position[(1, 1) + ext_t]] = x
+    for alpha, value in zip(_witness_exponents(m, n), (1.0, -1.0, optimal_x(m))):
+        vec[position[alpha]] = value
     return vec
 
 
@@ -307,13 +286,17 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     far.  Restart 0 starts from the family seed, so the result is never
     below the family's ratio.  The estimate is the merge key because it is
     the quantity the seeded floor guarantees; the certified value is
-    reported alongside it in the certificate.  A grid of K^(num_vars - 1)
-    points over the limit raises GridTooLargeError before any restart, and
-    the first restart to fail raises its error.
+    reported alongside it in the certificate.  Before any restart, a grid
+    of K^(num_vars - 1) points over the limit raises GridTooLargeError and,
+    with num_vars >= 2, a grid K <= m, on which the exponents 0..m alias
+    mod K, raises ValueError.  The first restart to fail raises its error.
     """
-    error = _grid_size_error(cfg.grid, cfg.num_vars - 1)
-    if error is not None:
-        raise error
+    _check_grid_size(cfg.grid, cfg.num_vars - 1)
+    if cfg.num_vars >= 2 and cfg.grid <= cfg.m:
+        raise ValueError(
+            f"search grid {cfg.grid} aliases the exponents of degree {cfg.m}; "
+            f"use a grid of at least {cfg.m + 1}"
+        )
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
     table = _phase_table(cfg.m, cfg.grid)
     best: tuple[float, int, HomogeneousPolynomial] | None = None

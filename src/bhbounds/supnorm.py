@@ -17,14 +17,15 @@ family this leaves one free axis at every degree.
 Strategy: a uniform angle grid over the free axes, one inverse FFT per
 free axis, gives a lower bound and a starting point; refinement climbs
 from there and a first-order Lipschitz slack turns the grid value into a
-rigorous upper bracket.  Refinement maximises a line of one free
-coordinate exactly (the line is a trigonometric polynomial, maximised
-through the roots of its derivative), which settles one free axis
-outright.  With two or more free axes it takes safeguarded Newton steps
-on |P|^2 and confirms convergence with a sweep of exact line
-maximisations, so the result is a point that no coordinate line improves;
-at a saddle it first tries a step along the direction where |P|^2 curves
-upward.
+rigorous upper bracket; both run on the coefficients scaled by an exact
+power of two to unit size, where no sum overflows.  Refinement maximises
+a line of one free coordinate exactly (the line is a trigonometric
+polynomial, maximised through the roots of its derivative), which
+settles one free axis outright.  With two or more free axes it takes
+safeguarded Newton steps on |P|^2 and confirms convergence with a sweep
+of exact line maximisations, so the result is a point that no coordinate
+line improves; at a saddle it first tries a step along the direction
+where |P|^2 curves upward.
 
 sup_norm brackets every polynomial on one path: the grid maximum of
 torus_grid_max plus the Lipschitz slack is the upper end, and
@@ -71,10 +72,6 @@ _NOT_FINITE = "sup-norm bracket is not finite; rescale the polynomial"
 
 class GridTooLargeError(ValueError):
     """The requested torus grid exceeds the addressable size."""
-
-
-class FormulaDomainError(ValueError):
-    """A closed-form norm formula was requested outside its validity domain."""
 
 
 @dataclass(frozen=True)
@@ -128,15 +125,24 @@ def _free_axes(P: HomogeneousPolynomial) -> list[int]:
     return varying[1:]
 
 
-def _grid_size_error(K: int, free: int) -> GridTooLargeError | None:
-    """The error a K-point grid over free axes raises, or None if it fits."""
+def _check_grid_size(K: int, free: int) -> None:
+    """Raise GridTooLargeError unless a K-point grid over free axes fits."""
     total = K**free
     if total > MAX_GRID_POINTS:
-        return GridTooLargeError(
+        raise GridTooLargeError(
             f"grid of {K}^{free} = {total} points exceeds the limit of "
             f"{MAX_GRID_POINTS}; use fewer variables or a smaller grid"
         )
-    return None
+
+
+def _unit_exponent(P: HomogeneousPolynomial) -> int:
+    """e putting P's largest coefficient part divided by 2^e in [1, 2),
+    clamped so that 2^e and 2^-e are normal: scaling by them is exact, and
+    at unit scale no sum of the terms can overflow."""
+    peak = 0.0
+    for c in P.terms.values():
+        peak = max(peak, abs(c.real), abs(c.imag))
+    return min(max(math.frexp(peak)[1] - 1, -1022), 1022)
 
 
 def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float, ...]]:
@@ -157,7 +163,7 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     free axis is inverse-transformed by an FFT.  The last free axis holds
     only the exponents up to its largest; it is transformed last, padded
     to K points, a slab of rows at a time, which bounds each |P| array.
-    A grid value that overflows in the transforms makes the value inf.
+    At unit scale (see _unit_exponent) the value is inf only past the largest float.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
@@ -168,39 +174,34 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
         # No free axis means a single term.
         (coeff,) = P.terms.values()
         return abs(coeff), (0.0,) * P.num_vars
-    error = _grid_size_error(K, len(axes))
-    if error is not None:
-        raise error
+    _check_grid_size(K, len(axes))
+    e = _unit_exponent(P)
+    scale = 2.0**-e
     last_len = min(K, max(alpha[axes[-1]] for alpha in P.terms) + 1)
     C = np.zeros((K,) * (len(axes) - 1) + (last_len,), dtype=np.complex128)
     slab = max(1, _SLAB_POINTS // K)
     best_val, best_flat = -1.0, 0
-    # Coefficients near the largest float overflow here; sup_norm reports
-    # the bracket that is not finite, so numpy's warning is not wanted.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Exponents that agree mod K give the same grid values, so the
-        # terms that alias onto one cell are added, in term order.
-        for alpha, coeff in P.terms.items():
-            C[tuple([alpha[j] % K for j in axes])] += coeff
-        for ax in range(C.ndim - 1):
-            # norm="forward" leaves the inverse transform unscaled; out=C
-            # keeps a single copy of the array (numpy >= 2.0).
-            np.fft.ifft(C, axis=ax, norm="forward", out=C)
-        rows = C.reshape(-1, last_len)
-        for r in range(0, len(rows), slab):
-            mags = np.abs(np.fft.ifft(rows[r : r + slab], n=K, norm="forward"))
-            # argmax and a strict > across slabs keep the first maximum in
-            # flat (lexicographic) order; both take NaN, which ends the scan.
-            i = int(mags.argmax())
-            if not mags.flat[i] <= best_val:
-                best_val, best_flat = float(mags.flat[i]), r * K + i
-                if math.isnan(best_val):
-                    break
+    # Exponents that agree mod K give the same grid values, so the terms
+    # that alias onto one cell are added, in term order.
+    for alpha, coeff in P.terms.items():
+        C[tuple([alpha[j] % K for j in axes])] += coeff * scale
+    for ax in range(C.ndim - 1):
+        # norm="forward" leaves the inverse transform unscaled; out=C keeps
+        # a single copy of the array (numpy >= 2.0).
+        np.fft.ifft(C, axis=ax, norm="forward", out=C)
+    rows = C.reshape(-1, last_len)
+    for r in range(0, len(rows), slab):
+        mags = np.abs(np.fft.ifft(rows[r : r + slab], n=K, norm="forward"))
+        # argmax and a strict > across slabs keep the first maximum in flat
+        # (lexicographic) order.
+        i = int(mags.argmax())
+        if mags.flat[i] > best_val:
+            best_val, best_flat = float(mags.flat[i]), r * K + i
     angles = [0.0] * P.num_vars
     for j in reversed(axes):
         best_flat, digit = divmod(best_flat, K)
         angles[j] = TWO_PI * digit / K
-    return (math.inf if math.isnan(best_val) else best_val), tuple(angles)
+    return best_val * 2.0**e, tuple(angles)
 
 
 def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
@@ -422,18 +423,12 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     |d/dtheta_j P(e^{i theta})| <= sum_alpha |c_alpha| alpha_j, so moving
     every coordinate by at most delta changes |P| by at most L*delta.
     For a homogeneous polynomial the double sum collapses to degree times
-    the l_1 coefficient norm.  It is inf when the sum overflows.
+    the l_1 coefficient norm.  Summed on the coefficients divided by 2^e
+    (see _unit_exponent), it is inf only where L exceeds the largest float.
     """
-    return _overflowing_fsum([abs(c) * sum(alpha) for alpha, c in P.terms.items()])
-
-
-def _overflowing_fsum(terms: list[float]) -> float:
-    """math.fsum(terms), or inf where the sum overflows (fsum raises
-    OverflowError when finite terms add up past the largest float)."""
-    try:
-        return math.fsum(terms)
-    except OverflowError:
-        return math.inf
+    e = _unit_exponent(P)
+    scale = 2.0**-e
+    return math.fsum([abs(c * scale) * sum(alpha) for alpha, c in P.terms.items()]) * 2.0**e
 
 
 def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResult:
@@ -457,22 +452,3 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
         raise ValueError(_NOT_FINITE)
     r = refine_local(P, start)
     return SupNormResult(r.value, upper, r.angles, grid, r.converged)
-
-
-def quadratic_sup_norm(a: float, b: float, c: float) -> float:
-    """Closed-form sup norm of a*z1^2 + b*z2^2 + c*z1*z2 on the bidisc.
-
-    Valid only for real a, b, c with ab < 0 and |c(a+b)| <= 4|ab|, where
-    the norm equals (|a|+|b|) * sqrt(1 + c^2 / (4|ab|)).  Outside that
-    domain the formula does not apply and this function refuses to
-    extrapolate.
-    """
-    if not a * b < 0:
-        raise FormulaDomainError(
-            f"closed form requires ab < 0 (got a={a}, b={b})"
-        )
-    if abs(c * (a + b)) > 4 * abs(a * b):
-        raise FormulaDomainError(
-            f"closed form requires |c(a+b)| <= 4|ab| (got a={a}, b={b}, c={c})"
-        )
-    return (abs(a) + abs(b)) * math.sqrt(1.0 + c * c / (4.0 * abs(a * b)))

@@ -210,6 +210,18 @@ def test_fm_curve_bad_range():
     assert run_cli("fm-curve", "--m", "1").returncode == 2
 
 
+def test_fm_curve_refuses_too_many_points():
+    # Refused before anything is allocated: 10^12 rows once ran numpy out
+    # of memory with a traceback.
+    from bhbounds.cli import MAX_CURVE_POINTS
+
+    for points in (MAX_CURVE_POINTS + 1, 10**12):
+        proc = run_cli("fm-curve", "--m", "3", "--points", str(points))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and str(MAX_CURVE_POINTS) in proc.stderr
+
+
 def test_fm_curve_rejects_non_finite_range():
     for xmin, xmax in (("1", "inf"), ("inf", "inf"), ("nan", "10"), ("1", "nan")):
         proc = run_cli("fm-curve", "--m", "3", "--xmin", xmin, "--xmax", xmax, "--points", "3")
@@ -267,6 +279,17 @@ def test_grid_below_two_is_usage_error(tmp_path):
         assert proc.stdout == ""
     # search stopped before writing a certificate, at --out or the default path
     assert [p.name for p in tmp_path.iterdir()] == ["poly.json"]
+
+
+def test_search_refuses_grids_that_alias(tmp_path):
+    out = tmp_path / "cert.json"
+    for args in (("--out", str(out)), ()):
+        proc = run_cli("search", "--m", "4", "--n", "2", "--grid", "4", *args, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "at least 5" in proc.stderr
+    # no certificate, at --out or the default path
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_refuses_unlistable_coefficient_space(tmp_path):

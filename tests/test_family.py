@@ -5,6 +5,7 @@ import pytest
 
 from bhbounds import (
     FamilyParams,
+    FormulaDomainError,
     HomogeneousPolynomial,
     ZeroPolynomialError,
     bh_ratio,
@@ -37,6 +38,27 @@ def test_family_params_validation():
         FamilyParams(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         FamilyParams(2.0, -0.1, 4.0)
+
+
+def test_family_domain_is_checked_once():
+    # FamilyParams and the closed form refuse the same inputs with the same
+    # FormulaDomainError, which is a ValueError.
+    for a, b, c in ((1.0, 1.0, 0.0), (0.0, -1.0, 0.0), (2.0, -0.1, 4.0), (-1.0, 3.0, 9.0)):
+        with pytest.raises(FormulaDomainError) as from_params:
+            FamilyParams(a, b, c)
+        with pytest.raises(FormulaDomainError) as from_norm:
+            quadratic_sup_norm(a, b, c)
+        assert str(from_params.value) == str(from_norm.value)
+        assert isinstance(from_norm.value, ValueError)
+
+
+def test_witness_exponents_are_those_of_build_witness():
+    from bhbounds.family import _witness_exponents
+
+    params = FamilyParams(1.5, -0.5, 0.25)
+    for m in range(2, 12):
+        expected = dict(zip(_witness_exponents(m, m), (1.5 + 0j, -0.5 + 0j, 0.25 + 0j)))
+        assert dict(build_witness(m, params).terms) == expected
 
 
 def test_build_quadratic():

@@ -116,6 +116,40 @@ def test_family_seed_matches_witness():
         )
 
 
+def test_family_seed_follows_the_lift_rule():
+    # z1 and z2 carry the quadratic, z3..z_min(n, m) one unit each, and the
+    # degree still missing goes on the last variable (z2 when n = 2).
+    for m in range(2, 12):
+        for n in range(2, 9):
+            rest = [1 if j < min(n, m) else 0 for j in range(2, n)]
+            terms = {}
+            for quadratic, value in (([2, 0], 1.0), ([0, 2], -1.0), ([1, 1], optimal_x(m))):
+                alpha = quadratic + rest
+                alpha[-1] += m - sum(alpha)
+                terms[tuple(alpha)] = value
+            indices = degree_multi_indices(m, n)
+            vec = family_seed_vector(m, n, indices).tolist()
+            assert {alpha: v for alpha, v in zip(indices, vec) if v} == terms, (m, n)
+
+
+def test_search_refuses_grids_that_alias(monkeypatch):
+    # At K <= m the exponents 0..m collide mod K, so the grid score follows
+    # aliases; the search refuses before any restart and names m + 1.
+    def unexpected(*args):
+        raise AssertionError("a restart ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(search_module, "_run_restart", unexpected)
+        for m, n, K in ((2, 2, 2), (4, 2, 2), (4, 2, 4), (3, 3, 3)):
+            with pytest.raises(ValueError, match=f"at least {m + 1}"):
+                search(SearchConfig(m=m, num_vars=n, grid=K, restarts=2))
+    search(SearchConfig(m=4, num_vars=2, grid=5, restarts=1, eval_budget=5))
+    # One variable has no grid axis: its searches take any grid.
+    for K in (2, 3, 64):
+        cert = search(SearchConfig(m=4, num_vars=1, grid=K, restarts=2))
+        assert (cert.estimate, cert.restart_index) == (1.0, 0)
+
+
 def test_family_seed_low_variable_counts():
     # n < m still produces a valid degree-m vector
     for m, n in [(3, 2), (4, 2), (5, 3), (2, 1)]:

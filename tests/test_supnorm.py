@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bhbounds import (
     FormulaDomainError,
     GridTooLargeError,
     HomogeneousPolynomial,
+    degree_multi_indices,
     quadratic_sup_norm,
     refine_local,
     sup_norm,
@@ -160,6 +162,47 @@ def test_grid_max_near_overflow_is_inf_or_exact():
             z = [cmath.exp(1j * t) for t in angles]
             assert abs(P.evaluate(z)) * scale == pytest.approx(value, rel=1e-12)
     assert 0 < infinite < 120
+
+
+def test_grid_max_just_below_overflow_is_finite():
+    # The grid runs on the coefficients divided by an exact power of two, so
+    # a grid maximum that fits in a float is found, not lost to a sum inside
+    # the transforms that passes the largest float before it cancels.
+    P = HomogeneousPolynomial(
+        4,
+        2,
+        {
+            (1, 3): complex(-6.406761914407533e307, -9.131943118939467e307),
+            (3, 1): complex(2.0548620409779038e307, 4.691886941459397e307),
+        },
+    )
+    value, _ = torus_grid_max(P, 8)
+    assert value == pytest.approx(full_grid_max(P.scaled(2.0**-10), 8) * 2.0**10, rel=1e-12)
+    rng = np.random.default_rng(1308)
+    for _ in range(60):
+        P = random_polynomial(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
+        scale = 0.99 * sys.float_info.max / full_grid_max(P, 8)
+        value, _ = torus_grid_max(P.scaled(scale), 8)
+        assert value == pytest.approx(full_grid_max(P, 8) * scale, rel=1e-12)
+
+
+def test_grid_max_and_slack_keep_digits_below_the_normal_range():
+    # Integer coefficients times 2^-1040 or 2^-1060 are exact subnormal
+    # floats.  Scaled up by a power of two, they give the grid maximum and
+    # the Lipschitz bound of the unscaled polynomial times 2^e, rounded once.
+    rng = np.random.default_rng(1040)
+    for _ in range(60):
+        m, n = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+        terms = {
+            alpha: complex(int(rng.integers(-9, 10)), int(rng.integers(-9, 10)))
+            for alpha in degree_multi_indices(m, n)
+            if rng.uniform() < 0.7
+        }
+        P = HomogeneousPolynomial(m, n, terms)
+        for e in (-1040, -1060):
+            tiny = P.scaled(2.0**e)
+            assert torus_grid_max(tiny, 8)[0] == torus_grid_max(P, 8)[0] * 2.0**e
+            assert torus_lipschitz_bound(tiny) == torus_lipschitz_bound(P) * 2.0**e
 
 
 def test_grid_max_memory_stays_near_one_array(monkeypatch):
