@@ -86,8 +86,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_verify_family(args) -> int:
     if args.m_max < 2:
-        print(f"error: --to must be >= 2, got {args.m_max}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--to must be >= 2, got {args.m_max}")
     lines = ["m,status,estimate,expected,abs_error"]
     all_pass = True
     for m in range(2, args.m_max + 1):
@@ -113,20 +112,11 @@ def cmd_verify_family(args) -> int:
 
 def cmd_fm_curve(args) -> int:
     if args.m < 2:
-        print(f"error: --m must be >= 2, got {args.m}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--m must be >= 2, got {args.m}")
     if not (0 < args.xmin <= args.xmax and math.isfinite(args.xmax)):
-        print(
-            f"error: need finite 0 < xmin <= xmax, got [{args.xmin}, {args.xmax}]",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"need finite 0 < xmin <= xmax, got [{args.xmin}, {args.xmax}]")
     if not 1 <= args.points <= MAX_CURVE_POINTS:
-        print(
-            f"error: --points must be in [1, {MAX_CURVE_POINTS}], got {args.points}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"--points must be in [1, {MAX_CURVE_POINTS}], got {args.points}")
     xs = list(np.logspace(math.log10(args.xmin), math.log10(args.xmax), args.points))
     x_star = optimal_x(args.m)
     marked = [(x, 0) for x in xs]
@@ -223,6 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place where an input error becomes a
+    single "error:" line on stderr and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .poly import HomogeneousPolynomial, MultiIndex, bh_exponent, coefficient_lp_norm
 from .supnorm import DEFAULT_GRID, SupNormResult, sup_norm
 
@@ -52,15 +54,6 @@ class FormulaDomainError(ValueError):
 
 
 _VANISHED = "sup-norm estimate vanished on the grid; use a finer grid"
-
-
-def _logaddexp(x: float, y: float) -> float:
-    if x == -math.inf:
-        return y
-    if y == -math.inf:
-        return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return hi + math.log1p(math.exp(lo - hi))
 
 
 @dataclass(frozen=True)
@@ -138,8 +131,9 @@ def build_witness(m: int, params: FamilyParams) -> HomogeneousPolynomial:
 def family_ratio(m: int, x: float) -> float:
     """Ratio achieved by the a=1, b=-1 witness with cross-term weight x.
 
-    Even in x (only x^2 enters), and evaluated through logs so the power
-    |x|^{2m/(m+1)} cannot overflow for large m or x:
+    Even in x (only x^2 enters), and evaluated through logs, each sum by
+    np.logaddexp, so the power |x|^{2m/(m+1)} cannot overflow for large m
+    or x:
 
         (2 + |x|^{2m/(m+1)})^{(m+1)/(2m)} / sqrt(4 + x^2).
     """
@@ -147,8 +141,8 @@ def family_ratio(m: int, x: float) -> float:
         raise ValueError(f"family ratio needs m >= 2, got {m}")
     ax = abs(x)
     log_ax = math.log(ax) if ax > 0 else -math.inf
-    log_num = ((m + 1) / (2.0 * m)) * _logaddexp(_LN2, (2.0 * m / (m + 1)) * log_ax)
-    log_den = 0.5 * _logaddexp(_LN4, 2.0 * log_ax)
+    log_num = ((m + 1) / (2.0 * m)) * np.logaddexp(_LN2, (2.0 * m / (m + 1)) * log_ax)
+    log_den = 0.5 * np.logaddexp(_LN4, 2.0 * log_ax)
     return math.exp(log_num - log_den)
 
 

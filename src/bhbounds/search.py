@@ -51,6 +51,8 @@ from .poly import (
 from .supnorm import (
     _NOT_FINITE,
     DEFAULT_GRID,
+    MAX_GRID_POINTS,
+    GridTooLargeError,
     SupNormResult,
     _check_grid_size,
     sup_norm,  # noqa: F401  (bench/spans.py wraps search.sup_norm)
@@ -77,7 +79,8 @@ class SearchConfig:
     its start from a generator seeded with rng_seed + r; restart 0 is
     always seeded from the witness family instead.  grid is the K of the
     grid scores (K^(num_vars - 1) points, within the sup-norm grid
-    limit), of the exact scores and of the final certificate; it is at
+    limit, as is the (m + 1) x K table of roots of unity they are built
+    from), of the exact scores and of the final certificate; it is at
     least 2.  The coefficient space, C(m + num_vars - 1, num_vars - 1)
     multi-indices, may hold at most 65536 of them.
     """
@@ -229,13 +232,13 @@ def _run_restart(
     best_val = _grid_score(best_vec, best_values, p)
     evals = 1
     step = _STEP_INIT
-    while step >= _STEP_MIN and evals < cfg.eval_budget:
+    while step >= _STEP_MIN:
         improved = False
         for i in range(len(indices)):
             column = _grid_column(table, indices[i])
             for sign in (1.0, -1.0):
                 if evals >= cfg.eval_budget:
-                    break
+                    return start, best_vec
                 candidate = best_vec.copy()
                 candidate[i] += sign * step
                 values = best_values + (sign * step) * column
@@ -245,8 +248,6 @@ def _run_restart(
                     best_vec, best_values, best_val = candidate, values, val
                     improved = True
                     break
-            if evals >= cfg.eval_budget:
-                break
         if not improved:
             step *= 0.5
     return start, best_vec
@@ -257,11 +258,11 @@ def certify(
     grid: int = DEFAULT_GRID,
     *,
     search_config: SearchConfig | None = None,
-    seed: int | None = None,
     restart_index: int | None = None,
 ) -> WitnessCertificate:
     """Audit-ready certificate for one polynomial at sup-norm grid K = grid;
-    its numbers, and its errors, are those of bh_ratio(P, grid)."""
+    its numbers, and its errors, are those of bh_ratio(P, grid).  The
+    certificate's seed is search_config.rng_seed, None without a search."""
     coeff_norm, bracket, ratio = _bracketed_ratio(P, grid)
     return WitnessCertificate(
         polynomial=P,
@@ -270,7 +271,7 @@ def certify(
         certified_lower=ratio.certified,
         estimate=ratio.estimate,
         search_config=search_config,
-        seed=seed,
+        seed=search_config.rng_seed if search_config is not None else None,
         restart_index=restart_index,
     )
 
@@ -287,11 +288,17 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     below the family's ratio.  The estimate is the merge key because it is
     the quantity the seeded floor guarantees; the certified value is
     reported alongside it in the certificate.  Before any restart, a grid
-    of K^(num_vars - 1) points over the limit raises GridTooLargeError and,
-    with num_vars >= 2, a grid K <= m, on which the exponents 0..m alias
-    mod K, raises ValueError.  The first restart to fail raises its error.
+    of K^(num_vars - 1) points or a phase table of (m + 1) K entries over
+    the limit raises GridTooLargeError and, with num_vars >= 2, a grid
+    K <= m, on which the exponents 0..m alias mod K, raises ValueError.
+    The first restart to fail raises its error.
     """
     _check_grid_size(cfg.grid, cfg.num_vars - 1)
+    if (cfg.m + 1) * cfg.grid > MAX_GRID_POINTS:
+        raise GridTooLargeError(
+            f"phase table of {cfg.m + 1} x {cfg.grid} entries exceeds the limit of "
+            f"{MAX_GRID_POINTS}; use a smaller degree or grid"
+        )
     if cfg.num_vars >= 2 and cfg.grid <= cfg.m:
         raise ValueError(
             f"search grid {cfg.grid} aliases the exponents of degree {cfg.m}; "
@@ -309,13 +316,7 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
             if best is None or estimate > best[0]:  # strict > keeps the earliest
                 best = (estimate, r, poly)
     _, index, poly = best  # set by restart 0, as restarts >= 1
-    return certify(
-        poly,
-        cfg.grid,
-        search_config=cfg,
-        seed=cfg.rng_seed,
-        restart_index=index,
-    )
+    return certify(poly, cfg.grid, search_config=cfg, restart_index=index)
 
 
 # --- certificate file format (schema bh-cert-1) ------------------------------

@@ -164,19 +164,20 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     only the exponents up to its largest; it is transformed last, padded
     to K points, a slab of rows at a time, which bounds each |P| array.
     At unit scale (see _unit_exponent) the value is inf only past the largest float.
+
+    This is the one check of K >= 2.  The zero polynomial (0) and a single
+    term (|c|, at unit scale) have no free axis and return before the
+    grid size is checked.
     """
     if K < 2:
-        raise ValueError("K must be >= 2")
-    if P.is_zero:
-        return 0.0, (0.0,) * P.num_vars
+        raise ValueError(f"grid must be >= 2, got {K}")
     axes = _free_axes(P)
-    if not axes:
-        # No free axis means a single term.
-        (coeff,) = P.terms.values()
-        return abs(coeff), (0.0,) * P.num_vars
-    _check_grid_size(K, len(axes))
     e = _unit_exponent(P)
     scale = 2.0**-e
+    if not axes:
+        # No term, or one: |P| is the same at every point of the torus.
+        return sum(abs(c * scale) for c in P.terms.values()) * 2.0**e, (0.0,) * P.num_vars
+    _check_grid_size(K, len(axes))
     last_len = min(K, max(alpha[axes[-1]] for alpha in P.terms) + 1)
     C = np.zeros((K,) * (len(axes) - 1) + (last_len,), dtype=np.complex128)
     slab = max(1, _SLAB_POINTS // K)
@@ -440,12 +441,10 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     upper_bracket:  grid maximum + L*(pi/K), where L is the Lipschitz
     bound and pi/K the worst per-coordinate distance to a grid point, so
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
-    Raises ValueError when the bracket overflows to a non-finite value.
+    Raises the ValueError of torus_grid_max for a grid below 2, and a
+    ValueError when the bracket overflows to a non-finite value.  The zero
+    polynomial takes the same path: every step returns 0 for it.
     """
-    if grid < 2:
-        raise ValueError(f"grid must be >= 2, got {grid}")
-    if P.is_zero:
-        return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
     grid_value, start = torus_grid_max(P, grid)
     upper = grid_value + torus_lipschitz_bound(P) * math.pi / grid
     if not math.isfinite(upper):

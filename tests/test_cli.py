@@ -121,18 +121,23 @@ def test_ratio_overflowing_coefficients(tmp_path):
 
 def test_ratio_overflowing_grid_prints_one_error_line(tmp_path):
     # With two free axes the grid's inverse FFT overflows before the bracket
-    # is found not finite; numpy's RuntimeWarning must not reach stderr.
+    # is found not finite; numpy's RuntimeWarning must not reach stderr.  A
+    # single term whose modulus exceeds the largest float has no free axis
+    # and overflows the same way, not with an OverflowError.
     terms = [
         {"alpha": alpha, "re": re, "im": 0.0}
         for alpha, re in (([2, 0, 0], 1e308), ([0, 1, 1], 1e308), ([0, 0, 2], -1e308))
     ]
-    doc = {"m": 2, "n": 3, "terms": terms}
-    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "huge3.json"))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "RuntimeWarning" not in proc.stderr
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error:") and "not finite" in line
+    for doc in (
+        {"m": 2, "n": 3, "terms": terms},
+        {"m": 2, "n": 1, "terms": [{"alpha": [2], "re": 1.5e308, "im": 1.5e308}]},
+    ):
+        proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "huge.json"))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error:") and "not finite" in line
 
 
 def test_ratio_missing_file():

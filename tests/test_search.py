@@ -577,9 +577,13 @@ def test_search_refuses_a_grid_over_the_limit_before_scoring(monkeypatch):
     for name in ("_phase_table", "_grid_score", "bh_ratio"):
         monkeypatch.setattr(search_module, name, unexpected)
     # Six variables take 64^5 grid points; two take one axis over the limit.
+    # The last two grids are small, but their (m + 1) x K tables of roots of
+    # unity are not: 20001^2 entries, and 64 per degree up to 2^26.
     for cfg in (
         SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20),
         SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1),
+        SearchConfig(m=20000, num_vars=2, grid=20001),
+        SearchConfig(m=supnorm_module.MAX_GRID_POINTS, num_vars=1),
     ):
         with pytest.raises(GridTooLargeError):
             search(cfg)

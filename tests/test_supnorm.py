@@ -9,6 +9,8 @@ from bhbounds import (
     FormulaDomainError,
     GridTooLargeError,
     HomogeneousPolynomial,
+    MAX_GRID_POINTS,
+    SupNormResult,
     degree_multi_indices,
     quadratic_sup_norm,
     refine_local,
@@ -40,6 +42,10 @@ def test_grid_max_unimodular_monomial():
         P = HomogeneousPolynomial(m, 1, {(m,): 1.0})
         value, _ = torus_grid_max(P, 16)
         assert value == 1.0
+    # One term is |c| at any scale: scaled by powers of two, exactly.
+    for e in (600, -600):
+        c = complex(3.0, -4.0) * 2.0**e
+        assert torus_grid_max(HomogeneousPolynomial(2, 1, {(2,): c}), 16)[0] == abs(c)
 
 
 def test_grid_max_difference_of_squares():
@@ -672,6 +678,9 @@ def test_sup_norm_zero_polynomial():
     result = sup_norm(P)
     assert result.lower_estimate == 0.0
     assert result.upper_bracket == 0.0
+    # Without a free axis no grid is built, however large.
+    big = MAX_GRID_POINTS + 1
+    assert sup_norm(P, big) == SupNormResult(0.0, 0.0, (0.0, 0.0), big, True)
 
 
 # --- quadratic closed form -----------------------------------------------------
@@ -698,7 +707,7 @@ def test_quadratic_sup_norm_domain_gate():
 
 
 def test_sup_norm_grid_validation():
-    # The grid is checked before the zero polynomial's early return.
+    # torus_grid_max checks the grid before it returns the zero polynomial's 0.
     for P in (quadratic(1.0, -1.0, 2.0), HomogeneousPolynomial(2, 2, {(2, 0): 0.0})):
         with pytest.raises(ValueError, match="grid must be >= 2"):
             sup_norm(P, 1)
