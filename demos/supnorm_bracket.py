@@ -17,13 +17,8 @@ perfect end-to-end check of the whole machinery.
 
 import math
 
-from bhbounds import (
-    HomogeneousPolynomial,
-    quadratic_sup_norm,
-    sup_norm,
-    torus_grid_max,
-    torus_lipschitz_bound,
-)
+from bhbounds import HomogeneousPolynomial, quadratic_sup_norm, sup_norm
+from bhbounds.supnorm import torus_grid_max, torus_lipschitz_bound
 
 a, b, c = 1.0, -1.0, 2.0**1.5
 P = HomogeneousPolynomial(2, 2, {(2, 0): a, (0, 2): b, (1, 1): c})

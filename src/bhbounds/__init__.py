@@ -7,12 +7,15 @@ The library has four layers:
 * family    -- the quadratic witness family and the closed-form D(m) bounds
 * search    -- pattern search for witnesses with reproducible certificates
 
-plus a batch CLI (``bhbounds``) over all of it.
+plus a batch CLI (``bhbounds``) over all of it.  The package exports what
+its callers use: the bounds, the witness family, ratios, certificates and
+the search, with the errors and result types they return.  The steps
+behind them (torus_grid_max, refine_local, the certificate dict format,
+the search's start vector) stay in their modules.
 """
 
 from .poly import (
     HomogeneousPolynomial,
-    MultiIndex,
     PolynomialFormatError,
     bh_exponent,
     coefficient_lp_norm,
@@ -24,12 +27,8 @@ from .poly import (
 from .supnorm import (
     GridTooLargeError,
     MAX_GRID_POINTS,
-    RefineResult,
     SupNormResult,
-    refine_local,
     sup_norm,
-    torus_grid_max,
-    torus_lipschitz_bound,
 )
 from .family import (
     BoundsRow,
@@ -40,7 +39,6 @@ from .family import (
     bh_ratio,
     bounds_table,
     bounds_table_csv,
-    build_quadratic,
     build_witness,
     family_ratio,
     lower_bound,
@@ -51,15 +49,10 @@ from .family import (
     upper_bound,
 )
 from .search import (
-    CERTIFICATE_SCHEMA,
     SearchConfig,
     WitnessCertificate,
-    certificate_from_dict,
     certificate_json,
-    certificate_to_dict,
     certify,
-    degree_multi_indices,
-    family_seed_vector,
     load_certificate,
     save_certificate,
     search,
@@ -69,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HomogeneousPolynomial",
-    "MultiIndex",
     "PolynomialFormatError",
     "bh_exponent",
     "coefficient_lp_norm",
@@ -79,12 +71,8 @@ __all__ = [
     "save_polynomial",
     "GridTooLargeError",
     "MAX_GRID_POINTS",
-    "RefineResult",
     "SupNormResult",
-    "refine_local",
     "sup_norm",
-    "torus_grid_max",
-    "torus_lipschitz_bound",
     "BoundsRow",
     "FamilyParams",
     "FormulaDomainError",
@@ -93,7 +81,6 @@ __all__ = [
     "bh_ratio",
     "bounds_table",
     "bounds_table_csv",
-    "build_quadratic",
     "build_witness",
     "family_ratio",
     "lower_bound",
@@ -102,15 +89,10 @@ __all__ = [
     "optimal_x",
     "quadratic_sup_norm",
     "upper_bound",
-    "CERTIFICATE_SCHEMA",
     "SearchConfig",
     "WitnessCertificate",
-    "certificate_from_dict",
     "certificate_json",
-    "certificate_to_dict",
     "certify",
-    "degree_multi_indices",
-    "family_seed_vector",
     "load_certificate",
     "save_certificate",
     "search",

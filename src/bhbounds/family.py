@@ -111,11 +111,6 @@ def _witness_exponents(m: int, n: int) -> tuple[MultiIndex, MultiIndex, MultiInd
     return tuple((q, 2 - q + lift[1], *lift[2:]) for q in (2, 0, 1))
 
 
-def build_quadratic(params: FamilyParams) -> HomogeneousPolynomial:
-    """The base quadratic on C^2, build_witness(2, params)."""
-    return build_witness(2, params)
-
-
 def build_witness(m: int, params: FamilyParams) -> HomogeneousPolynomial:
     """Degree-m witness z3...zm * Q(z1, z2) on N = m variables.
 

@@ -80,9 +80,10 @@ class SearchConfig:
     always seeded from the witness family instead.  grid is the K of the
     grid scores (K^(num_vars - 1) points, within the sup-norm grid
     limit, as is the (m + 1) x K table of roots of unity they are built
-    from), of the exact scores and of the final certificate; it is at
-    least 2.  The coefficient space, C(m + num_vars - 1, num_vars - 1)
-    multi-indices, may hold at most 65536 of them.
+    from on two or more variables), of the exact scores and of the final
+    certificate; it is at least 2.  The coefficient space,
+    C(m + num_vars - 1, num_vars - 1) multi-indices, may hold at most
+    65536 of them.
     """
 
     m: int
@@ -146,6 +147,8 @@ def degree_multi_indices(m: int, n: int) -> list[MultiIndex]:
     come from itertools.combinations in lexicographic order, and the
     exponent vectors they give come in the same order.
     """
+    if n == 1:
+        return [(m,)]  # combinations would first copy all m slots into a tuple
     slots = m + n - 1
     return [
         tuple([b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,))])
@@ -180,9 +183,10 @@ def _phase_table(m: int, K: int) -> np.ndarray:
     return roots[np.outer(np.arange(m + 1), np.arange(K)) % K]
 
 
-def _grid_column(table: np.ndarray, alpha: MultiIndex) -> np.ndarray:
+def _grid_column(table: np.ndarray | None, alpha: MultiIndex) -> np.ndarray:
     """Phi[:, alpha]: the values of z^alpha on the grid, axis 0 at angle 0
-    and the grid points of axes 1..N-1 flattened with the last fastest."""
+    and the grid points of axes 1..N-1 flattened with the last fastest.
+    One variable has the one grid point 1 and no table (None)."""
     if len(alpha) == 1:
         return np.ones(1, dtype=np.complex128)
     column = table[alpha[1]]
@@ -191,9 +195,12 @@ def _grid_column(table: np.ndarray, alpha: MultiIndex) -> np.ndarray:
     return column
 
 
-def _grid_values(table: np.ndarray, indices: list[MultiIndex], vec: np.ndarray) -> np.ndarray:
+def _grid_values(
+    table: np.ndarray | None, indices: list[MultiIndex], vec: np.ndarray
+) -> np.ndarray:
     """v = Phi vec, one column at a time."""
-    values = np.zeros(table.shape[1] ** (len(indices[0]) - 1), dtype=np.complex128)
+    n = len(indices[0])
+    values = np.zeros(table.shape[1] ** (n - 1) if n > 1 else 1, dtype=np.complex128)
     # _grid_score reports an overflow, so numpy's warning is not wanted.
     with np.errstate(over="ignore", invalid="ignore"):
         for alpha, c in zip(indices, vec.tolist()):
@@ -216,7 +223,7 @@ def _grid_score(vec: np.ndarray, values: np.ndarray, p: float) -> float:
 
 
 def _run_restart(
-    cfg: SearchConfig, indices: list[MultiIndex], table: np.ndarray, r: int
+    cfg: SearchConfig, indices: list[MultiIndex], table: np.ndarray | None, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pattern search of restart r on grid scores: its start vector and the
     best vector it reached."""
@@ -288,24 +295,27 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     below the family's ratio.  The estimate is the merge key because it is
     the quantity the seeded floor guarantees; the certified value is
     reported alongside it in the certificate.  Before any restart, a grid
-    of K^(num_vars - 1) points or a phase table of (m + 1) K entries over
-    the limit raises GridTooLargeError and, with num_vars >= 2, a grid
-    K <= m, on which the exponents 0..m alias mod K, raises ValueError.
-    The first restart to fail raises its error.
+    of K^(num_vars - 1) points over the limit raises GridTooLargeError.
+    With num_vars >= 2, so does a phase table of (m + 1) K entries over
+    the limit, and a grid K <= m, on which the exponents 0..m alias mod
+    K, raises ValueError; one variable builds no table.  The first
+    restart to fail raises its error.
     """
     _check_grid_size(cfg.grid, cfg.num_vars - 1)
-    if (cfg.m + 1) * cfg.grid > MAX_GRID_POINTS:
-        raise GridTooLargeError(
-            f"phase table of {cfg.m + 1} x {cfg.grid} entries exceeds the limit of "
-            f"{MAX_GRID_POINTS}; use a smaller degree or grid"
-        )
-    if cfg.num_vars >= 2 and cfg.grid <= cfg.m:
-        raise ValueError(
-            f"search grid {cfg.grid} aliases the exponents of degree {cfg.m}; "
-            f"use a grid of at least {cfg.m + 1}"
-        )
+    table = None
+    if cfg.num_vars >= 2:
+        if (cfg.m + 1) * cfg.grid > MAX_GRID_POINTS:
+            raise GridTooLargeError(
+                f"phase table of {cfg.m + 1} x {cfg.grid} entries exceeds the limit of "
+                f"{MAX_GRID_POINTS}; use a smaller degree or grid"
+            )
+        if cfg.grid <= cfg.m:
+            raise ValueError(
+                f"search grid {cfg.grid} aliases the exponents of degree {cfg.m}; "
+                f"use a grid of at least {cfg.m + 1}"
+            )
+        table = _phase_table(cfg.m, cfg.grid)
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    table = _phase_table(cfg.m, cfg.grid)
     best: tuple[float, int, HomogeneousPolynomial] | None = None
     for r in range(cfg.restarts):
         start, final = _run_restart(cfg, indices, table, r)

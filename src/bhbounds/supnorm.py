@@ -244,6 +244,8 @@ def _line_roots(g: np.ndarray, t0: float) -> float:
     are the eigenvalues of a companion matrix, and the best of them is
     the one where |q|, summed in order of a, is largest.  Zero entries at
     the end of g add exact zeros to h and to |q|, so they change nothing.
+    A 2k x 2k companion matrix over MAX_GRID_POINTS entries (k > 4096
+    after stripping) raises GridTooLargeError before it is allocated.
     """
     L = len(g)
     D = L - 1
@@ -263,9 +265,14 @@ def _line_roots(g: np.ndarray, t0: float) -> float:
     k = next((k for k in range(D, 0, -1) if size[k - 1] > floor), 0)
     if not k:
         return t0
+    N = 2 * k
+    if N * N > MAX_GRID_POINTS:
+        raise GridTooLargeError(
+            f"a line of degree {k} needs a {N} x {N} companion matrix, over the "
+            f"limit of {MAX_GRID_POINTS} entries; use a lower degree"
+        )
     # Coefficients from the highest power of w down.
     p = np.concatenate([kh[k - 1 :: -1], [0.0], -kh[:k].conj()])
-    N = 2 * k
     companion = np.eye(N, k=-1, dtype=np.complex128)
     companion[0] = -p[1:] / p[:1]
     roots = np.angle(np.linalg.eigvals(companion)) % TWO_PI

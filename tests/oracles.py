@@ -17,7 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from bhbounds import HomogeneousPolynomial, degree_multi_indices
+from bhbounds import HomogeneousPolynomial
+from bhbounds.search import degree_multi_indices
 
 
 def brute_force_torus_max(P: HomogeneousPolynomial, K: int) -> float:

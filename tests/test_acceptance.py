@@ -14,7 +14,6 @@ from bhbounds import (
     FamilyParams,
     SearchConfig,
     bh_ratio,
-    build_quadratic,
     build_witness,
     certificate_json,
     certify,
@@ -69,7 +68,7 @@ def test_criterion_3_closed_form_norm_oracle():
     worst = 0.0
     for _ in range(50):
         a, b, c = random_valid_quadratic(rng)
-        P = build_quadratic(FamilyParams(a, b, c))
+        P = build_witness(2, FamilyParams(a, b, c))
         numeric = sup_norm(P).lower_estimate
         err = abs(numeric - quadratic_sup_norm(a, b, c))
         worst = max(worst, err)

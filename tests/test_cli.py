@@ -286,6 +286,21 @@ def test_grid_below_two_is_usage_error(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["poly.json"]
 
 
+def test_ratio_refuses_a_line_of_too_high_degree(tmp_path):
+    # x^5000 - y^5000 leaves a line of degree 5000 on its free axis, whose
+    # root finder would need a 10000 x 10000 complex matrix (1.6 GB).
+    terms = [
+        {"alpha": [5000, 0], "re": 1.0, "im": 0.0},
+        {"alpha": [0, 5000], "re": -1.0, "im": 0.0},
+    ]
+    doc = {"m": 5000, "n": 2, "terms": terms}
+    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "deep.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:") and "companion matrix" in line
+
+
 def test_search_refuses_grids_that_alias(tmp_path):
     out = tmp_path / "cert.json"
     for args in (("--out", str(out)), ()):

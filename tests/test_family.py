@@ -11,7 +11,6 @@ from bhbounds import (
     bh_ratio,
     bounds_table,
     bounds_table_csv,
-    build_quadratic,
     build_witness,
     family_ratio,
     lower_bound,
@@ -62,17 +61,12 @@ def test_witness_exponents_are_those_of_build_witness():
 
 
 def test_build_quadratic():
-    P = build_quadratic(FamilyParams(1.0, -1.0, 0.0))
+    P = build_witness(2, FamilyParams(1.0, -1.0, 0.0))
     assert dict(P.terms) == {(0, 2): -1.0 + 0j, (2, 0): 1.0 + 0j}
-    P = build_quadratic(FamilyParams(1.0, -1.0, 2.828427))
+    P = build_witness(2, FamilyParams(1.0, -1.0, 2.828427))
     assert len(P.terms) == 3
     with pytest.raises(ValueError):
-        build_quadratic(FamilyParams(1.0, 1.0, 0.0))
-
-
-def test_build_witness_m2_equals_quadratic():
-    params = FamilyParams(1.0, -1.0, 1.0)
-    assert build_witness(2, params) == build_quadratic(params)
+        build_witness(2, FamilyParams(1.0, 1.0, 0.0))
 
 
 def test_build_witness_m4_indices():

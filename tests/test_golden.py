@@ -3,7 +3,7 @@
 The expected files are the stdout of the commands below, run on the two
 polynomial files beside them (a degree-8 binary form, with one free axis
 and exponents that alias at --grid 7, and a degree-4 form on three
-variables), and the certificate files that two default searches write
+variables), and the certificate files that three default searches write
 (the stdout of search names the file, so the file is compared).  A change that means to alter these outputs rewrites the files
 in the same change and says why; any other difference is a regression.
 """
@@ -33,7 +33,7 @@ def test_cli_stdout_matches_golden_file(capsys, argv, expected):
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 
-SEARCHES = [("2", "2"), ("3", "3")]
+SEARCHES = [("2", "2"), ("2", "3"), ("3", "3")]
 
 
 @pytest.mark.parametrize("m, n", SEARCHES, ids=[f"m{m}_n{n}" for m, n in SEARCHES])

@@ -16,26 +16,26 @@ from bhbounds import (
     ZeroPolynomialError,
     bh_exponent,
     build_witness,
-    certificate_from_dict,
     certificate_json,
-    certificate_to_dict,
     certify,
     coefficient_lp_norm,
-    degree_multi_indices,
     bh_ratio,
     family_ratio,
-    family_seed_vector,
     load_certificate,
     lower_bound,
     optimal_x,
     save_certificate,
     search,
-    refine_local,
     sup_norm,
-    torus_grid_max,
-    torus_lipschitz_bound,
     upper_bound,
 )
+from bhbounds.search import (
+    certificate_from_dict,
+    certificate_to_dict,
+    degree_multi_indices,
+    family_seed_vector,
+)
+from bhbounds.supnorm import refine_local, torus_grid_max, torus_lipschitz_bound
 from oracles import (
     evaluate_grid_max,
     full_grid_max,
@@ -577,16 +577,26 @@ def test_search_refuses_a_grid_over_the_limit_before_scoring(monkeypatch):
     for name in ("_phase_table", "_grid_score", "bh_ratio"):
         monkeypatch.setattr(search_module, name, unexpected)
     # Six variables take 64^5 grid points; two take one axis over the limit.
-    # The last two grids are small, but their (m + 1) x K tables of roots of
-    # unity are not: 20001^2 entries, and 64 per degree up to 2^26.
+    # The last grid is small, but its (m + 1) x K table of roots of unity
+    # is not: 20001^2 entries.
     for cfg in (
         SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20),
         SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1),
         SearchConfig(m=20000, num_vars=2, grid=20001),
-        SearchConfig(m=supnorm_module.MAX_GRID_POINTS, num_vars=1),
     ):
         with pytest.raises(GridTooLargeError):
             search(cfg)
+
+
+def test_one_variable_search_builds_no_phase_table(monkeypatch):
+    # One variable has the one grid point z = 1, so no table of roots of
+    # unity is read, built or bounded, whatever the degree.
+    def unexpected(*args):
+        raise AssertionError("the search built a phase table")
+
+    monkeypatch.setattr(search_module, "_phase_table", unexpected)
+    cert = search(SearchConfig(m=supnorm_module.MAX_GRID_POINTS, num_vars=1))
+    assert (cert.estimate, cert.restart_index) == (1.0, 0)
 
 
 def test_search_raises_the_first_failing_finalist(monkeypatch):

@@ -11,13 +11,11 @@ from bhbounds import (
     HomogeneousPolynomial,
     MAX_GRID_POINTS,
     SupNormResult,
-    degree_multi_indices,
     quadratic_sup_norm,
-    refine_local,
     sup_norm,
-    torus_grid_max,
-    torus_lipschitz_bound,
 )
+from bhbounds.search import degree_multi_indices
+from bhbounds.supnorm import refine_local, torus_grid_max, torus_lipschitz_bound
 from oracles import (
     brute_force_torus_max,
     full_grid_max,
@@ -538,6 +536,28 @@ def test_line_roots_do_not_depend_on_padding(monkeypatch):
         row = np.zeros(width, dtype=complex)
         row[:2] = 1.0
         assert supnorm_module._line_roots(row, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_line_roots_refuse_a_companion_matrix_over_the_limit(monkeypatch):
+    # A line of length 4,098 with non-zero ends keeps k = 4,097, so its
+    # 8,194 x 8,194 companion matrix is over 2^26 entries: refused before
+    # it is built.  A long line whose terms sit at one end keeps k = 2.
+    import bhbounds.supnorm as supnorm_module
+
+    def unexpected(*args):
+        raise AssertionError("eigvals ran")
+
+    g = np.zeros(4098, dtype=complex)
+    g[0], g[-1] = 1.0, -1.0
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", unexpected)
+        with pytest.raises(GridTooLargeError, match="8194 x 8194"):
+            supnorm_module._line_roots(g, 0.0)
+    # The witness lifted to two variables: its line has length m + 1 and
+    # k = 2, and its sup norm is the closed form's.
+    m, (a, b, c) = 5000, (1.0, -1.0, 2.0**1.5)
+    P = HomogeneousPolynomial(m, 2, {(2, m - 2): a, (0, m): b, (1, m - 1): c})
+    assert sup_norm(P).lower_estimate == pytest.approx(quadratic_sup_norm(a, b, c), rel=1e-12)
 
 
 def test_line_kernel_takes_a_root_only_if_it_beats_the_start(monkeypatch):
