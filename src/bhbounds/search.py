@@ -18,10 +18,23 @@ the candidate's grid values are v + s Phi[:, i]; the column is built when
 needed from one table of e^{2 pi i a k/K} and Phi itself never is, so a
 restart holds K^(N-1) values per vector and builds no polynomial.  The
 search maximises the grid score ||c||_p / max_k |v_k|, p = 2m/(m+1).
+
+Restarts run in lockstep windows of w = max(1, _LOCKSTEP_POINTS //
+K^(N-1)) restarts: one numpy pass adds the next move of every live
+restart in the window to its grid values and takes each row's maximum,
+which on a small grid costs little more than one restart's move alone.
+Each restart is its own coroutine (_pattern_search) and takes the path it
+would take alone.  A window's arrays hold at most
+max(_LOCKSTEP_POINTS, K^(N-1)) grid values, whatever the number of
+restarts, and windows run one after another.
+
 A grid maximum is at most the sup norm, so the grid score is at least the
 ratio estimate and can reward a vector the grid undersamples; each
 restart's start and final vectors are therefore re-scored exactly, by
 bh_ratio(P, grid).estimate, and the best of these finalists is certified.
+A finalist whose grid score times 1 + kappa, a rounding bound, is at most
+the best estimate so far cannot win and is not re-scored
+(_rounding_slack).
 
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either
@@ -34,6 +47,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Generator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,14 +82,26 @@ _STEP_MIN = 1e-6
 # search enumerates; larger ones could not even be listed in memory.
 _MAX_COEFFICIENTS = 1 << 16
 
+# Restarts advance together in windows of max(1, _LOCKSTEP_POINTS // K^(N-1)).
+# Against one restart at a time (2-core x86-64, pattern loop of 32 restarts):
+# a window of 32 at 64 grid points takes 0.53 of the time, 6 at 512 points
+# 0.82, 3 at 1024 points 1.00-1.03, and 2 at 768-2048 points 1.01-1.26.  The
+# window is 1 from 1537 points up, and no smaller than 3 below 1025.
+_LOCKSTEP_POINTS = 3072
+
+# The rounding bound of _rounding_slack: its constant and the unit roundoff.
+_SLACK_FACTOR = 64.0
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of the multi-restart pattern search.
 
     eval_budget counts the grid scores of a restart, its start included,
-    so restarts stay independent of one another; each restart adds up to
-    two exact scores, of its start and final vectors.  Restart r draws
+    so restarts stay independent of one another, whatever window they
+    run in; each restart adds up to two exact scores, of its start and
+    final vectors, and none for a vector that cannot win.  Restart r draws
     its start from a generator seeded with rng_seed + r; restart 0 is
     always seeded from the witness family instead.  grid is the K of the
     grid scores (K^(num_vars - 1) points, within the sup-norm grid
@@ -209,35 +235,57 @@ def _grid_values(
     return values
 
 
-def _grid_score(vec: np.ndarray, values: np.ndarray, p: float) -> float:
-    """||vec||_p / max_k |values_k|; -inf for the zero vector or an all-zero
-    grid, and the ValueError of sup_norm for a grid value that is not
-    finite."""
-    peak = float(np.abs(values).max())
+def _peak_score(mags: list[float], peak: float, p: float) -> float:
+    """||c||_p / peak for the coefficient magnitudes mags and the grid
+    maximum peak; -inf for the zero vector or an all-zero grid, and the
+    ValueError of sup_norm for a grid value that is not finite."""
     if not math.isfinite(peak):
         raise ValueError(_NOT_FINITE)
-    mags = np.abs(vec).tolist()
     if peak == 0.0 or not any(mags):
         return -math.inf
     return _lp_norm(mags, p) / peak
 
 
-def _run_restart(
-    cfg: SearchConfig, indices: list[MultiIndex], table: np.ndarray | None, r: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pattern search of restart r on grid scores: its start vector and the
-    best vector it reached."""
-    rng = np.random.default_rng(cfg.rng_seed + r)
-    if r == 0:
-        start = family_seed_vector(cfg.m, cfg.num_vars, indices)
-    else:
-        start = rng.uniform(-2.0, 2.0, len(indices))
+def _grid_score(vec: np.ndarray, values: np.ndarray, p: float) -> float:
+    """||vec||_p / max_k |values_k|, as _peak_score."""
+    return _peak_score(np.abs(vec).tolist(), float(np.abs(values).max()), p)
 
+
+def _start_vector(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> np.ndarray:
+    """Restart 0 starts from the family seed, restart r >= 1 from a
+    uniform draw on [-2, 2] of the generator seeded with rng_seed + r."""
+    if r == 0:
+        return family_seed_vector(cfg.m, cfg.num_vars, indices)
+    return np.random.default_rng(cfg.rng_seed + r).uniform(-2.0, 2.0, len(indices))
+
+
+def _pattern_search(
+    cfg: SearchConfig,
+    indices: list[MultiIndex],
+    table: np.ndarray | None,
+    start: np.ndarray,
+    values: np.ndarray,
+) -> Generator[tuple[np.ndarray, float, bool], float, tuple | ValueError]:
+    """Pattern search of one restart on grid scores, from start and its
+    grid values: perturb one coefficient at a time by +-step, keep strict
+    improvements, halve the step after a stale sweep, within the budget.
+
+    A coroutine: it yields each candidate move (column, s, accepted),
+    adding s to the coefficient whose grid column is column, with whether
+    the previous candidate was kept, and is sent the candidate's grid
+    maximum.  It returns the start vector and the best vector reached
+    (the start itself if no move was kept), or the ValueError of
+    _peak_score for a grid maximum that is not finite.  The vector is a
+    list of Python floats, so the l_p numerator of a candidate is that of
+    the numpy vector it stands for.
+    """
     p = bh_exponent(cfg.m)
-    best_vec = start
-    best_values = _grid_values(table, indices, start)
-    best_val = _grid_score(best_vec, best_values, p)
-    evals = 1
+    try:
+        score = _grid_score(start, values, p)
+    except ValueError as exc:
+        return exc
+    vec, mags = start.tolist(), np.abs(start).tolist()
+    evals, moved, accepted = 1, False, False
     step = _STEP_INIT
     while step >= _STEP_MIN:
         improved = False
@@ -245,19 +293,98 @@ def _run_restart(
             column = _grid_column(table, indices[i])
             for sign in (1.0, -1.0):
                 if evals >= cfg.eval_budget:
-                    return start, best_vec
-                candidate = best_vec.copy()
-                candidate[i] += sign * step
-                values = best_values + (sign * step) * column
-                val = _grid_score(candidate, values, p)
+                    return start, np.array(vec) if moved else start
+                s = sign * step
+                peak = yield column, s, accepted
+                x = vec[i] + s
+                kept_mag, mags[i] = mags[i], abs(x)
+                try:
+                    val = _peak_score(mags, peak, p)
+                except ValueError as exc:
+                    return exc
                 evals += 1
-                if val > best_val:
-                    best_vec, best_values, best_val = candidate, values, val
-                    improved = True
+                accepted = val > score
+                if accepted:
+                    vec[i], score = x, val
+                    improved = moved = True
                     break
+                mags[i] = kept_mag
         if not improved:
             step *= 0.5
-    return start, best_vec
+    return start, np.array(vec) if moved else start
+
+
+def _run_alone(
+    restart: Generator, values: np.ndarray, column: np.ndarray, s: float
+) -> tuple | ValueError:
+    """Drive one _pattern_search from its grid values and next move to its
+    outcome."""
+    try:
+        while True:
+            candidates = values + s * column
+            column, s, accepted = restart.send(float(np.abs(candidates).max()))
+            if accepted:
+                values = candidates
+    except StopIteration as stop:
+        return stop.value
+
+
+def _run_window(
+    cfg: SearchConfig, indices: list[MultiIndex], table: np.ndarray | None, window: range
+) -> list:
+    """The outcomes of the restarts in window, each a _pattern_search, run
+    in lockstep.
+
+    While two or more are live, each pass scores the next move of every
+    one at once: their grid values, one row each, plus s times the column
+    of the coefficient each moves, then one maximum of the magnitudes per
+    row.  The last one left runs alone (_run_alone).  Everything else (the
+    l_p numerator, the strict >, the step halving and the budget) is each
+    restart's own, so every restart takes the path it would take alone.
+    """
+    outcomes: list = [None] * len(window)
+    live, rows, columns, steps = [], [], [], []  # live holds (k, coroutine)
+    for k, r in enumerate(window):
+        start = _start_vector(cfg, indices, r)
+        values = _grid_values(table, indices, start)
+        restart = _pattern_search(cfg, indices, table, start, values)
+        try:
+            column, s, _ = next(restart)
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+            continue
+        live.append((k, restart))
+        rows.append(values)
+        columns.append(column)
+        steps.append(s)
+    values, batch = np.array(rows), None
+    # A non-finite grid value ends its restart in _peak_score; numpy's
+    # warning is not wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(live) > 1:
+            if batch is None:
+                batch = np.array(columns)
+            candidates = values + np.array(steps)[:, None] * batch
+            peaks = np.abs(candidates).max(axis=1).tolist()
+            kept = []
+            for row, ((k, restart), peak) in enumerate(zip(live, peaks)):
+                try:
+                    column, steps[row], accepted = restart.send(peak)
+                except StopIteration as stop:
+                    outcomes[k] = stop.value
+                    continue
+                kept.append(row)
+                if accepted:
+                    values[row] = candidates[row]
+                if column is not columns[row]:
+                    columns[row], batch = column, None
+            if len(kept) < len(live):
+                live, columns, steps = ([x[row] for row in kept] for x in (live, columns, steps))
+                values, batch = values[kept], None
+        if live:
+            k, restart = live[0]
+            outcomes[k] = _run_alone(restart, values[0], columns[0], steps[0])
+    return outcomes
 
 
 def certify(
@@ -283,23 +410,97 @@ def certify(
     )
 
 
+def _rounding_slack(m: int, num_vars: int, grid: int, mags: list[float], peak: float) -> float:
+    """kappa with bh_ratio(P, grid).estimate <= score * (1 + kappa), where
+    P has the real coefficients of magnitudes mags, peak is the maximum
+    magnitude of their fresh grid values (_grid_values) and score =
+    ||c||_p / peak; inf where the bound below gives nothing.
+
+    The estimate is ||c||_p / L.  Its numerator is the score's, bit for
+    bit: both are _lp_norm of the same magnitudes, zeros aside, which
+    fsum adds exactly.  Its denominator L is the refined sup-norm value,
+    at least fl|P.evaluate| at the argmax of torus_grid_max, since
+    refine_local keeps only strict increases from there.  Let G* be the
+    exact grid maximum of |P|, the same on the search's grid (axis 0
+    pinned) and on torus_grid_max's (free axes), and u = 2^-53.  In the
+    standard model of floating point, with ||c||_1 the sum of mags:
+
+    - peak <= G* + (16 (n - 1) + 2 N + 4) u ||c||_1 (a table entry is
+      within about 12u of its root of unity, a column multiplies n - 1
+      of them, and the N products c_alpha Phi[:, alpha] are summed one
+      after another);
+    - torus_grid_max's values are within 8 log2(K) u ||c||_1 per free
+      axis of the exact ones (the componentwise bound of a radix-2 FFT,
+      Higham, Accuracy and Stability of Numerical Algorithms, sec. 24.1,
+      taken to hold for numpy's mixed-radix passes too), so its argmax
+      point has |P| >= G* - 16 (n - 1) log2(K) u ||c||_1;
+    - P.evaluate there errs by at most (16 m + 4 n + 2 N) u ||c||_1 (the
+      rounded angle and its powers, the products, the sum).
+
+    With N the number of coefficients, n = num_vars and K = grid, all of
+    it is at most E = 64 (m + N + n (1 + log2 K)) u ||c||_1, so
+    L >= peak - E = peak (1 - delta), delta = E / peak.  For delta < 1/2,
+    1 / (1 - delta) <= 1 + 2 delta, and the four roundings (the two
+    quotients, 1 + kappa and its product with the score) add less than
+    8u; kappa = 2 delta + 16u covers them.  For delta >= 1/2, a peak that
+    is not finite, or a zero vector, kappa is inf.
+    """
+    error = (
+        _SLACK_FACTOR
+        * (m + len(mags) + num_vars * (1.0 + math.log2(grid)))
+        * _UNIT_ROUNDOFF
+        * sum(mags)
+    )
+    if not (math.isfinite(peak) and error < 0.5 * peak):
+        return math.inf
+    return 2.0 * error / peak + 16.0 * _UNIT_ROUNDOFF
+
+
+def _cannot_win(
+    cfg: SearchConfig,
+    table: np.ndarray | None,
+    indices: list[MultiIndex],
+    vec: np.ndarray,
+    best_estimate: float,
+) -> bool:
+    """Whether vec's estimate is at most best_estimate, by its grid score
+    times 1 + kappa (see _rounding_slack), without a sup-norm bracket."""
+    peak = float(np.abs(_grid_values(table, indices, vec)).max())
+    mags = np.abs(vec).tolist()
+    kappa = _rounding_slack(cfg.m, cfg.num_vars, cfg.grid, mags, peak)
+    return (
+        kappa < math.inf
+        and _lp_norm(mags, bh_exponent(cfg.m)) / peak * (1.0 + kappa) <= best_estimate
+    )
+
+
 def search(cfg: SearchConfig) -> WitnessCertificate:
     """Multi-restart pattern search; returns the best certificate found.
 
     Restarts are independent (restart r owns generator rng_seed + r and
-    its own eval budget) and run one after another.  A restart's start and
-    final vectors are its finalists, in that order, scored by
-    bh_ratio(P, cfg.grid).estimate; the merge keeps the largest estimate,
-    ties broken by the earliest finalist, and holds only the best one so
-    far.  Restart 0 starts from the family seed, so the result is never
-    below the family's ratio.  The estimate is the merge key because it is
-    the quantity the seeded floor guarantees; the certified value is
-    reported alongside it in the certificate.  Before any restart, a grid
-    of K^(num_vars - 1) points over the limit raises GridTooLargeError.
-    With num_vars >= 2, so does a phase table of (m + 1) K entries over
-    the limit, and a grid K <= m, on which the exponents 0..m alias mod
-    K, raises ValueError; one variable builds no table.  The first
-    restart to fail raises its error.
+    its own eval budget), so each takes the same path whatever window it
+    runs in.  They run in lockstep windows of
+    w = max(1, _LOCKSTEP_POINTS // K^(num_vars - 1)) restarts, one window
+    after another (_run_window); a window's arrays hold at most
+    max(_LOCKSTEP_POINTS, K^(num_vars - 1)) grid values, so memory does
+    not grow with cfg.restarts.  A restart's start and final vectors are
+    its finalists, merged in restart order, start first: the merge keeps
+    the largest bh_ratio(P, cfg.grid).estimate, ties broken by the
+    earliest finalist, and holds only the best one so far.  A finalist
+    whose grid score times 1 + kappa (_rounding_slack) is at most the
+    best estimate so far cannot win and is skipped: its bh_ratio is never
+    called, so nothing bh_ratio would raise for it is raised.
+    Restart 0 starts from the family seed and its start is always scored,
+    so the result is never below the family's ratio.  The estimate is the
+    merge key because it is the quantity the seeded floor guarantees; the
+    certified value is reported alongside it in the certificate.  Before
+    any restart, a grid of K^(num_vars - 1) points over the limit raises
+    GridTooLargeError.  With num_vars >= 2, so does a phase table of
+    (m + 1) K entries over the limit, and a grid K <= m, on which the
+    exponents 0..m alias mod K, raises ValueError; one variable builds no
+    table.  The first restart to fail raises its error, after the
+    finalists of the restarts before it are merged, as if the restarts
+    ran one after another.
     """
     _check_grid_size(cfg.grid, cfg.num_vars - 1)
     table = None
@@ -316,15 +517,21 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
             )
         table = _phase_table(cfg.m, cfg.grid)
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    width = max(1, _LOCKSTEP_POINTS // cfg.grid ** (cfg.num_vars - 1))
     best: tuple[float, int, HomogeneousPolynomial] | None = None
-    for r in range(cfg.restarts):
-        start, final = _run_restart(cfg, indices, table, r)
-        finalists = (start,) if final is start else (start, final)
-        for vec in finalists:
-            poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
-            estimate = bh_ratio(poly, cfg.grid).estimate
-            if best is None or estimate > best[0]:  # strict > keeps the earliest
-                best = (estimate, r, poly)
+    for first in range(0, cfg.restarts, width):
+        window = range(first, min(first + width, cfg.restarts))
+        for r, outcome in zip(window, _run_window(cfg, indices, table, window)):
+            if isinstance(outcome, ValueError):
+                raise outcome
+            start, final = outcome
+            for vec in (start,) if final is start else (start, final):
+                if best is not None and _cannot_win(cfg, table, indices, vec, best[0]):
+                    continue
+                poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
+                estimate = bh_ratio(poly, cfg.grid).estimate
+                if best is None or estimate > best[0]:  # strict > keeps the earliest
+                    best = (estimate, r, poly)
     _, index, poly = best  # set by restart 0, as restarts >= 1
     return certify(poly, cfg.grid, search_config=cfg, restart_index=index)
 

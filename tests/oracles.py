@@ -5,7 +5,9 @@ evaluation, direct formula evaluation) without touching the library's
 grid/refine machinery, so a bug in the engine cannot hide in its own
 oracle.  The one-free-axis line maximum is kept in its scalar form (np.roots
 on the whole line, P.evaluate) as the reference for sup_norm on one free
-axis.
+axis.  The sequential search at the end is a reference for the search's
+scheduling, not its numbers: it reuses the library's phase table,
+bh_ratio and certify.
 """
 
 from __future__ import annotations
@@ -17,8 +19,18 @@ from typing import Iterator
 
 import numpy as np
 
-from bhbounds import HomogeneousPolynomial
-from bhbounds.search import degree_multi_indices
+from bhbounds import HomogeneousPolynomial, SearchConfig, WitnessCertificate, bh_ratio
+from bhbounds.poly import MultiIndex, _lp_norm, bh_exponent
+from bhbounds.search import (
+    _STEP_INIT,
+    _STEP_MIN,
+    _phase_table,
+    _vector_to_polynomial,
+    certify,
+    degree_multi_indices,
+    family_seed_vector,
+)
+from bhbounds.supnorm import _NOT_FINITE
 
 
 def brute_force_torus_max(P: HomogeneousPolynomial, K: int) -> float:
@@ -197,3 +209,115 @@ def recursive_multi_indices(m: int, n: int) -> list[tuple[int, ...]]:
 
     return sorted(gen((), m, n))
 
+
+# --- the sequential search, one restart at a time -----------------------------
+#
+# The grid-score search as it was before restarts ran in lockstep windows and
+# finalists that cannot win were skipped: _grid_column, _grid_values,
+# _grid_score and _run_restart verbatim, and a merge that scores every
+# finalist with bh_ratio.  search() must return the same certificate.
+
+
+def _grid_column(table: np.ndarray | None, alpha: MultiIndex) -> np.ndarray:
+    """Phi[:, alpha]: the values of z^alpha on the grid, axis 0 at angle 0
+    and the grid points of axes 1..N-1 flattened with the last fastest.
+    One variable has the one grid point 1 and no table (None)."""
+    if len(alpha) == 1:
+        return np.ones(1, dtype=np.complex128)
+    column = table[alpha[1]]
+    for a in alpha[2:]:
+        column = np.multiply.outer(column, table[a]).ravel()
+    return column
+
+
+def _grid_values(
+    table: np.ndarray | None, indices: list[MultiIndex], vec: np.ndarray
+) -> np.ndarray:
+    """v = Phi vec, one column at a time."""
+    n = len(indices[0])
+    values = np.zeros(table.shape[1] ** (n - 1) if n > 1 else 1, dtype=np.complex128)
+    # _grid_score reports an overflow, so numpy's warning is not wanted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, c in zip(indices, vec.tolist()):
+            if c:
+                values += c * _grid_column(table, alpha)
+    return values
+
+
+def _grid_score(vec: np.ndarray, values: np.ndarray, p: float) -> float:
+    """||vec||_p / max_k |values_k|; -inf for the zero vector or an all-zero
+    grid, and the ValueError of sup_norm for a grid value that is not
+    finite."""
+    peak = float(np.abs(values).max())
+    if not math.isfinite(peak):
+        raise ValueError(_NOT_FINITE)
+    mags = np.abs(vec).tolist()
+    if peak == 0.0 or not any(mags):
+        return -math.inf
+    return _lp_norm(mags, p) / peak
+
+
+def reference_run_restart(
+    cfg: SearchConfig, indices: list[MultiIndex], table: np.ndarray | None, r: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pattern search of restart r on grid scores: its start vector and the
+    best vector it reached."""
+    rng = np.random.default_rng(cfg.rng_seed + r)
+    if r == 0:
+        start = family_seed_vector(cfg.m, cfg.num_vars, indices)
+    else:
+        start = rng.uniform(-2.0, 2.0, len(indices))
+
+    p = bh_exponent(cfg.m)
+    best_vec = start
+    best_values = _grid_values(table, indices, start)
+    best_val = _grid_score(best_vec, best_values, p)
+    evals = 1
+    step = _STEP_INIT
+    while step >= _STEP_MIN:
+        improved = False
+        for i in range(len(indices)):
+            column = _grid_column(table, indices[i])
+            for sign in (1.0, -1.0):
+                if evals >= cfg.eval_budget:
+                    return start, best_vec
+                candidate = best_vec.copy()
+                candidate[i] += sign * step
+                values = best_values + (sign * step) * column
+                val = _grid_score(candidate, values, p)
+                evals += 1
+                if val > best_val:
+                    best_vec, best_values, best_val = candidate, values, val
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+    return start, best_vec
+
+
+def reference_finalists(cfg: SearchConfig) -> list[tuple[int, np.ndarray]]:
+    """(restart, vector) of every finalist of the sequential search, in
+    merge order: each restart's start, then its final vector if it moved."""
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    table = _phase_table(cfg.m, cfg.grid) if cfg.num_vars >= 2 else None
+    finalists = []
+    for r in range(cfg.restarts):
+        start, final = reference_run_restart(cfg, indices, table, r)
+        finalists.append((r, start))
+        if final is not start:
+            finalists.append((r, final))
+    return finalists
+
+
+def reference_search(cfg: SearchConfig) -> WitnessCertificate:
+    """The sequential search: every finalist scored by bh_ratio, the
+    earliest largest estimate certified."""
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    best = None
+    for r, vec in reference_finalists(cfg):
+        poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
+        estimate = bh_ratio(poly, cfg.grid).estimate
+        if best is None or estimate > best[0]:
+            best = (estimate, r, poly)
+    _, index, poly = best
+    return certify(poly, cfg.grid, search_config=cfg, restart_index=index)

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import itertools
 import json
 import math
 
@@ -29,6 +30,7 @@ from bhbounds import (
     sup_norm,
     upper_bound,
 )
+from bhbounds.poly import _lp_norm
 from bhbounds.search import (
     certificate_from_dict,
     certificate_to_dict,
@@ -41,6 +43,8 @@ from oracles import (
     full_grid_max,
     random_polynomial,
     recursive_multi_indices,
+    reference_finalists,
+    reference_search,
 )
 
 # The package's search function shadows its search module as an attribute.
@@ -139,7 +143,7 @@ def test_search_refuses_grids_that_alias(monkeypatch):
         raise AssertionError("a restart ran")
 
     with monkeypatch.context() as patch:
-        patch.setattr(search_module, "_run_restart", unexpected)
+        patch.setattr(search_module, "_run_window", unexpected)
         for m, n, K in ((2, 2, 2), (4, 2, 2), (4, 2, 4), (3, 3, 3)):
             with pytest.raises(ValueError, match=f"at least {m + 1}"):
                 search(SearchConfig(m=m, num_vars=n, grid=K, restarts=2))
@@ -537,37 +541,108 @@ def test_column_updates_track_fresh_grid_values(m, n):
     assert np.abs(values - fresh).max() <= 1e-12 * np.abs(fresh).max()
 
 
+# (m, n, grid, restarts): one variable, three, restarts that fill a window
+# of 3 or 5 unevenly (the last window runs one restart alone), and windows
+# wider than the restarts.
+IDENTITY_CASES = [(3, 2, 16, 7), (4, 2, 8, 33), (2, 3, 16, 5), (5, 1, 64, 9),
+                  (2, 2, 1024, 7), (3, 3, 24, 7)]
+
+
+def _window_width(m, n, grid):
+    return max(1, search_module._LOCKSTEP_POINTS // grid ** (n - 1))
+
+
+def test_identity_cases_cover_uneven_windows():
+    widths = [(_window_width(m, n, grid), restarts) for m, n, grid, restarts in IDENTITY_CASES]
+    assert any(1 < w < restarts and restarts % w for w, restarts in widths)
+    assert any(w >= restarts for w, restarts in widths)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m, n, grid, restarts", IDENTITY_CASES)
+def test_search_equals_the_sequential_search(m, n, grid, restarts, seed):
+    # Lockstep windows and skipped finalists change no byte of the
+    # certificate of the search that ran each restart alone and scored
+    # every finalist.
+    cfg = SearchConfig(m=m, num_vars=n, grid=grid, restarts=restarts, rng_seed=seed)
+    assert certificate_json(search(cfg)) == certificate_json(reference_search(cfg))
+
+
+def _score_and_kappa(m, n, K, vec):
+    """The grid score of vec from fresh grid values, and its kappa."""
+    table = search_module._phase_table(m, K)
+    peak = float(np.abs(search_module._grid_values(table, degree_multi_indices(m, n), vec)).max())
+    mags = np.abs(vec).tolist()
+    return _lp_norm(mags, bh_exponent(m)) / peak, search_module._rounding_slack(m, n, K, mags, peak)
+
+
+def test_estimate_is_within_the_rounding_slack_of_the_grid_score():
+    # bh_ratio's estimate never exceeds the grid score times 1 + kappa, for
+    # random vectors with exact zeros and family seeds, whose maxima sit
+    # on the grid, at scales 2^-600, 1 and 2^600.
+    rng = np.random.default_rng(300)
+    above = 0  # estimates above the bare grid score: kappa is needed
+    for m, n in itertools.product((2, 3, 4, 5), (1, 2, 3)):
+        indices = degree_multi_indices(m, n)
+        seed = family_seed_vector(m, n, indices)
+        for K in (m + 1, 16, 64):
+            vectors = [seed]
+            for _ in range(2):
+                vec = rng.uniform(-2.0, 2.0, len(indices))
+                vec[rng.uniform(size=len(indices)) < 0.25] = 0.0
+                vec[int(rng.integers(len(indices)))] = 1.0
+                vectors.append(vec)
+            for vec in vectors:
+                for scale in (2.0**-600, 1.0, 2.0**600):
+                    scaled = vec * scale
+                    score, kappa = _score_and_kappa(m, n, K, scaled)
+                    assert 0.0 < kappa < 1e-9, (m, n, K)
+                    estimate = bh_ratio(_polynomial(m, n, indices, scaled), K).estimate
+                    assert estimate <= score * (1.0 + kappa), (m, n, K, scale)
+                    above += estimate > score
+    assert above
+
+
+def test_rounding_slack_gives_no_bound_without_a_finite_peak():
+    for peak in (0.0, math.inf, math.nan, 1e-300):
+        assert search_module._rounding_slack(2, 2, 64, [1.0, 0.0, 2.0], peak) == math.inf
+    assert search_module._rounding_slack(2, 2, 64, [0.0, 0.0, 0.0], 0.0) == math.inf
+    assert search_module._rounding_slack(2, 2, 64, [1e308, 1e308, 1e308], 1e308) == math.inf
+
+
 @pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])
 def test_search_returns_the_best_finalist(monkeypatch, m, n):
     cfg = small_config(m, n, restarts=4, eval_budget=60)
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    table = search_module._phase_table(cfg.m, cfg.grid)
-    finalists = []  # (restart, vector, is a final vector)
-    for r in range(cfg.restarts):
-        start, final = search_module._run_restart(cfg, indices, table, r)
-        finalists.append((r, start, False))
-        if final is not start:
-            finalists.append((r, final, True))
+    finalists = reference_finalists(cfg)  # (restart, vector), in merge order
+    polys = [_polynomial(cfg.m, cfg.num_vars, indices, vec) for _, vec in finalists]
+    estimates = [bh_ratio(P, cfg.grid).estimate for P in polys]
     scored = []
     real = search_module.bh_ratio
 
     def recording(P, grid):
-        result = real(P, grid)
-        scored.append((result.estimate, P))
-        return result
+        scored.append(P)
+        return real(P, grid)
 
     monkeypatch.setattr(search_module, "bh_ratio", recording)
     cert = search(cfg)
-    assert [P for _, P in scored] == [
-        _polynomial(cfg.m, cfg.num_vars, indices, vec) for _, vec, _ in finalists
-    ]
-    # max keeps the first of equal estimates, as the merge does.
-    best = max(range(len(scored)), key=lambda i: scored[i][0])
-    assert (cert.estimate, cert.polynomial) == scored[best]
+    # With every finalist scored by brute force, the certificate is the
+    # earliest one of largest estimate (max keeps the first of equals).
+    best = max(range(len(finalists)), key=lambda j: estimates[j])
+    assert (cert.estimate, cert.polynomial) == (estimates[best], polys[best])
     assert cert.restart_index == finalists[best][0]
-    assert cert.estimate == max(e for e, _ in scored)
     # Here the winner is a restart's final vector, not a start.
-    assert finalists[best][2]
+    assert best > 0 and finalists[best - 1][0] == finalists[best][0]
+    # The search scored the finalists in merge order and skipped the rest,
+    # each of them by its grid score times 1 + kappa against the best
+    # estimate before it.
+    kept = [j for j, P in enumerate(polys) if P in scored]
+    assert scored == [polys[j] for j in kept]
+    skipped = [j for j in range(len(polys)) if j not in kept]
+    assert 0 in kept and skipped
+    for j in skipped:
+        score, kappa = _score_and_kappa(cfg.m, cfg.num_vars, cfg.grid, finalists[j][1])
+        assert score * (1.0 + kappa) <= max(estimates[:j]), j
 
 
 def test_search_refuses_a_grid_over_the_limit_before_scoring(monkeypatch):
@@ -611,7 +686,7 @@ def test_search_raises_the_first_failing_finalist(monkeypatch):
 
     monkeypatch.setattr(search_module, "bh_ratio", failing)
     with pytest.raises(ValueError, match="finalist 3"):
-        search(small_config(2, 2, restarts=4))
+        search(small_config(2, 2, restarts=16))
     assert len(calls) == 3
 
 
@@ -663,21 +738,50 @@ def test_lockstep_search_raises_what_sequential_raises():
 
 
 def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
-    # Restarts 1 and 2 fail: restart 1's error is raised and restart 2 never
-    # runs.
-    real = search_module._run_restart
-    ran = []
+    # Restarts 0-3 share one window.  Restart 2 fails after two moves and
+    # restart 1 later, after four: restart 1's error is raised, after
+    # restart 0's finalists are merged and before any later restart's.
+    cfg = SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=10, grid=16)
+    assert search_module._LOCKSTEP_POINTS // cfg.grid >= cfg.restarts
+    real_start, real_search = search_module._start_vector, search_module._pattern_search
+    restart_of, moves = {}, {r: 0 for r in range(cfg.restarts)}
 
-    def failing(cfg, indices, table, r):
-        ran.append(r)
-        if r in (1, 2):
-            raise ValueError(f"restart {r}")
-        return real(cfg, indices, table, r)
+    def start_vector(cfg, indices, r):
+        vec = real_start(cfg, indices, r)
+        restart_of[id(vec)] = r
+        return vec
 
-    monkeypatch.setattr(search_module, "_run_restart", failing)
+    def failing(cfg, indices, table, start, values):
+        r = restart_of[id(start)]
+        search = real_search(cfg, indices, table, start, values)
+        peak = None
+        while True:
+            if moves[r] == {1: 4, 2: 2}.get(r):
+                return ValueError(f"restart {r}")
+            try:
+                move = search.send(peak)
+            except StopIteration as stop:
+                return stop.value
+            moves[r] += 1
+            peak = yield move
+
+    scored = []
+    real_ratio = search_module.bh_ratio
+
+    def recording(P, grid):
+        scored.append(P)
+        return real_ratio(P, grid)
+
+    monkeypatch.setattr(search_module, "_start_vector", start_vector)
+    monkeypatch.setattr(search_module, "_pattern_search", failing)
+    monkeypatch.setattr(search_module, "bh_ratio", recording)
     with pytest.raises(ValueError, match="restart 1"):
-        search(SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=10, grid=16))
-    assert ran == [0, 1]
+        search(cfg)
+    budget = cfg.eval_budget - 1
+    assert moves == {0: budget, 1: 4, 2: 2, 3: budget}
+    indices = degree_multi_indices(cfg.m, cfg.num_vars)
+    seed = _polynomial(cfg.m, cfg.num_vars, indices, family_seed_vector(cfg.m, cfg.num_vars, indices))
+    assert scored[0] == seed and len(scored) <= 2
 
 
 def test_binary_candidates_build_no_polynomials(monkeypatch):
