@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .family import (
+    _MAX_WEIGHT_DEGREE,
     bh_ratio,
     bounds_table,
     bounds_table_csv,
@@ -26,8 +27,9 @@ from .family import (
     lower_bound,
     optimal_x,
 )
-from .poly import PolynomialFormatError, load_polynomial
-from .search import SearchConfig, certificate_json, certify, search
+from .poly import load_polynomial
+# bench/spans.py wraps cli.certificate_json.
+from .search import SearchConfig, certificate_json, certify, save_certificate, search  # noqa: F401
 from .supnorm import DEFAULT_GRID
 
 VERIFY_TOLERANCE = 1e-6
@@ -118,7 +120,8 @@ def cmd_fm_curve(args) -> int:
     if not 1 <= args.points <= MAX_CURVE_POINTS:
         raise ValueError(f"--points must be in [1, {MAX_CURVE_POINTS}], got {args.points}")
     xs = list(np.logspace(math.log10(args.xmin), math.log10(args.xmax), args.points))
-    x_star = optimal_x(args.m)
+    # Above _MAX_WEIGHT_DEGREE the optimum is past every finite --xmax.
+    x_star = optimal_x(args.m) if args.m <= _MAX_WEIGHT_DEGREE else math.inf
     marked = [(x, 0) for x in xs]
     if args.xmin <= x_star <= args.xmax:
         marked.append((x_star, 1))
@@ -141,8 +144,7 @@ def cmd_search(args) -> int:
     )
     cert = search(cfg)
     out_path = args.out or f"bh-cert-m{args.m}-n{args.n}-seed{args.seed}.json"
-    with open(out_path, "w") as fh:
-        fh.write(certificate_json(cert))
+    save_certificate(cert, out_path)
     _print_json(
         {
             "m": args.m,
@@ -218,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PolynomialFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PolynomialFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,9 @@ Restarts run in lockstep windows of w = max(1, _LOCKSTEP_POINTS //
 K^(N-1)) restarts: one numpy pass adds the next move of every live
 restart in the window to its grid values and takes each row's maximum,
 which on a small grid costs little more than one restart's move alone.
-Each restart is its own coroutine (_pattern_search) and takes the path it
-would take alone.  A window's arrays hold at most
+Each restart is its own coroutine (_pattern_search), takes the path it
+would take alone and returns its finalists, the start and final vectors,
+with the start's grid maximum.  A window's arrays hold at most
 max(_LOCKSTEP_POINTS, K^(N-1)) grid values, whatever the number of
 restarts, and windows run one after another.
 
@@ -34,7 +35,8 @@ restart's start and final vectors are therefore re-scored exactly, by
 bh_ratio(P, grid).estimate, and the best of these finalists is certified.
 A finalist whose grid score times 1 + kappa, a rounding bound, is at most
 the best estimate so far cannot win and is not re-scored
-(_rounding_slack).
+(_rounding_slack).  SearchConfig refuses every configuration the search
+cannot run.
 
 Coefficients are restricted to the reals: rotating each variable by a
 torus phase can absorb one phase per variable without changing either
@@ -96,7 +98,8 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of the multi-restart pattern search.
+    """Settings of the multi-restart pattern search; every refusal of a
+    search is made here, so certificate_from_dict makes it too.
 
     eval_budget counts the grid scores of a restart, its start included,
     so restarts stay independent of one another, whatever window they
@@ -104,12 +107,15 @@ class SearchConfig:
     final vectors, and none for a vector that cannot win.  Restart r draws
     its start from a generator seeded with rng_seed + r; restart 0 is
     always seeded from the witness family instead.  grid is the K of the
-    grid scores (K^(num_vars - 1) points, within the sup-norm grid
-    limit, as is the (m + 1) x K table of roots of unity they are built
-    from on two or more variables), of the exact scores and of the final
-    certificate; it is at least 2.  The coefficient space,
-    C(m + num_vars - 1, num_vars - 1) multi-indices, may hold at most
-    65536 of them.
+    grid scores, of the exact scores and of the final certificate; it is
+    at least 2.  The coefficient space, C(m + num_vars - 1, num_vars - 1)
+    multi-indices, may hold at most 65536 of them (ValueError).  On two
+    or more variables, a grid of K^(num_vars - 1) points, or an (m + 1) x K
+    table of roots of unity, over the sup-norm grid limit raises
+    GridTooLargeError; a grid K <= m, on which the exponents 0..m alias
+    mod K, or a family seed weight optimal_x(m) past the largest float
+    raises ValueError.  One variable has one grid point, no table and a
+    monomial seed, so it takes any grid and degree.
     """
 
     m: int
@@ -140,6 +146,19 @@ class SearchConfig:
                 f"degree {self.m} on {self.num_vars} variables has {size} coefficients; "
                 f"search handles at most {_MAX_COEFFICIENTS}"
             )
+        if self.num_vars >= 2:  # one variable has one grid point and no table
+            _check_grid_size(self.grid, self.num_vars - 1)
+            if (self.m + 1) * self.grid > MAX_GRID_POINTS:
+                raise GridTooLargeError(
+                    f"phase table of {self.m + 1} x {self.grid} entries exceeds the limit of "
+                    f"{MAX_GRID_POINTS}; use a smaller degree or grid"
+                )
+            if self.grid <= self.m:
+                raise ValueError(
+                    f"search grid {self.grid} aliases the exponents of degree {self.m}; "
+                    f"use a grid of at least {self.m + 1}"
+                )
+            optimal_x(self.m)  # the family seed's weight: a ValueError from m = 2047
 
 
 @dataclass(frozen=True)
@@ -227,7 +246,7 @@ def _grid_values(
     """v = Phi vec, one column at a time."""
     n = len(indices[0])
     values = np.zeros(table.shape[1] ** (n - 1) if n > 1 else 1, dtype=np.complex128)
-    # _grid_score reports an overflow, so numpy's warning is not wanted.
+    # _peak_score reports an overflow, so numpy's warning is not wanted.
     with np.errstate(over="ignore", invalid="ignore"):
         for alpha, c in zip(indices, vec.tolist()):
             if c:
@@ -246,11 +265,6 @@ def _peak_score(mags: list[float], peak: float, p: float) -> float:
     return _lp_norm(mags, p) / peak
 
 
-def _grid_score(vec: np.ndarray, values: np.ndarray, p: float) -> float:
-    """||vec||_p / max_k |values_k|, as _peak_score."""
-    return _peak_score(np.abs(vec).tolist(), float(np.abs(values).max()), p)
-
-
 def _start_vector(cfg: SearchConfig, indices: list[MultiIndex], r: int) -> np.ndarray:
     """Restart 0 starts from the family seed, restart r >= 1 from a
     uniform draw on [-2, 2] of the generator seeded with rng_seed + r."""
@@ -265,7 +279,7 @@ def _pattern_search(
     table: np.ndarray | None,
     start: np.ndarray,
     values: np.ndarray,
-) -> Generator[tuple[np.ndarray, float, bool], float, tuple | ValueError]:
+) -> Generator[tuple[np.ndarray, float, bool], float, tuple[np.ndarray, float, np.ndarray]]:
     """Pattern search of one restart on grid scores, from start and its
     grid values: perturb one coefficient at a time by +-step, keep strict
     improvements, halve the step after a stale sweep, within the budget.
@@ -273,18 +287,20 @@ def _pattern_search(
     A coroutine: it yields each candidate move (column, s, accepted),
     adding s to the coefficient whose grid column is column, with whether
     the previous candidate was kept, and is sent the candidate's grid
-    maximum.  It returns the start vector and the best vector reached
-    (the start itself if no move was kept), or the ValueError of
-    _peak_score for a grid maximum that is not finite.  The vector is a
+    maximum.  It returns (start, start_peak, final): the start vector, the
+    maximum magnitude of its grid values and the best vector reached (the
+    start itself if no move was kept).  A grid maximum that is not finite
+    raises the ValueError of _peak_score; no search reaches one, since
+    restart 0 starts from the family seed, whose coefficients are at most
+    optimal_x(2046) < 2^1024 (SearchConfig refuses larger m), every other
+    restart on [-2, 2], and every move is at most 0.5.  The vector is a
     list of Python floats, so the l_p numerator of a candidate is that of
     the numpy vector it stands for.
     """
     p = bh_exponent(cfg.m)
-    try:
-        score = _grid_score(start, values, p)
-    except ValueError as exc:
-        return exc
+    start_peak = float(np.abs(values).max())
     vec, mags = start.tolist(), np.abs(start).tolist()
+    score = _peak_score(mags, start_peak, p)
     evals, moved, accepted = 1, False, False
     step = _STEP_INIT
     while step >= _STEP_MIN:
@@ -293,15 +309,12 @@ def _pattern_search(
             column = _grid_column(table, indices[i])
             for sign in (1.0, -1.0):
                 if evals >= cfg.eval_budget:
-                    return start, np.array(vec) if moved else start
+                    return start, start_peak, np.array(vec) if moved else start
                 s = sign * step
                 peak = yield column, s, accepted
                 x = vec[i] + s
                 kept_mag, mags[i] = mags[i], abs(x)
-                try:
-                    val = _peak_score(mags, peak, p)
-                except ValueError as exc:
-                    return exc
+                val = _peak_score(mags, peak, p)
                 evals += 1
                 accepted = val > score
                 if accepted:
@@ -311,12 +324,10 @@ def _pattern_search(
                 mags[i] = kept_mag
         if not improved:
             step *= 0.5
-    return start, np.array(vec) if moved else start
+    return start, start_peak, np.array(vec) if moved else start
 
 
-def _run_alone(
-    restart: Generator, values: np.ndarray, column: np.ndarray, s: float
-) -> tuple | ValueError:
+def _run_alone(restart: Generator, values: np.ndarray, column: np.ndarray, s: float) -> tuple:
     """Drive one _pattern_search from its grid values and next move to its
     outcome."""
     try:
@@ -358,8 +369,8 @@ def _run_window(
         columns.append(column)
         steps.append(s)
     values, batch = np.array(rows), None
-    # A non-finite grid value ends its restart in _peak_score; numpy's
-    # warning is not wanted.
+    # A non-finite grid value raises in _peak_score; numpy's warning is not
+    # wanted.
     with np.errstate(over="ignore", invalid="ignore"):
         while len(live) > 1:
             if batch is None:
@@ -456,16 +467,10 @@ def _rounding_slack(m: int, num_vars: int, grid: int, mags: list[float], peak: f
     return 2.0 * error / peak + 16.0 * _UNIT_ROUNDOFF
 
 
-def _cannot_win(
-    cfg: SearchConfig,
-    table: np.ndarray | None,
-    indices: list[MultiIndex],
-    vec: np.ndarray,
-    best_estimate: float,
-) -> bool:
+def _cannot_win(cfg: SearchConfig, vec: np.ndarray, peak: float, best_estimate: float) -> bool:
     """Whether vec's estimate is at most best_estimate, by its grid score
-    times 1 + kappa (see _rounding_slack), without a sup-norm bracket."""
-    peak = float(np.abs(_grid_values(table, indices, vec)).max())
+    times 1 + kappa (see _rounding_slack), without a sup-norm bracket;
+    peak is the maximum magnitude of vec's fresh grid values."""
     mags = np.abs(vec).tolist()
     kappa = _rounding_slack(cfg.m, cfg.num_vars, cfg.grid, mags, peak)
     return (
@@ -489,44 +494,25 @@ def search(cfg: SearchConfig) -> WitnessCertificate:
     earliest finalist, and holds only the best one so far.  A finalist
     whose grid score times 1 + kappa (_rounding_slack) is at most the
     best estimate so far cannot win and is skipped: its bh_ratio is never
-    called, so nothing bh_ratio would raise for it is raised.
+    called, so nothing bh_ratio would raise for it is raised; the first
+    finalist whose bh_ratio raises ends the search with that error.
     Restart 0 starts from the family seed and its start is always scored,
     so the result is never below the family's ratio.  The estimate is the
     merge key because it is the quantity the seeded floor guarantees; the
-    certified value is reported alongside it in the certificate.  Before
-    any restart, a grid of K^(num_vars - 1) points over the limit raises
-    GridTooLargeError.  With num_vars >= 2, so does a phase table of
-    (m + 1) K entries over the limit, and a grid K <= m, on which the
-    exponents 0..m alias mod K, raises ValueError; one variable builds no
-    table.  The first restart to fail raises its error, after the
-    finalists of the restarts before it are merged, as if the restarts
-    ran one after another.
+    certified value is reported alongside it in the certificate.
     """
-    _check_grid_size(cfg.grid, cfg.num_vars - 1)
-    table = None
-    if cfg.num_vars >= 2:
-        if (cfg.m + 1) * cfg.grid > MAX_GRID_POINTS:
-            raise GridTooLargeError(
-                f"phase table of {cfg.m + 1} x {cfg.grid} entries exceeds the limit of "
-                f"{MAX_GRID_POINTS}; use a smaller degree or grid"
-            )
-        if cfg.grid <= cfg.m:
-            raise ValueError(
-                f"search grid {cfg.grid} aliases the exponents of degree {cfg.m}; "
-                f"use a grid of at least {cfg.m + 1}"
-            )
-        table = _phase_table(cfg.m, cfg.grid)
+    table = _phase_table(cfg.m, cfg.grid) if cfg.num_vars >= 2 else None
     indices = degree_multi_indices(cfg.m, cfg.num_vars)
     width = max(1, _LOCKSTEP_POINTS // cfg.grid ** (cfg.num_vars - 1))
     best: tuple[float, int, HomogeneousPolynomial] | None = None
     for first in range(0, cfg.restarts, width):
         window = range(first, min(first + width, cfg.restarts))
-        for r, outcome in zip(window, _run_window(cfg, indices, table, window)):
-            if isinstance(outcome, ValueError):
-                raise outcome
-            start, final = outcome
-            for vec in (start,) if final is start else (start, final):
-                if best is not None and _cannot_win(cfg, table, indices, vec, best[0]):
+        for r, (start, start_peak, final) in zip(window, _run_window(cfg, indices, table, window)):
+            finalists = [(start, start_peak)]
+            if final is not start:
+                finalists.append((final, float(np.abs(_grid_values(table, indices, final)).max())))
+            for vec, peak in finalists:
+                if best is not None and _cannot_win(cfg, vec, peak, best[0]):
                     continue
                 poly = _vector_to_polynomial(cfg.m, cfg.num_vars, indices, vec)
                 estimate = bh_ratio(poly, cfg.grid).estimate

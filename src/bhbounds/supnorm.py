@@ -448,12 +448,15 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     upper_bracket:  grid maximum + L*(pi/K), where L is the Lipschitz
     bound and pi/K the worst per-coordinate distance to a grid point, so
     lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
-    Raises the ValueError of torus_grid_max for a grid below 2, and a
-    ValueError when the bracket overflows to a non-finite value.  The zero
-    polynomial takes the same path: every step returns 0 for it.
+    Fewer than two terms leave no free axis, and |P| is the grid value at
+    every point: no slack.  Raises the ValueError of torus_grid_max for a
+    grid below 2, and a ValueError when the bracket overflows to a
+    non-finite value.  The zero polynomial takes the same path: every
+    step returns 0 for it.
     """
     grid_value, start = torus_grid_max(P, grid)
-    upper = grid_value + torus_lipschitz_bound(P) * math.pi / grid
+    slack = torus_lipschitz_bound(P) * math.pi / grid if len(P.terms) >= 2 else 0.0
+    upper = grid_value + slack
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
     r = refine_local(P, start)

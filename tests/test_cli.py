@@ -215,6 +215,22 @@ def test_fm_curve_bad_range():
     assert run_cli("fm-curve", "--m", "1").returncode == 2
 
 
+def test_fm_curve_above_the_largest_finite_optimum():
+    # optimal_x(m) = 2^((m + 1)/2) is a finite float up to m = 2046; above
+    # it the optimum exceeds every finite --xmax, so no row is marked,
+    # while the family ratio itself stays finite at any degree.
+    for m in ("2047", "3000"):
+        proc = run_cli("fm-curve", "--m", m, "--xmin", "1", "--xmax", "2", "--points", "2")
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert [row["optimal"] for row in rows] == ["0", "0"]
+        assert all(0.0 < float(row["f"]) < 1.0 for row in rows)
+    for m, marked in (("2046", ["0", "1", "0"]), ("2047", ["0", "0"])):
+        proc = run_cli("fm-curve", "--m", m, "--xmin", "1e308", "--xmax", "1.5e308", "--points", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert [row["optimal"] for row in csv.DictReader(io.StringIO(proc.stdout))] == marked
+
+
 def test_fm_curve_refuses_too_many_points():
     # Refused before anything is allocated: 10^12 rows once ran numpy out
     # of memory with a traceback.
@@ -251,6 +267,23 @@ def test_search_writes_certificate_and_summary(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["schema"] == "bh-cert-1"
     assert doc["config"]["search"]["rng_seed"] == 1
+
+
+def test_search_writes_the_library_certificate_or_exits_2(tmp_path, capsys):
+    # The file is save_certificate's canonical JSON; a path that cannot be
+    # written is an input error: exit 2, one "error:" line, nothing on stdout.
+    from bhbounds import certificate_json, cli, load_certificate
+
+    args = ["search", "--m", "2", "--n", "2", "--restarts", "2", "--budget", "20"]
+    out = tmp_path / "cert.json"
+    rc, stdout = _main_in_process(capsys, *args, "--out", str(out))
+    assert rc == 0 and json.loads(stdout)["certificate"] == str(out)
+    assert out.read_text() == certificate_json(load_certificate(str(out)))
+    rc = cli.main([*args, "--out", str(tmp_path / "missing" / "cert.json")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:")
 
 
 def test_search_is_reproducible(tmp_path):
@@ -338,12 +371,11 @@ def _term(alpha, re=1.0):
         (("ratio",), {"m": 2, "n": 2, "terms": 5}),
         (("ratio",), {"m": 2, "n": 2, "terms": [_term(5)]}),
         (("bounds", "--from", "2", "--to", "2036"), None),
-        (("fm-curve", "--m", "2047"), None),
     ],
     ids=[
         "fractional-exponent", "bool-degree", "bool-variables", "bool-exponent",
         "list-coefficient", "huge-int-coefficient", "terms-not-list", "alpha-not-list",
-        "bounds-overflow", "fm-curve-overflow",
+        "bounds-overflow",
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, args, doc):

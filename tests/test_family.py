@@ -222,8 +222,8 @@ def test_bh_ratio_reproduces_closed_form():
 def test_bh_ratio_monomial_is_one():
     P = HomogeneousPolynomial(3, 1, {(3,): 1.0})
     ratio = bh_ratio(P)
-    assert ratio.estimate == 1.0
-    assert ratio.certified < 1.0
+    # |P| is 1 at every point of the torus, so the bracket is exact.
+    assert ratio.estimate == ratio.certified == 1.0
 
 
 def test_bh_ratio_m4_pipeline():

@@ -89,8 +89,10 @@ def test_config_refuses_unlistable_coefficient_space():
     for m, n in ((40, 40), (1000, 5)):
         with pytest.raises(ValueError, match="coefficients"):
             SearchConfig(m=m, num_vars=n)
-    # Two variables give m + 1 multi-indices; the limit is 2^16.
-    SearchConfig(m=(1 << 16) - 1, num_vars=2)
+    # Two variables give m + 1 multi-indices; the limit is 2^16.  At the
+    # limit the space passes, and the grid check after it refuses K <= m.
+    with pytest.raises(ValueError, match="aliases"):
+        SearchConfig(m=(1 << 16) - 1, num_vars=2)
     with pytest.raises(ValueError, match="at most 65536"):
         SearchConfig(m=1 << 16, num_vars=2)
 
@@ -179,15 +181,17 @@ def test_certify_witness_bracket():
 
 
 def test_certify_monomial_brackets_tighten():
-    P = HomogeneousPolynomial(3, 1, {(3,): 1.0})
-    prev_gap = None
-    for K in (8, 32, 128, 512):
-        cert = certify(P, K)
-        assert cert.certified_lower <= 1.0 <= cert.estimate + 1e-15
-        gap = cert.estimate - cert.certified_lower
-        if prev_gap is not None:
-            assert gap < prev_gap
-        prev_gap = gap
+    # A lone monomial has no free axis: |P| is |c| everywhere, so the grid
+    # value is the sup norm and the bracket has no gap at any grid.
+    monomials = (
+        HomogeneousPolynomial(3, 1, {(3,): 1.0}),
+        HomogeneousPolynomial(4, 3, {(1, 1, 2): -2.5}),
+    )
+    for P in monomials:
+        for K in (2, 8, 32, 128, 512):
+            cert = certify(P, K)
+            assert cert.supnorm.lower_estimate == cert.supnorm.upper_bracket
+            assert cert.certified_lower == cert.estimate == 1.0
 
 
 def test_certify_rejects_zero():
@@ -294,6 +298,26 @@ def test_certificate_with_other_search_steps_is_refused(key, value):
     doc["config"]["search"][key] = value
     with pytest.raises(ValueError, match=key):
         certificate_from_dict(doc)
+
+
+def test_certificate_refuses_what_the_search_refuses():
+    # Every refusal of a search is its config's, so a certificate whose
+    # config no search would run does not load: a grid over the limit, a
+    # phase table over it, a grid that aliases, and a degree whose family
+    # seed weight is not a finite float.
+    refused = (
+        (dict(num_vars=6, grid=64), GridTooLargeError, "64\\^5"),
+        (dict(m=20000, grid=20001), GridTooLargeError, "phase table"),
+        (dict(m=4, grid=4), ValueError, "aliases"),
+        (dict(m=3000, grid=4096), ValueError, "optimal weight"),
+    )
+    for settings, error, message in refused:
+        doc = certificate_to_dict(certificate_from_dict(PARENT_FORMAT_CERTIFICATE))
+        doc["config"]["search"].update(settings)
+        with pytest.raises(error, match=message):
+            certificate_from_dict(doc)
+        with pytest.raises(error, match=message):
+            search(SearchConfig(**doc["config"]["search"]))
 
 
 def test_certificate_schema_field():
@@ -406,12 +430,14 @@ def _mixed_polynomials(rng):
 
 
 def _bracket_from_parts(P, grid):
-    """sup_norm's bracket put together from torus_grid_max and refine_local."""
+    """sup_norm's bracket put together from torus_grid_max and refine_local;
+    a single term has no free axis and takes no Lipschitz slack."""
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
     grid_value, angles = torus_grid_max(P, grid)
     refined = refine_local(P, angles)
-    upper = grid_value + torus_lipschitz_bound(P) * math.pi / grid
+    slack = torus_lipschitz_bound(P) * math.pi / grid if len(P.terms) > 1 else 0.0
+    upper = grid_value + slack
     return SupNormResult(refined.value, upper, refined.angles, grid, refined.converged)
 
 
@@ -485,8 +511,8 @@ def test_search_memory_does_not_grow_with_restarts():
 def _score(m, n, K, vec):
     """The search's grid score of vec, from a fresh v = Phi vec."""
     table = search_module._phase_table(m, K)
-    values = search_module._grid_values(table, degree_multi_indices(m, n), vec)
-    return search_module._grid_score(vec, values, bh_exponent(m))
+    peak = float(np.abs(search_module._grid_values(table, degree_multi_indices(m, n), vec)).max())
+    return search_module._peak_score(np.abs(vec).tolist(), peak, bh_exponent(m))
 
 
 @pytest.mark.parametrize("K", [2, 3, 16, 64])
@@ -517,10 +543,10 @@ def test_grid_score_edge_cases():
     huge = HomogeneousPolynomial(2, 2, {(2, 0): 1e308, (1, 1): 1e308, (0, 2): -1e308})
     with pytest.raises(ValueError, match="not finite") as raised:
         sup_norm(huge, 16)
-    vec = np.array([-1e308, 1e308, 1e308])
+    mags = [1e308, 1e308, 1e308]
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError) as scored:
-            search_module._grid_score(vec, np.array([1.0, bad]), bh_exponent(2))
+            search_module._peak_score(mags, bad, bh_exponent(2))
         assert str(scored.value) == str(raised.value)
 
 
@@ -542,10 +568,10 @@ def test_column_updates_track_fresh_grid_values(m, n):
 
 
 # (m, n, grid, restarts): one variable, three, restarts that fill a window
-# of 3 or 5 unevenly (the last window runs one restart alone), and windows
-# wider than the restarts.
+# of 3 or 5 unevenly (the last window runs one restart alone), windows
+# wider than the restarts, and windows of one (every restart runs alone).
 IDENTITY_CASES = [(3, 2, 16, 7), (4, 2, 8, 33), (2, 3, 16, 5), (5, 1, 64, 9),
-                  (2, 2, 1024, 7), (3, 3, 24, 7)]
+                  (2, 2, 1024, 7), (3, 3, 24, 7), (2, 3, 64, 3)]
 
 
 def _window_width(m, n, grid):
@@ -556,6 +582,7 @@ def test_identity_cases_cover_uneven_windows():
     widths = [(_window_width(m, n, grid), restarts) for m, n, grid, restarts in IDENTITY_CASES]
     assert any(1 < w < restarts and restarts % w for w, restarts in widths)
     assert any(w >= restarts for w, restarts in widths)
+    assert any(w == 1 < restarts for w, restarts in widths)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -649,18 +676,18 @@ def test_search_refuses_a_grid_over_the_limit_before_scoring(monkeypatch):
     def unexpected(*args):
         raise AssertionError("the search scored a candidate")
 
-    for name in ("_phase_table", "_grid_score", "bh_ratio"):
+    for name in ("_phase_table", "_peak_score", "bh_ratio"):
         monkeypatch.setattr(search_module, name, unexpected)
     # Six variables take 64^5 grid points; two take one axis over the limit.
     # The last grid is small, but its (m + 1) x K table of roots of unity
-    # is not: 20001^2 entries.
-    for cfg in (
-        SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20),
-        SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1),
-        SearchConfig(m=20000, num_vars=2, grid=20001),
+    # is not: 20001^2 entries.  The config itself refuses each of them.
+    for settings in (
+        dict(m=2, num_vars=6, restarts=3, eval_budget=20),
+        dict(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1),
+        dict(m=20000, num_vars=2, grid=20001),
     ):
         with pytest.raises(GridTooLargeError):
-            search(cfg)
+            search(SearchConfig(**settings))
 
 
 def test_one_variable_search_builds_no_phase_table(monkeypatch):
@@ -724,27 +751,28 @@ def test_lockstep_search_raises_what_sequential_raises():
     # exceed the limit.  A search scoring each candidate with bh_ratio, one
     # after another, finishes restart 0 (the family seed, perturbed one term
     # at a time, never has that many) and fails on restart 1's start; the
-    # grid search raises the same error, before any restart.
-    cfg = SearchConfig(m=2, num_vars=6, restarts=3, eval_budget=20)
-    indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    seed = _polynomial(cfg.m, cfg.num_vars, indices, family_seed_vector(cfg.m, cfg.num_vars, indices))
-    assert len(supnorm_module._free_axes(seed)) < cfg.num_vars - 1
-    start = np.random.default_rng(cfg.rng_seed + 1).uniform(-2.0, 2.0, len(indices))
+    # grid search raises the same error, from its config, before any restart.
+    m, n, grid = 2, 6, 64
+    indices = degree_multi_indices(m, n)
+    seed = _polynomial(m, n, indices, family_seed_vector(m, n, indices))
+    assert len(supnorm_module._free_axes(seed)) < n - 1
+    start = np.random.default_rng(1).uniform(-2.0, 2.0, len(indices))
     with pytest.raises(GridTooLargeError) as expected:
-        bh_ratio(_polynomial(cfg.m, cfg.num_vars, indices, start), cfg.grid)
+        bh_ratio(_polynomial(m, n, indices, start), grid)
     with pytest.raises(GridTooLargeError) as raised:
-        search(cfg)
+        search(SearchConfig(m=m, num_vars=n, restarts=3, eval_budget=20, grid=grid))
     assert str(raised.value) == str(expected.value)
 
 
 def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
-    # Restarts 0-3 share one window.  Restart 2 fails after two moves and
-    # restart 1 later, after four: restart 1's error is raised, after
-    # restart 0's finalists are merged and before any later restart's.
+    # Restarts 0-3 share one window.  An error raised inside restart 2's
+    # pattern search, after two moves, leaves search unchanged: the same
+    # exception object, raised before any finalist of the window is scored.
     cfg = SearchConfig(m=2, num_vars=2, restarts=4, eval_budget=10, grid=16)
     assert search_module._LOCKSTEP_POINTS // cfg.grid >= cfg.restarts
     real_start, real_search = search_module._start_vector, search_module._pattern_search
     restart_of, moves = {}, {r: 0 for r in range(cfg.restarts)}
+    error = ValueError("restart 2")
 
     def start_vector(cfg, indices, r):
         vec = real_start(cfg, indices, r)
@@ -756,8 +784,8 @@ def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
         search = real_search(cfg, indices, table, start, values)
         peak = None
         while True:
-            if moves[r] == {1: 4, 2: 2}.get(r):
-                return ValueError(f"restart {r}")
+            if r == 2 and moves[r] == 2:
+                raise error
             try:
                 move = search.send(peak)
             except StopIteration as stop:
@@ -775,13 +803,11 @@ def test_lockstep_raises_the_lowest_failing_restart(monkeypatch):
     monkeypatch.setattr(search_module, "_start_vector", start_vector)
     monkeypatch.setattr(search_module, "_pattern_search", failing)
     monkeypatch.setattr(search_module, "bh_ratio", recording)
-    with pytest.raises(ValueError, match="restart 1"):
+    with pytest.raises(ValueError) as raised:
         search(cfg)
-    budget = cfg.eval_budget - 1
-    assert moves == {0: budget, 1: 4, 2: 2, 3: budget}
-    indices = degree_multi_indices(cfg.m, cfg.num_vars)
-    seed = _polynomial(cfg.m, cfg.num_vars, indices, family_seed_vector(cfg.m, cfg.num_vars, indices))
-    assert scored[0] == seed and len(scored) <= 2
+    assert raised.value is error
+    assert moves[2] == 2 and all(moves[r] >= 2 for r in (0, 1, 3))
+    assert scored == []
 
 
 def test_binary_candidates_build_no_polynomials(monkeypatch):
@@ -800,7 +826,11 @@ def test_binary_candidates_build_no_polynomials(monkeypatch):
     table = search_module._phase_table(3, FAST_GRID)
     p = bh_exponent(3)
     estimates = [
-        search_module._grid_score(vec, search_module._grid_values(table, indices, vec), p)
+        search_module._peak_score(
+            np.abs(vec).tolist(),
+            float(np.abs(search_module._grid_values(table, indices, vec)).max()),
+            p,
+        )
         for vec in vectors
     ]
     assert calls == []
@@ -812,12 +842,12 @@ def test_binary_candidates_fail_as_bh_ratio_fails():
     # values that overflow.  Where bh_ratio succeeds the score is finite.
     indices = degree_multi_indices(2, 2)
     vectors = [np.array([1.0, 2.0, -1.0]), np.array([-1e308, 1e308, 1e308])]
-    big = SearchConfig(m=2, num_vars=2, grid=supnorm_module.MAX_GRID_POINTS + 1)
+    big = supnorm_module.MAX_GRID_POINTS + 1
     with pytest.raises(GridTooLargeError) as raised:
-        search(big)
+        search(SearchConfig(m=2, num_vars=2, grid=big))
     for vec in vectors:
         with pytest.raises(GridTooLargeError) as expected:
-            bh_ratio(_polynomial(2, 2, indices, vec), big.grid)
+            bh_ratio(_polynomial(2, 2, indices, vec), big)
         assert str(raised.value) == str(expected.value)
     for vec in vectors:
         try:
