@@ -4,8 +4,8 @@ The library has four layers:
 
 * poly      -- sparse homogeneous polynomials, evaluation, coefficient norms
 * supnorm   -- bracketed sup norms on the unit polydisc (grid + refine + slack)
-* family    -- the quadratic witness family and the closed-form D(m) bounds
-* search    -- pattern search for witnesses with reproducible certificates
+* family    -- witness family, closed-form D(m) bounds, certified ratios
+* search    -- pattern search for witnesses and the certificate file format
 
 plus a batch CLI (``bhbounds``) over all of it.  The package exports what
 its callers use: the bounds, the witness family, ratios, certificates and
@@ -35,11 +35,13 @@ from .family import (
     FamilyParams,
     FormulaDomainError,
     RatioResult,
+    WitnessCertificate,
     ZeroPolynomialError,
     bh_ratio,
     bounds_table,
     bounds_table_csv,
     build_witness,
+    certify,
     family_ratio,
     lower_bound,
     lower_bound_excess,
@@ -50,9 +52,7 @@ from .family import (
 )
 from .search import (
     SearchConfig,
-    WitnessCertificate,
     certificate_json,
-    certify,
     load_certificate,
     save_certificate,
     search,
@@ -77,11 +77,13 @@ __all__ = [
     "FamilyParams",
     "FormulaDomainError",
     "RatioResult",
+    "WitnessCertificate",
     "ZeroPolynomialError",
     "bh_ratio",
     "bounds_table",
     "bounds_table_csv",
     "build_witness",
+    "certify",
     "family_ratio",
     "lower_bound",
     "lower_bound_excess",
@@ -90,9 +92,7 @@ __all__ = [
     "quadratic_sup_norm",
     "upper_bound",
     "SearchConfig",
-    "WitnessCertificate",
     "certificate_json",
-    "certify",
     "load_certificate",
     "save_certificate",
     "search",

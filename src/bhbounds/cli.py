@@ -2,8 +2,9 @@
 
 Subcommands: bounds, ratio, verify-family, search, fm-curve.  Everything
 on stdout is machine-parseable (CSV or JSON) with floats at 12
-significant digits; human prose goes to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage or input error.
+significant digits, except the bounds CSV, at 9; human prose goes to
+stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .family import (
     bounds_table,
     bounds_table_csv,
     build_witness,
+    certify,
     FamilyParams,
     family_ratio,
     lower_bound,
@@ -29,7 +32,7 @@ from .family import (
 )
 from .poly import load_polynomial
 # bench/spans.py wraps cli.certificate_json.
-from .search import SearchConfig, certificate_json, certify, save_certificate, search  # noqa: F401
+from .search import SearchConfig, certificate_json, save_certificate, search  # noqa: F401
 from .supnorm import DEFAULT_GRID
 
 VERIFY_TOLERANCE = 1e-6
@@ -54,13 +57,7 @@ def cmd_bounds(args) -> int:
     else:
         _print_json(
             [
-                {
-                    "m": row.m,
-                    "lower": _sig12(row.lower),
-                    "upper": _sig12(row.upper),
-                    "multilinear_lower": _sig12(row.multilinear_lower),
-                    "optimal_x": _sig12(row.optimal_x),
-                }
+                {name: _sig12(v) if isinstance(v, float) else v for name, v in asdict(row).items()}
                 for row in rows
             ]
         )

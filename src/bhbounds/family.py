@@ -23,18 +23,23 @@ maximized at x = 2^{(m+1)/2}, which yields the closed-form lower bound
 
 FamilyParams is the family's one domain check, quadratic_sup_norm its closed
 form ||Q||, and _witness_exponents its one lift to any n >= 2 variables.
+certify computes the ratio of any polynomial once, as a WitnessCertificate,
+and bh_ratio reads its two quotients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .poly import HomogeneousPolynomial, MultiIndex, bh_exponent, coefficient_lp_norm
 from .supnorm import DEFAULT_GRID, SupNormResult, sup_norm
+
+if TYPE_CHECKING:  # search imports this module, so SearchConfig is for annotations only
+    from .search import SearchConfig
 
 _LN2 = math.log(2.0)
 _LN4 = math.log(4.0)
@@ -53,15 +58,13 @@ class FormulaDomainError(ValueError):
     """A closed-form norm formula was requested outside its validity domain."""
 
 
-_VANISHED = "sup-norm estimate vanished on the grid; use a finer grid"
-
-
 @dataclass(frozen=True)
 class FamilyParams:
     """Coefficients (a, b, c) of the base quadratic a z1^2 + b z2^2 + c z1 z2.
 
     Constrained to the domain where the closed-form sup norm holds:
-    ab < 0 and |c(a+b)| <= 4|ab|; FormulaDomainError outside it.
+    finite a, b, c with ab < 0 and |c(a+b)| <= 4|ab|; FormulaDomainError
+    outside it.
     """
 
     a: float
@@ -69,6 +72,11 @@ class FamilyParams:
     c: float
 
     def __post_init__(self) -> None:
+        # A comparison with nan, or with inf * 0, is False: check finiteness first.
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise FormulaDomainError(
+                f"family requires finite a, b, c (got a={self.a}, b={self.b}, c={self.c})"
+            )
         if not self.a * self.b < 0:
             raise FormulaDomainError(f"family requires ab < 0 (got a={self.a}, b={self.b})")
         if abs(self.c * (self.a + self.b)) > 4 * abs(self.a * self.b):
@@ -134,6 +142,8 @@ def family_ratio(m: int, x: float) -> float:
     """
     if m < 2:
         raise ValueError(f"family ratio needs m >= 2, got {m}")
+    if not math.isfinite(x):
+        raise ValueError(f"family ratio needs a finite weight, got {x}")
     ax = abs(x)
     log_ax = math.log(ax) if ax > 0 else -math.inf
     log_num = ((m + 1) / (2.0 * m)) * np.logaddexp(_LN2, (2.0 * m / (m + 1)) * log_ax)
@@ -171,10 +181,11 @@ def lower_bound(m: int) -> float:
 def lower_bound_excess(m: int) -> float:
     """lower_bound(m) - 1 without rounding to zero: expm1/log1p form.
 
-    Strictly positive for every m representable in double precision
-    (through m = 1000 and beyond), which is how the strict inequality
+    Strictly positive for m <= 1064, which is how the strict inequality
     lower_bound(m) > 1 is checked where float spacing near 1.0 swallows
-    the difference.
+    the difference.  From m = 1065 on the true excess, about
+    2^(1-m)/(2m), is below half the smallest subnormal, and the correctly
+    rounded result is 0.0.
     """
     if m < 2:
         raise ValueError(f"lower bound needs m >= 2, got {m}")
@@ -210,26 +221,19 @@ def bounds_table(m_min: int, m_max: int) -> list[BoundsRow]:
     if m_min < 2 or m_min > m_max:
         raise ValueError(f"need 2 <= m_min <= m_max, got [{m_min}, {m_max}]")
     return [
-        BoundsRow(
-            m=m,
-            lower=lower_bound(m),
-            upper=upper_bound(m),
-            multilinear_lower=multilinear_lower_bound(m),
-            optimal_x=optimal_x(m),
-        )
+        BoundsRow(m, lower_bound(m), upper_bound(m), multilinear_lower_bound(m), optimal_x(m))
         for m in range(m_min, m_max + 1)
     ]
 
 
 def bounds_table_csv(rows: list[BoundsRow]) -> str:
-    """CSV rendering: header m,lower,upper,multilinear_lower,optimal_x,
-    9 significant digits, LF line endings."""
-    lines = ["m,lower,upper,multilinear_lower,optimal_x"]
+    """CSV rendering: BoundsRow's fields as the header
+    (m,lower,upper,multilinear_lower,optimal_x), 9 significant digits (m,
+    below 10^9, prints exactly), LF line endings."""
+    names = [field.name for field in fields(BoundsRow)]
+    lines = [",".join(names)]
     for row in rows:
-        lines.append(
-            f"{row.m},{row.lower:.9g},{row.upper:.9g},"
-            f"{row.multilinear_lower:.9g},{row.optimal_x:.9g}"
-        )
+        lines.append(",".join(f"{getattr(row, name):.9g}" for name in names))
     return "\n".join(lines) + "\n"
 
 
@@ -238,11 +242,40 @@ class RatioResult(NamedTuple):
     certified: float
 
 
-def _bracketed_ratio(
-    P: HomogeneousPolynomial, grid: int
-) -> tuple[float, SupNormResult, RatioResult]:
-    """P's coefficient norm, its sup-norm bracket at grid K and their
-    ratios: the one implementation behind bh_ratio and certify.
+@dataclass(frozen=True)
+class WitnessCertificate:
+    """A polynomial together with everything needed to audit its ratio.
+
+    certified_lower = coeff_norm / supnorm.upper_bracket is a true lower
+    bound on D(m) up to rounding; estimate uses the attained lower
+    sup-norm value instead and is what the search optimizes.
+    """
+
+    polynomial: HomogeneousPolynomial
+    coeff_norm: float
+    supnorm: SupNormResult
+    certified_lower: float
+    estimate: float
+    search_config: SearchConfig | None = None
+    seed: int | None = None
+    restart_index: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.certified_lower > self.estimate:
+            raise ValueError("certified_lower exceeds estimate")
+
+
+def certify(
+    P: HomogeneousPolynomial,
+    grid: int = DEFAULT_GRID,
+    *,
+    search_config: SearchConfig | None = None,
+    restart_index: int | None = None,
+) -> WitnessCertificate:
+    """Audit-ready certificate for one polynomial at sup-norm grid K = grid:
+    P's l_{2m/(m+1)} coefficient norm, its sup-norm bracket and both
+    ratios, the one computation behind bh_ratio.  The certificate's seed
+    is search_config.rng_seed, None without a search.
 
     Raises ZeroPolynomialError for the zero polynomial, whatever the grid,
     and ValueError when the lower sup-norm estimate vanishes.
@@ -251,13 +284,18 @@ def _bracketed_ratio(
         raise ZeroPolynomialError("the zero polynomial has no ratio")
     bracket = sup_norm(P, grid)
     if bracket.lower_estimate <= 0.0:
-        raise ValueError(_VANISHED)
+        raise ValueError("sup-norm estimate vanished on the grid; use a finer grid")
     numerator = coefficient_lp_norm(P, bh_exponent(P.degree))
-    ratio = RatioResult(
+    return WitnessCertificate(
+        polynomial=P,
+        coeff_norm=numerator,
+        supnorm=bracket,
+        certified_lower=numerator / bracket.upper_bracket,
         estimate=numerator / bracket.lower_estimate,
-        certified=numerator / bracket.upper_bracket,
+        search_config=search_config,
+        seed=search_config.rng_seed if search_config is not None else None,
+        restart_index=restart_index,
     )
-    return numerator, bracket, ratio
 
 
 def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
@@ -269,6 +307,8 @@ def bh_ratio(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> RatioResult:
     Every polynomial's certified ratio is a true lower bound on D(m) up to
     floating-point rounding (the numerator is exact to rounding and the
     denominator is an upper bound on ||P||).  grid is the sup-norm grid
-    K, as in sup_norm.  The ratios are those of certify(P, grid).
+    K, as in sup_norm.  The two ratios, and the errors, are those of
+    certify(P, grid).
     """
-    return _bracketed_ratio(P, grid)[2]
+    cert = certify(P, grid)
+    return RatioResult(cert.estimate, cert.certified_lower)

@@ -32,7 +32,8 @@ restarts, and windows run one after another.
 A grid maximum is at most the sup norm, so the grid score is at least the
 ratio estimate and can reward a vector the grid undersamples; each
 restart's start and final vectors are therefore re-scored exactly, by
-bh_ratio(P, grid).estimate, and the best of these finalists is certified.
+bh_ratio(P, grid).estimate, and the best of these finalists is certified
+by family.certify, whose certificate this module writes and reads.
 A finalist whose grid score times 1 + kappa, a rounding bound, is at most
 the best estimate so far cannot win and is not re-scored
 (_rounding_slack).  SearchConfig refuses every configuration the search
@@ -54,7 +55,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .family import _bracketed_ratio, _witness_exponents, bh_ratio, optimal_x
+from .family import WitnessCertificate, _witness_exponents, bh_ratio, certify, optimal_x
 from .poly import (
     HomogeneousPolynomial,
     MultiIndex,
@@ -159,29 +160,6 @@ class SearchConfig:
                     f"use a grid of at least {self.m + 1}"
                 )
             optimal_x(self.m)  # the family seed's weight: a ValueError from m = 2047
-
-
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """A polynomial together with everything needed to audit its ratio.
-
-    certified_lower = coeff_norm / supnorm.upper_bracket is a true lower
-    bound on D(m) up to rounding; estimate uses the attained lower
-    sup-norm value instead and is what the search optimizes.
-    """
-
-    polynomial: HomogeneousPolynomial
-    coeff_norm: float
-    supnorm: SupNormResult
-    certified_lower: float
-    estimate: float
-    search_config: SearchConfig | None = None
-    seed: int | None = None
-    restart_index: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.certified_lower > self.estimate:
-            raise ValueError("certified_lower exceeds estimate")
 
 
 def degree_multi_indices(m: int, n: int) -> list[MultiIndex]:
@@ -396,29 +374,6 @@ def _run_window(
             k, restart = live[0]
             outcomes[k] = _run_alone(restart, values[0], columns[0], steps[0])
     return outcomes
-
-
-def certify(
-    P: HomogeneousPolynomial,
-    grid: int = DEFAULT_GRID,
-    *,
-    search_config: SearchConfig | None = None,
-    restart_index: int | None = None,
-) -> WitnessCertificate:
-    """Audit-ready certificate for one polynomial at sup-norm grid K = grid;
-    its numbers, and its errors, are those of bh_ratio(P, grid).  The
-    certificate's seed is search_config.rng_seed, None without a search."""
-    coeff_norm, bracket, ratio = _bracketed_ratio(P, grid)
-    return WitnessCertificate(
-        polynomial=P,
-        coeff_norm=coeff_norm,
-        supnorm=bracket,
-        certified_lower=ratio.certified,
-        estimate=ratio.estimate,
-        search_config=search_config,
-        seed=search_config.rng_seed if search_config is not None else None,
-        restart_index=restart_index,
-    )
 
 
 def _rounding_slack(m: int, num_vars: int, grid: int, mags: list[float], peak: float) -> float:

@@ -41,8 +41,19 @@ def test_family_params_validation():
 
 def test_family_domain_is_checked_once():
     # FamilyParams and the closed form refuse the same inputs with the same
-    # FormulaDomainError, which is a ValueError.
-    for a, b, c in ((1.0, 1.0, 0.0), (0.0, -1.0, 0.0), (2.0, -0.1, 4.0), (-1.0, 3.0, 9.0)):
+    # FormulaDomainError, which is a ValueError.  Non-finite inputs pass
+    # every comparison with nan, or with inf * 0, so they are refused first.
+    nan, inf = math.nan, math.inf
+    for a, b, c in (
+        (1.0, 1.0, 0.0),
+        (0.0, -1.0, 0.0),
+        (2.0, -0.1, 4.0),
+        (-1.0, 3.0, 9.0),
+        (1.0, -1.0, nan),
+        (1.0, -2.0, nan),
+        (1.0, -1.0, inf),
+        (inf, -1.0, 0.0),
+    ):
         with pytest.raises(FormulaDomainError) as from_params:
             FamilyParams(a, b, c)
         with pytest.raises(FormulaDomainError) as from_norm:
@@ -100,6 +111,13 @@ def test_family_ratio_values():
     assert family_ratio(3, 4.0) == pytest.approx(LOWER_3, rel=1e-13)
     # even in x
     assert family_ratio(2, -1.3) == family_ratio(2, 1.3)
+
+
+def test_family_ratio_refuses_a_non_finite_weight():
+    # nan would fail the x > 0 test and read as x = 0; inf would give nan.
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite weight"):
+            family_ratio(2, x)
 
 
 def test_optimal_x_values():
@@ -175,6 +193,8 @@ def test_strictly_above_one():
         value = lower_bound(m)
         assert math.isfinite(value) and value >= 1.0
         assert lower_bound_excess(m) > 0.0
+    # Past m = 1064 the true excess is below half the smallest subnormal.
+    assert lower_bound_excess(1064) > 0.0 == lower_bound_excess(1065)
     # the bounds tend to 1 from above
     assert lower_bound(60) - 1.0 < 1e-3
 
