@@ -3,8 +3,8 @@ Bracketing the sup norm on the polydisc
 =======================================
 
 The engine squeezes ||P|| between an attained lower estimate (torus grid
-search plus local refinement) and a rigorous upper bracket (grid value
-plus a first-order Lipschitz slack).  Refinement maximises |P| exactly
+search plus local refinement) and a rigorous upper bracket (Szego's
+sampling bound on the grid value, or a Lipschitz slack where smaller).  Refinement maximises |P| exactly
 along a line of one free variable; with two or more free variables it
 takes safeguarded Newton steps and confirms with a sweep of exact line
 maximisations.  The quadratic family
@@ -28,10 +28,14 @@ P = HomogeneousPolynomial(2, 2, {(2, 0): a, (0, 2): b, (1, 1): c})
 value, angles = torus_grid_max(P, 64)
 print(f"grid maximum (K=64):   {value:.12f} at angles {tuple(round(t, 4) for t in angles)}")
 
-# Step 2: the Lipschitz slack that turns the grid value into an upper
-# bracket.  Crude by design: degree times the l1 coefficient norm.
+# Step 2: the two bounds that turn the grid value G into an upper bracket.
+# Along the one free axis |P| is a trigonometric polynomial whose exponents
+# span D = 2, so Szego's sampling bound gives G / cos(D*pi/(2K)), plus a
+# rounding bound of about 1e-13 relative.  The first-order Lipschitz bound,
+# degree times the l1 coefficient norm, is looser here.
 L = torus_lipschitz_bound(P)
-print(f"Lipschitz bound L:     {L:.6f}  ->  slack L*pi/K = {L * math.pi / 64:.6f}")
+print(f"sampling bound:        G / cos(2*pi/128) = {value / math.cos(2 * math.pi / 128):.12f}")
+print(f"Lipschitz bound L:     {L:.6f}  ->  G + L*pi/K = {value + L * math.pi / 64:.6f}")
 
 # Step 3: the full bracket, against the closed form.
 result = sup_norm(P)
@@ -40,7 +44,7 @@ print(f"bracket:               [{result.lower_estimate:.12f}, {result.upper_brac
 print(f"closed form sqrt(12):  {exact:.12f}")
 print(f"lower-estimate error:  {abs(result.lower_estimate - exact):.2e}")
 
-# The grid is the engine's only setting.  Tightening it shrinks the slack;
+# The grid is the engine's only setting.  Refining it shrinks the bracket;
 # the certified side of any ratio built on this bracket improves accordingly.
 print("\nbracket width by grid size:")
 for K in (16, 64, 256, 1024):

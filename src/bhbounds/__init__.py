@@ -3,7 +3,7 @@
 The library has four layers:
 
 * poly      -- sparse homogeneous polynomials, evaluation, coefficient norms
-* supnorm   -- bracketed sup norms on the unit polydisc (grid + refine + slack)
+* supnorm   -- bracketed sup norms on the unit polydisc (grid + refine + sampling bound)
 * family    -- witness family, closed-form D(m) bounds, certified ratios
 * search    -- pattern search for witnesses and the certificate file format
 

@@ -77,9 +77,11 @@ class FamilyParams:
             raise FormulaDomainError(
                 f"family requires finite a, b, c (got a={self.a}, b={self.b}, c={self.c})"
             )
-        if not self.a * self.b < 0:
+        # Signs and |c(a+b)| <= 4|ab| over max(|a|, |b|): ab can leave the range.
+        if not min(self.a, self.b) < 0.0 < max(self.a, self.b):
             raise FormulaDomainError(f"family requires ab < 0 (got a={self.a}, b={self.b})")
-        if abs(self.c * (self.a + self.b)) > 4 * abs(self.a * self.b):
+        lo, hi = sorted((abs(self.a), abs(self.b)))
+        if abs(self.c) * ((hi - lo) / hi) > 4.0 * lo:
             raise FormulaDomainError(
                 f"family requires |c(a+b)| <= 4|ab| "
                 f"(got a={self.a}, b={self.b}, c={self.c})"
@@ -89,9 +91,10 @@ class FamilyParams:
 def quadratic_sup_norm(a: float, b: float, c: float) -> float:
     """Closed-form sup norm (|a|+|b|) sqrt(1 + c^2/(4|ab|)) of the base
     quadratic on the bidisc, for real a, b, c; outside the family's domain
-    it raises the FormulaDomainError of FamilyParams."""
+    it raises the FormulaDomainError of FamilyParams.  c^2/|ab| is taken
+    as (c/|a|)(c/|b|), whose factors stay in range wherever c is allowed."""
     FamilyParams(a, b, c)
-    return (abs(a) + abs(b)) * math.sqrt(1.0 + c * c / (4.0 * abs(a * b)))
+    return (abs(a) + abs(b)) * math.sqrt(1.0 + (c / a) * (c / b) / -4.0)
 
 
 @dataclass(frozen=True)

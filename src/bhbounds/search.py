@@ -34,8 +34,8 @@ ratio estimate and can reward a vector the grid undersamples; each
 restart's start and final vectors are therefore re-scored exactly, by
 bh_ratio(P, grid).estimate, and the best of these finalists is certified
 by family.certify, whose certificate this module writes and reads.
-A finalist whose grid score times 1 + kappa, a rounding bound, is at most
-the best estimate so far cannot win and is not re-scored
+A finalist whose grid score times 1 + kappa, from supnorm's rounding bound,
+is at most the best estimate so far cannot win and is not re-scored
 (_rounding_slack).  SearchConfig refuses every configuration the search
 cannot run.
 
@@ -72,6 +72,7 @@ from .supnorm import (
     GridTooLargeError,
     SupNormResult,
     _check_grid_size,
+    _rounding_bound,
     sup_norm,  # noqa: F401  (bench/spans.py wraps search.sup_norm)
 )
 
@@ -91,10 +92,6 @@ _MAX_COEFFICIENTS = 1 << 16
 # 0.82, 3 at 1024 points 1.00-1.03, and 2 at 768-2048 points 1.01-1.26.  The
 # window is 1 from 1537 points up, and no smaller than 3 below 1025.
 _LOCKSTEP_POINTS = 3072
-
-# The rounding bound of _rounding_slack: its constant and the unit roundoff.
-_SLACK_FACTOR = 64.0
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -386,40 +383,20 @@ def _rounding_slack(m: int, num_vars: int, grid: int, mags: list[float], peak: f
     bit: both are _lp_norm of the same magnitudes, zeros aside, which
     fsum adds exactly.  Its denominator L is the refined sup-norm value,
     at least fl|P.evaluate| at the argmax of torus_grid_max, since
-    refine_local keeps only strict increases from there.  Let G* be the
-    exact grid maximum of |P|, the same on the search's grid (axis 0
-    pinned) and on torus_grid_max's (free axes), and u = 2^-53.  In the
-    standard model of floating point, with ||c||_1 the sum of mags:
-
-    - peak <= G* + (16 (n - 1) + 2 N + 4) u ||c||_1 (a table entry is
-      within about 12u of its root of unity, a column multiplies n - 1
-      of them, and the N products c_alpha Phi[:, alpha] are summed one
-      after another);
-    - torus_grid_max's values are within 8 log2(K) u ||c||_1 per free
-      axis of the exact ones (the componentwise bound of a radix-2 FFT,
-      Higham, Accuracy and Stability of Numerical Algorithms, sec. 24.1,
-      taken to hold for numpy's mixed-radix passes too), so its argmax
-      point has |P| >= G* - 16 (n - 1) log2(K) u ||c||_1;
-    - P.evaluate there errs by at most (16 m + 4 n + 2 N) u ||c||_1 (the
-      rounded angle and its powers, the products, the sum).
-
-    With N the number of coefficients, n = num_vars and K = grid, all of
-    it is at most E = 64 (m + N + n (1 + log2 K)) u ||c||_1, so
-    L >= peak - E = peak (1 - delta), delta = E / peak.  For delta < 1/2,
-    1 / (1 - delta) <= 1 + 2 delta, and the four roundings (the two
-    quotients, 1 + kappa and its product with the score) add less than
-    8u; kappa = 2 delta + 16u covers them.  For delta >= 1/2, a peak that
-    is not finite, or a zero vector, kappa is inf.
+    refine_local keeps only strict increases from there.  With ||c||_1
+    the sum of mags, E = supnorm._rounding_bound(m, N, n, K, ||c||_1)
+    bounds the rounding of peak, of that argmax and of P.evaluate there
+    (N the number of coefficients, n = num_vars, K = grid, u = 2^-53),
+    so L >= peak - E = peak (1 - delta), delta = E / peak.  For
+    delta < 1/2, 1 / (1 - delta) <= 1 + 2 delta, and the four roundings
+    (the two quotients, 1 + kappa and its product with the score) add
+    less than 8u; kappa = 2 delta + 16u covers them.  For delta >= 1/2, a
+    peak that is not finite, or a zero vector, kappa is inf.
     """
-    error = (
-        _SLACK_FACTOR
-        * (m + len(mags) + num_vars * (1.0 + math.log2(grid)))
-        * _UNIT_ROUNDOFF
-        * sum(mags)
-    )
+    error = _rounding_bound(m, len(mags), num_vars, grid, sum(mags))
     if not (math.isfinite(peak) and error < 0.5 * peak):
         return math.inf
-    return 2.0 * error / peak + 16.0 * _UNIT_ROUNDOFF
+    return 2.0 * error / peak + 16.0 * 2.0**-53
 
 
 def _cannot_win(cfg: SearchConfig, vec: np.ndarray, peak: float, best_estimate: float) -> bool:

@@ -16,24 +16,24 @@ family this leaves one free axis at every degree.
 
 Strategy: a uniform angle grid over the free axes, one inverse FFT per
 free axis, gives a lower bound and a starting point; refinement climbs
-from there and a first-order Lipschitz slack turns the grid value into a
-rigorous upper bracket; both run on the coefficients scaled by an exact
-power of two to unit size, where no sum overflows.  Refinement maximises
-a line of one free coordinate exactly (the line is a trigonometric
-polynomial, maximised through the roots of its derivative), which
-settles one free axis outright.  With two or more free axes it takes
-safeguarded Newton steps on |P|^2 and confirms convergence with a sweep
-of exact line maximisations, so the result is a point that no coordinate
-line improves; at a saddle it first tries a step along the direction
-where |P|^2 curves upward.
+from there, and Szego's sampling bound (or a Lipschitz slack, if less)
+turns the grid value into a rigorous upper bracket; both run on the
+coefficients scaled by an exact power of two to unit size, where no sum
+overflows.  Refinement maximises a line of one free coordinate exactly
+(the line is a trigonometric polynomial, maximised through the roots of
+its derivative), which settles one free axis outright.  With two or more
+free axes it takes safeguarded Newton steps on |P|^2 and confirms
+convergence with a sweep of exact line maximisations, so the result is a
+point that no coordinate line improves; at a saddle it first tries a
+step along the direction where |P|^2 curves upward.
 
 sup_norm brackets every polynomial on one path: the grid maximum of
-torus_grid_max plus the Lipschitz slack is the upper end, and
-refine_local, started from the grid point, gives the lower end.  Every
-line maximisation goes through one root finder, _line_roots, which takes
-one line and one start angle.  The search scores its candidates on the
-grid without this module (see the search module) and calls sup_norm only
-for its finalists.
+torus_grid_max, widened by the smaller of the two bounds, is the upper
+end, and refine_local, started from the grid point, gives the lower
+end.  Every line maximisation goes through one root finder, _line_roots,
+which takes one line and one start angle.  The search scores its
+candidates on the grid without this module (see the search module) and
+calls sup_norm only for its finalists.
 """
 
 from __future__ import annotations
@@ -439,24 +439,64 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     return math.fsum([abs(c * scale) * sum(alpha) for alpha, c in P.terms.items()]) * 2.0**e
 
 
+def _rounding_bound(m: int, terms: int, num_vars: int, grid: int, l1: float) -> float:
+    """E = 64 (m + N + n (1 + log2 K)) u ||c||_1, u = 2^-53, for a degree-m
+    polynomial with N = terms coefficients, l1 = ||c||_1, on n = num_vars
+    variables at K = grid points per axis.  With G* its exact grid maximum
+    (the same with axis 0 pinned and on the free axes), in the standard
+    model of floating point:
+
+    - the search's grid values (search._grid_values) exceed G* by at most
+      (16 (n - 1) + 2 N + 4) u ||c||_1: a table entry is within about 12u
+      of its root of unity, a column multiplies n - 1 of them, and the N
+      products c_alpha Phi[:, alpha] are summed one after another;
+    - torus_grid_max's values are within 8 log2(K) u ||c||_1 per free
+      axis of the exact ones (the componentwise bound of a radix-2 FFT,
+      Higham, Accuracy and Stability of Numerical Algorithms, sec. 24.1,
+      taken to hold for numpy's mixed-radix passes too), so its argmax
+      point has |P| >= G* - 16 (n - 1) log2(K) u ||c||_1;
+    - P.evaluate there errs by at most (16 m + 4 n + 2 N) u ||c||_1 (the
+      rounded angle and its powers, the products, the sum).
+
+    E bounds the three together.
+    """
+    return 64.0 * (m + terms + num_vars * (1.0 + math.log2(grid))) * 2.0**-53 * l1
+
+
 def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResult:
     """Two-sided bracket of ||P|| on the unit polydisc.
 
     grid is K, the grid points per free axis (at least 2).
     lower_estimate: the maximum of torus_grid_max polished by
     refine_local (an attained value).
-    upper_bracket:  grid maximum + L*(pi/K), where L is the Lipschitz
-    bound and pi/K the worst per-coordinate distance to a grid point, so
-    lower_estimate <= ||P|| <= upper_bracket rigorously (up to rounding).
+    upper_bracket: the smaller of two bounds from the grid maximum G.
+    One is G + L*(pi/K), where L is the Lipschitz bound and pi/K the worst
+    per-coordinate distance to a grid point.  The other is Szego's
+    sampling bound (Ehlich and Zeller, Math. Z. 86, 1964): along free
+    axis j, |P| is that of a polynomial of degree D_j, the span of axis
+    j's exponents, and K > D_j samples of it reach cos(D_j pi/(2K)) of its
+    maximum; axis by axis, ||P|| <= (G + E) / prod_j cos(D_j pi/(2K)), inf
+    if some D_j >= K.  E (_rounding_bound, on ||c||_1 summed at unit
+    scale) exceeds the rounding of G by 56 (m + N + n) u ||c||_1, which
+    covers the quotient and the cosines: each is within (3c + 2)u, where
+    c = K/(K - D_j) <= m + 1, and more than 18 free axes fit the grid
+    limit only at K = 2, where c = 2.
     Fewer than two terms leave no free axis, and |P| is the grid value at
-    every point: no slack.  Raises the ValueError of torus_grid_max for a
-    grid below 2, and a ValueError when the bracket overflows to a
+    every point: both ends are G.  Raises the ValueError of torus_grid_max
+    for a grid below 2, and a ValueError when the bracket overflows to a
     non-finite value.  The zero polynomial takes the same path: every
     step returns 0 for it.
     """
     grid_value, start = torus_grid_max(P, grid)
-    slack = torus_lipschitz_bound(P) * math.pi / grid if len(P.terms) >= 2 else 0.0
-    upper = grid_value + slack
+    sampled = grid_value
+    if axes := _free_axes(P):
+        e = _unit_exponent(P)
+        l1 = math.fsum([abs(c * 2.0**-e) for c in P.terms.values()])
+        error = _rounding_bound(P.degree, len(P.terms), P.num_vars, grid, l1) * 2.0**e
+        spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
+        cosines = [math.cos(D * math.pi / (2 * grid)) for D in spans]
+        sampled = (grid_value + error) / math.prod(cosines) if max(spans) < grid else math.inf
+    upper = min(grid_value + torus_lipschitz_bound(P) * math.pi / grid, sampled)
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
     r = refine_local(P, start)

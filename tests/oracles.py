@@ -7,7 +7,9 @@ oracle.  The one-free-axis line maximum is kept in its scalar form (np.roots
 on the whole line, P.evaluate) as the reference for sup_norm on one free
 axis.  The sequential search at the end is a reference for the search's
 scheduling, not its numbers: it reuses the library's phase table,
-bh_ratio and certify.
+bh_ratio and certify.  upper_bracket_from_parts likewise rebuilds
+sup_norm's upper bracket from the library's parts, so tests can check
+that sup_norm puts them together as documented.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ from bhbounds.search import (
     degree_multi_indices,
     family_seed_vector,
 )
-from bhbounds.supnorm import _NOT_FINITE
+from bhbounds.supnorm import (
+    _NOT_FINITE,
+    _free_axes,
+    _rounding_bound,
+    _unit_exponent,
+    torus_lipschitz_bound,
+)
 
 
 def brute_force_torus_max(P: HomogeneousPolynomial, K: int) -> float:
@@ -155,6 +163,25 @@ def lipschitz_slack(P: HomogeneousPolynomial, K: int) -> float:
     """Worst-case drift of the brute grid itself: (sum_j,a |c| a_j) * pi/K."""
     L = math.fsum(abs(c) * sum(alpha) for alpha, c in P.terms.items())
     return L * math.pi / K
+
+
+def upper_bracket_from_parts(P: HomogeneousPolynomial, K: int, grid_value: float) -> float:
+    """sup_norm's upper bracket from the grid value G and the library's
+    parts: min(G + L pi/K, (G + E) / prod_j cos(D_j pi/(2K))) over the
+    free axes j, D_j the span of axis j's exponents; the second term is
+    inf when some D_j >= K and G without a free axis."""
+    lipschitz = grid_value + torus_lipschitz_bound(P) * math.pi / K
+    axes = _free_axes(P)
+    if not axes:
+        return min(lipschitz, grid_value)
+    spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
+    if max(spans) >= K:
+        return lipschitz
+    e = _unit_exponent(P)
+    l1 = math.fsum(abs(c * 2.0**-e) for c in P.terms.values())
+    error = _rounding_bound(P.degree, len(P.terms), P.num_vars, K, l1) * 2.0**e
+    cosines = math.prod(math.cos(D * math.pi / (2 * K)) for D in spans)
+    return min(lipschitz, (grid_value + error) / cosines)
 
 
 def brute_lp_norm(P: HomogeneousPolynomial, p: float) -> float:

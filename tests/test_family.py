@@ -60,6 +60,13 @@ def test_family_domain_is_checked_once():
             quadratic_sup_norm(a, b, c)
         assert str(from_params.value) == str(from_norm.value)
         assert isinstance(from_norm.value, ValueError)
+    # ab and c^2 of these leave the range of a double; neither check nor
+    # closed form forms them.
+    FamilyParams(1e-300, -1e-300, 0.0)
+    assert quadratic_sup_norm(1e-300, -1e-300, 0.0) == 2e-300
+    assert quadratic_sup_norm(1e300, -1e300, 1e300) == pytest.approx(
+        math.sqrt(5.0) * 1e300, rel=1e-15
+    )
 
 
 def test_witness_exponents_are_those_of_build_witness():

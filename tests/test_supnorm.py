@@ -23,6 +23,7 @@ from oracles import (
     random_polynomial,
     random_valid_quadratic,
     scalar_line_max,
+    upper_bracket_from_parts,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -501,9 +502,7 @@ def test_line_kernel_matches_scalar_reference(K):
         k = int(np.argmax(grid))
         grid_value, _ = torus_grid_max(P, K)
         assert grid_value == pytest.approx(grid[k], rel=1e-13, abs=1e-300)
-        # A single term has no free axis: its grid value is the sup norm.
-        slack = torus_lipschitz_bound(P) * math.pi / K if len(P.terms) > 1 else 0.0
-        assert result.upper_bracket == grid_value + slack
+        assert result.upper_bracket == upper_bracket_from_parts(P, K, grid_value)
         # Entries of 1e-300 change |q| by at most 1e-300; next to them the
         # roots of the scalar path lose accuracy (or overflow), so its
         # polynomial leaves them out.
@@ -687,6 +686,29 @@ def test_sup_norm_interior_points_stay_inside_bracket():
             angles = rng.uniform(0, TWO_PI, 2)
             z = radii * np.exp(1j * angles)
             assert abs(P.evaluate(z)) <= result.upper_bracket + 1e-9
+
+
+def test_sup_norm_mid_cell_maximum_is_bracketed_tightly():
+    # |z1^m + e^{-i pi/K} z1^(m-1) z2| = 2|cos((t - pi/K)/2)| peaks at 2,
+    # halfway between two grid points, where the sampling bound is exact;
+    # only the rounding bound keeps the bracket from closing below the
+    # attained value.
+    for m in (2, 3, 5, 8):
+        for K in range(2, 257):
+            shift = cmath.exp(-1j * math.pi / K)
+            P = HomogeneousPolynomial(m, 2, {(m, 0): 1.0, (m - 1, 1): shift})
+            result = sup_norm(P, K)
+            gap = result.upper_bracket - result.lower_estimate
+            assert gap <= 1e-12 * result.lower_estimate, (m, K)
+
+
+def test_sup_norm_upper_is_never_above_the_lipschitz_bound():
+    rng = np.random.default_rng(2718)
+    for K in (2, 3, 5, 7, 9, 16, 64):
+        for _ in range(12):
+            P = random_polynomial(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+            lipschitz = torus_grid_max(P, K)[0] + torus_lipschitz_bound(P) * math.pi / K
+            assert sup_norm(P, K).upper_bracket <= lipschitz
 
 
 def test_sup_norm_overflow_raises():
