@@ -91,10 +91,12 @@ class FamilyParams:
 def quadratic_sup_norm(a: float, b: float, c: float) -> float:
     """Closed-form sup norm (|a|+|b|) sqrt(1 + c^2/(4|ab|)) of the base
     quadratic on the bidisc, for real a, b, c; outside the family's domain
-    it raises the FormulaDomainError of FamilyParams.  c^2/|ab| is taken
-    as (c/|a|)(c/|b|), whose factors stay in range wherever c is allowed."""
+    it raises the FormulaDomainError of FamilyParams.  As hypot(s, c r),
+    s = |a| + |b| and r = s / (2 sqrt|a| sqrt|b|), it forms neither ab nor
+    c^2: it is finite wherever s is, also where a + b = 0 leaves c free."""
     FamilyParams(a, b, c)
-    return (abs(a) + abs(b)) * math.sqrt(1.0 + (c / a) * (c / b) / -4.0)
+    s = abs(a) + abs(b)
+    return math.hypot(s, c * (s / (2.0 * math.sqrt(abs(a)) * math.sqrt(abs(b)))))
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ from .supnorm import (
     MAX_GRID_POINTS,
     GridTooLargeError,
     SupNormResult,
-    _check_grid_size,
+    _check_grid,
     _rounding_bound,
     sup_norm,  # noqa: F401  (bench/spans.py wraps search.sup_norm)
 )
@@ -136,8 +136,7 @@ class SearchConfig:
             raise ValueError(
                 f"eval_budget must allow at least one evaluation, got {self.eval_budget}"
             )
-        if self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid}")
+        _check_grid(self.grid)
         size = math.comb(self.m + self.num_vars - 1, self.num_vars - 1)
         if size > _MAX_COEFFICIENTS:
             raise ValueError(
@@ -145,7 +144,7 @@ class SearchConfig:
                 f"search handles at most {_MAX_COEFFICIENTS}"
             )
         if self.num_vars >= 2:  # one variable has one grid point and no table
-            _check_grid_size(self.grid, self.num_vars - 1)
+            _check_grid(self.grid, self.num_vars - 1)
             if (self.m + 1) * self.grid > MAX_GRID_POINTS:
                 raise GridTooLargeError(
                     f"phase table of {self.m + 1} x {self.grid} entries exceeds the limit of "
@@ -381,9 +380,9 @@ def _rounding_slack(m: int, num_vars: int, grid: int, mags: list[float], peak: f
 
     The estimate is ||c||_p / L.  Its numerator is the score's, bit for
     bit: both are _lp_norm of the same magnitudes, zeros aside, which
-    fsum adds exactly.  Its denominator L is the refined sup-norm value,
+    fsum adds exactly.  Its denominator L is sup_norm's lower estimate,
     at least fl|P.evaluate| at the argmax of torus_grid_max, since
-    refine_local keeps only strict increases from there.  With ||c||_1
+    sup_norm reports no value below that one.  With ||c||_1
     the sum of mags, E = supnorm._rounding_bound(m, N, n, K, ||c||_1)
     bounds the rounding of peak, of that argmax and of P.evaluate there
     (N the number of coefficients, n = num_vars, K = grid, u = 2^-53),

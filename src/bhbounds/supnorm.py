@@ -6,34 +6,21 @@ whole module works on the torus: the objective is
 
     g(theta) = |P(e^{i theta_1}, ..., e^{i theta_N})|.
 
-Variables whose exponent is the same in every term only contribute a
-unimodular factor on the torus, so they are pinned to angle zero.  An
-m-homogeneous P also has P(e^{i phi} z) = e^{i m phi} P(z), so g is
-invariant under the diagonal phase theta -> theta + phi*(1, ..., 1); the
-first remaining (active) axis is pinned to zero as well and the search
-runs on the quotient torus over the other, free, axes.  For the witness
-family this leaves one free axis at every degree.
+Variables of constant exponent and, by the diagonal phase symmetry of a
+homogeneous P, one more are pinned to angle zero (see _free_axes); the
+search runs over the other, free, axes, one for the witness family.
 
 Strategy: a uniform angle grid over the free axes, one inverse FFT per
-free axis, gives a lower bound and a starting point; refinement climbs
+free axis, gives a lower bound and starting points; refinement climbs
 from there, and Szego's sampling bound (or a Lipschitz slack, if less)
-turns the grid value into a rigorous upper bracket; both run on the
-coefficients scaled by an exact power of two to unit size, where no sum
-overflows.  Refinement maximises a line of one free coordinate exactly
-(the line is a trigonometric polynomial, maximised through the roots of
-its derivative), which settles one free axis outright.  With two or more
-free axes it takes safeguarded Newton steps on |P|^2 and confirms
-convergence with a sweep of exact line maximisations, so the result is a
-point that no coordinate line improves; at a saddle it first tries a
-step along the direction where |P|^2 curves upward.
-
-sup_norm brackets every polynomial on one path: the grid maximum of
-torus_grid_max, widened by the smaller of the two bounds, is the upper
-end, and refine_local, started from the grid point, gives the lower
-end.  Every line maximisation goes through one root finder, _line_roots,
-which takes one line and one start angle.  The search scores its
-candidates on the grid without this module (see the search module) and
-calls sup_norm only for its finalists.
+turns the grid value into a rigorous upper bracket; all of them run on
+the coefficients scaled by an exact power of two to unit size, where no
+sum overflows.  One free axis is settled by an exact line maximisation
+(_line_roots).  With two or more, the grid cells the sampling bound
+leaves open, up to _MAX_STARTS of the highest, start a safeguarded
+Newton ascent (_ascend).  The search scores its candidates on the grid
+without this module (see the search module) and calls sup_norm only
+for its finalists.
 """
 
 from __future__ import annotations
@@ -60,9 +47,10 @@ MAX_GRID_POINTS = 1 << 26
 # Grid points per slab of the last free axis's FFT; bounds each |P| array.
 _SLAB_POINTS = 1 << 20
 
-# refine_local stops once an iteration's confirming line sweep gains at
-# most this fraction of the value, or after this many iterations.
-_REFINE_RTOL = 1e-10
+# At most this many grid cells start sup_norm's Newton ascent.
+_MAX_STARTS = 256
+
+# The Newton ascent gives up after this many iterations.
 _MAX_ITERATIONS = 200
 
 _EPS = float(np.finfo(float).eps)
@@ -96,9 +84,7 @@ class SupNormResult:
 class RefineResult(NamedTuple):
     """Outcome of refine_local.
 
-    value is |P| at e^{i angles}; sweeps counts refine iterations (one
-    Newton step, or one sweep of line maximisations, or both), which is a
-    single sweep when there is one free axis.
+    value is |P| at e^{i angles}; sweeps counts refine iterations.
     """
 
     value: float
@@ -125,12 +111,13 @@ def _free_axes(P: HomogeneousPolynomial) -> list[int]:
     return varying[1:]
 
 
-def _check_grid_size(K: int, free: int) -> None:
-    """Raise GridTooLargeError unless a K-point grid over free axes fits."""
-    total = K**free
-    if total > MAX_GRID_POINTS:
+def _check_grid(K: int, free: int = 0) -> None:
+    """Refuse K < 2 (ValueError) and a K^free grid over the limit."""
+    if K < 2:
+        raise ValueError(f"grid must be >= 2, got {K}")
+    if K**free > MAX_GRID_POINTS:
         raise GridTooLargeError(
-            f"grid of {K}^{free} = {total} points exceeds the limit of "
+            f"grid of {K}^{free} = {K**free} points exceeds the limit of "
             f"{MAX_GRID_POINTS}; use fewer variables or a smaller grid"
         )
 
@@ -165,23 +152,35 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     to K points, a slab of rows at a time, which bounds each |P| array.
     At unit scale (see _unit_exponent) the value is inf only past the largest float.
 
-    This is the one check of K >= 2.  The zero polynomial (0) and a single
-    term (|c|, at unit scale) have no free axis and return before the
-    grid size is checked.
+    K >= 2 is checked first; the zero polynomial (0) and a single term
+    (|c|, at unit scale) return before the grid size is checked.
     """
-    if K < 2:
-        raise ValueError(f"grid must be >= 2, got {K}")
+    return _grid_scan(P, K)[:2]
+
+
+def _grid_scan(
+    P: HomogeneousPolynomial, K: int, ratio: float = 1.0, error: float = 0.0
+) -> tuple[float, tuple[float, ...], np.ndarray | None]:
+    """torus_grid_max's value G and angles, and the free angles of the open
+    cells, those of value at least ratio * G - error (for sup_norm, those
+    that may be nearest the maximiser): G's cell first, then at most
+    _MAX_STARTS - 1 others, the highest (see _highest).  None with fewer
+    than two free axes, where refine_local's line maximum is global."""
+    _check_grid(K)
     axes = _free_axes(P)
     e = _unit_exponent(P)
     scale = 2.0**-e
     if not axes:
         # No term, or one: |P| is the same at every point of the torus.
-        return sum(abs(c * scale) for c in P.terms.values()) * 2.0**e, (0.0,) * P.num_vars
-    _check_grid_size(K, len(axes))
+        value = sum(abs(c * scale) for c in P.terms.values()) * 2.0**e
+        return value, (0.0,) * P.num_vars, None
+    _check_grid(K, len(axes))
     last_len = min(K, max(alpha[axes[-1]] for alpha in P.terms) + 1)
     C = np.zeros((K,) * (len(axes) - 1) + (last_len,), dtype=np.complex128)
     slab = max(1, _SLAB_POINTS // K)
+    several = len(axes) > 1
     best_val, best_flat = -1.0, 0
+    at, values, error = np.zeros(0, dtype=np.intp), np.zeros(0), error * scale
     # Exponents that agree mod K give the same grid values, so the terms
     # that alias onto one cell are added, in term order.
     for alpha, coeff in P.terms.items():
@@ -192,17 +191,41 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
         np.fft.ifft(C, axis=ax, norm="forward", out=C)
     rows = C.reshape(-1, last_len)
     for r in range(0, len(rows), slab):
-        mags = np.abs(np.fft.ifft(rows[r : r + slab], n=K, norm="forward"))
+        mags = np.abs(np.fft.ifft(rows[r : r + slab], n=K, norm="forward")).ravel()
         # argmax and a strict > across slabs keep the first maximum in flat
         # (lexicographic) order.
         i = int(mags.argmax())
-        if mags.flat[i] > best_val:
-            best_val, best_flat = float(mags.flat[i]), r * K + i
+        if mags[i] > best_val:
+            best_val, best_flat = float(mags[i]), r * K + i
+        if several:
+            new = np.flatnonzero(mags >= best_val * ratio - error)
+            at, values = _highest(np.append(at, r * K + new), np.append(values, mags[new]), _MAX_STARTS)
     angles = [0.0] * P.num_vars
+    flat = best_flat
     for j in reversed(axes):
-        best_flat, digit = divmod(best_flat, K)
+        flat, digit = divmod(flat, K)
         angles[j] = TWO_PI * digit / K
-    return best_val * 2.0**e, tuple(angles)
+    if not several:
+        return best_val * 2.0**e, tuple(angles), None
+    others = (values >= best_val * ratio - error) & (at != best_flat)
+    at = np.append(best_flat, _highest(at[others], values[others], _MAX_STARTS - 1)[0])
+    cells = TWO_PI * np.stack(np.unravel_index(at, (K,) * len(axes)), axis=1) / K
+    return best_val * 2.0**e, tuple(angles), cells
+
+
+def _highest(
+    at: np.ndarray, values: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The count entries of at and values with the largest values, ties
+    to the first, in their order.  Merged slab by slab, they hold the
+    count highest of the whole grid, so a nearly constant |P| starts no
+    more ascents than a peaked one."""
+    if len(at) <= count:
+        return at, values
+    kth = np.partition(values, len(values) - count)[len(values) - count]
+    tie = values == kth
+    keep = (values > kth) | (tie & (np.cumsum(tie) <= count - np.count_nonzero(values > kth)))
+    return at[keep], values[keep]
 
 
 def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
@@ -213,16 +236,19 @@ def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]
 def _line_coefficients(
     P: HomogeneousPolynomial, angles: list[float], axis: int
 ) -> np.ndarray:
-    """g with P(theta with theta_axis = t) = sum_a g_a e^{i a t}, up to the
-    largest exponent of the axis.
+    """g with P(theta with theta_axis = t) = 2^e sum_a g_a e^{i a t}, up to
+    the largest exponent of the axis, e from _unit_exponent (exact, and
+    its peak is normal, so _line_roots can divide by it).
 
     Each coefficient is multiplied by the powers of the other coordinates
     in the order P.evaluate multiplies them; coordinates at angle 0 are 1
     and are skipped.
     """
+    scale = 2.0**-_unit_exponent(P)
     z = {l: cmath.exp(1j * t) for l, t in enumerate(angles) if t and l != axis}
     g = np.zeros(max(alpha[axis] for alpha in P.terms) + 1, dtype=np.complex128)
     for alpha, coeff in P.terms.items():
+        coeff *= scale
         for l, w in z.items():
             if alpha[l]:
                 coeff *= w ** alpha[l]
@@ -281,78 +307,89 @@ def _line_roots(g: np.ndarray, t0: float) -> float:
     return float(roots[f.argmax()])
 
 
-def _line_sweep(
-    P: HomogeneousPolynomial, theta: list[float], value: float, axes: list[int]
-) -> tuple[list[float], float]:
-    """Move each free coordinate in turn to the maximum of its line (see
-    _line_roots), keeping a move only if the re-evaluated |P| strictly
-    increases."""
-    for j in axes:
-        candidate = list(theta)
-        candidate[j] = _line_roots(_line_coefficients(P, theta, j), theta[j])
-        cand_value = abs(P.evaluate(_torus_point(candidate)))
-        if cand_value > value:
-            theta, value = candidate, cand_value
-    return theta, value
-
-
-def _newton_step(
-    coeffs: np.ndarray, a: np.ndarray, t: list[float]
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Newton step on f = |P|^2 over the free angles t, or None unless the
-    Hessian is negative definite; and, when the Hessian's largest
-    eigenvalue is positive, its eigenvector (f curves upward along it), or
-    None.
-
-    a holds the free-axis exponents, one row per term.  With
-    e = c e^{i alpha.t} and P = sum e, the derivatives are
-    dP_j = i sum alpha_j e and d2P_jk = -sum alpha_j alpha_k e, so
-    grad f = 2 Re(conj(P) dP) and Hess f = 2 Re(conj(dP)^T dP + conj(P) d2P);
-    the common factor 2 cancels in the step, so it is left out.
-    """
-    e = coeffs * np.exp(1j * (a @ t))
-    p = e.sum()
-    dp = 1j * (e @ a)
-    grad = np.real(np.conj(p) * dp)
-    hess = np.real(np.outer(np.conj(dp), dp) - np.conj(p) * ((a.T * e) @ a))
-    w, v = np.linalg.eigh(hess)
-    scale = np.abs(w).max()
-    # Eigenvalues within rounding of zero (numpy's matrix_rank tolerance)
-    # do not count as negative: |P| can be constant along a direction.
-    if w[-1] < -len(w) * _EPS * scale:
-        return -(v @ ((grad @ v) / w)), None
-    # Only a clearly positive one, far above the rounding of the entries,
-    # counts as a direction where f rises both ways.
-    return None, (v[:, -1] if w[-1] > math.sqrt(_EPS) * scale else None)
-
-
-def _escape(
+def _ascend(
     P: HomogeneousPolynomial,
     theta: list[float],
-    value: float,
     axes: list[int],
-    a: np.ndarray,
-    direction: np.ndarray,
-) -> tuple[list[float], float]:
-    """Step from theta along +-direction, where |P|^2 curves upward, and
-    return the first point where |P| strictly rises, with its value;
-    theta and value if there is none.
+    starts: np.ndarray,
+    slack: float = 0.0,
+) -> RefineResult:
+    """Safeguarded Newton ascent on f = |P|^2 over the free axes from each
+    row of starts (free angles, the first theta's own; the others stay
+    theta's), one numpy pass per iteration over the rows of a chunk of
+    _SLAB_POINTS values that are still climbing.  The first row's end wins unless another's |P| is higher by
+    more than slack; theta if |P.evaluate| is no lower there.
 
-    The first step is half a period of the fastest phase difference of two
-    terms along direction; it is halved up to three times.
+    With e = c e^{i a.t} at unit scale, grad f = 2 Re(conj(P) dP) and
+    Hess f = 2 Re(conj(dP)^T dP + conj(P) d2P), dP = i sum a e and
+    d2P = -sum a a^T e.  The step is Newton's with each Hessian eigenvalue
+    w taken as |w| (at least numpy's matrix_rank tolerance), so Newton's
+    own where the Hessian is negative definite; it moves no phase a.t by
+    over one radian and is halved until f rises.  A row stops at a Newton
+    step predicting a gain grad . step of at most sqrt(u) f, taken
+    untested (Newton converges quadratically, leaving u f, below rounding
+    reach; u = 2^-52); any other row before a step predicting u f.
     """
-    phases = (a @ direction).tolist()
-    step = math.pi / (max(phases) - min(phases))
-    for _ in range(4):
-        for s in (step, -step):
-            candidate = list(theta)
-            for j, d in zip(axes, direction.tolist()):
-                candidate[j] = (theta[j] + s * d) % TWO_PI
-            cand_value = abs(P.evaluate(_torus_point(candidate)))
-            if cand_value > value:
-                return candidate, cand_value
-        step /= 2
-    return theta, value
+    e = _unit_exponent(P)
+    exps = np.array(list(P.terms), dtype=np.float64)
+    pinned = [j for j in range(P.num_vars) if j not in axes]
+    phases = np.exp(1j * (exps[:, pinned] @ [theta[j] for j in pinned]))
+    coeffs = np.array(list(P.terms.values())) * 2.0**-e * phases
+    a, d = exps[:, axes], len(axes)
+    # One product with the columns 1, i a_j and -a_j a_k gives P, dP and d2P.
+    squares = -(a[:, :, None] * a[:, None, :]).reshape(-1, d * d)
+    columns = np.concatenate([np.ones((len(a), 1)), 1j * a, squares], axis=1)
+    T, STEP, GAIN, F, NEWTON = slice(0, d), slice(d, 2 * d), 2 * d, 2 * d + 1, 2 * d + 2
+
+    def local(t: np.ndarray) -> np.ndarray:
+        """Rows of t, the step, its gain, f and 1.0 if Newton's."""
+        derivs = np.dot(coeffs * np.exp(1j * np.dot(t, a.T)), columns)
+        p, dp, pc = derivs[:, 0], derivs[:, 1 : d + 1], derivs[:, 0].conj()
+        d2p = derivs[:, d + 1 :].reshape(-1, d, d)
+        hess = dp.conj()[:, :, None] * dp[:, None, :] + pc[:, None, None] * d2p
+        w, v = np.linalg.eigh(hess.real)
+        scale = np.maximum(-w[:, 0], w[:, -1])
+        # grad . v_k / |w_k| along eigenvector k; grad itself if Hess f = 0.
+        along = ((pc[:, None] * dp).real[:, None, :] @ v)[:, 0]
+        along_step = along / np.maximum(np.abs(w), (d * _EPS * scale + (scale == 0))[:, None])
+        step = (v @ along_step[:, :, None])[:, :, 0]
+        cut = 1.0 / np.maximum(np.abs(step @ a.T).max(axis=1), 1.0)
+        gain = (along * along_step).sum(axis=1) * cut
+        newton = w[:, -1] < -d * _EPS * scale
+        return np.column_stack([t, step * cut[:, None], gain, (p * pc).real, newton])
+
+    end, iterations, converged = None, 0, True
+    size = max(1, _SLAB_POINTS // (d * len(a)))
+    for lo in range(0, len(starts), size):
+        state = local(starts[lo : lo + size])
+        rows, ends = np.arange(len(state)), np.empty((len(state), d + 1))
+        for its in range(_MAX_ITERATIONS + 1):
+            trusted = (state[:, NEWTON] > 0) & (state[:, GAIN] <= _EPS**0.5 * state[:, F])
+            stopped = trusted | (state[:, GAIN] <= _EPS * state[:, F])
+            if its == _MAX_ITERATIONS:
+                converged, stopped[:] = converged and bool(stopped.all()), True
+            state[:, T] += state[:, STEP] * trusted[:, None]
+            ends[rows[stopped]] = state[stopped][:, [*range(d), F]]
+            # Only the rows still climbing are evaluated again.
+            state, rows = state[~stopped], rows[~stopped]
+            if not len(rows):
+                break
+            cand = local(state[:, T] + state[:, STEP])
+            take = cand[:, F] > state[:, F]
+            np.copyto(state, cand, where=take[:, None])
+            state[~take, STEP.start : GAIN + 1] /= 2
+        iterations = max(iterations, its)
+        top = np.sqrt(ends[:, d])
+        if end is None:
+            end, best = ends[0, :d], top[0]
+        if top.max() > best + slack * 2.0**-e:
+            end, best = ends[top.argmax(), :d], top.max()
+    polished = dict(zip(axes, (end % TWO_PI).tolist()))
+    polished = [polished.get(j, t) for j, t in enumerate(theta)]
+    value, polished_value = (abs(P.evaluate(_torus_point(x))) for x in (theta, polished))
+    if polished_value > value:
+        theta, value = polished, polished_value
+    return RefineResult(value, tuple(theta), iterations, converged)
 
 
 def refine_local(
@@ -363,20 +400,12 @@ def refine_local(
     Pinned axes keep their angles; every diagonal-phase orbit meets the
     points that share them.  With one free axis that axis is the whole
     quotient torus, so a single exact line maximisation (see _line_roots)
-    finds the global maximum: one iteration, converged.  With two or more,
-    each iteration takes a Newton step on |P|^2 over the free axes when
-    its Hessian is negative definite.  When Newton is unavailable or
-    gains at most 1e-10 times the value, the iteration ends with a sweep
-    of exact line maximisations over the free axes; if that sweep also
-    gains at most 1e-10 times the value, no coordinate line improves the
-    result.  Where the Hessian then has a clearly positive eigenvalue (a
-    saddle or a minimum of |P|), steps along its eigenvector are tried in
-    both signs (see _escape); if none gains more than 1e-10 times the
-    value, the ascent stops (converged), a test that scaling P does not
-    change.  Otherwise it stops after 200 iterations (not converged);
-    sweeps counts the iterations.  Every move is accepted only if the
-    re-evaluated |P| strictly increases, so the returned value never drops
-    below the input value.
+    finds the global maximum: one iteration, converged; the root is kept
+    only if |P| there is strictly higher.  With two or more, it is
+    _ascend from the one start, with as many sweeps as iterations, not
+    converged after 200; it stays where the gradient vanishes (a saddle,
+    a zero of P).  The value is |P.evaluate| at the returned angles, never
+    below its value at the input angles.
     """
     theta = [t % TWO_PI for t in angles]
     if len(theta) != P.num_vars:
@@ -384,45 +413,16 @@ def refine_local(
             f"angle vector has length {len(theta)}, expected {P.num_vars}"
         )
     axes = _free_axes(P)
+    if len(axes) > 1:
+        return _ascend(P, theta, axes, np.array([[theta[j] for j in axes]]))
     value = abs(P.evaluate(_torus_point(theta)))
-    if len(axes) < 2:
-        theta, value = _line_sweep(P, theta, value, axes)
-        return RefineResult(value, tuple(theta), len(axes), True)
-
-    exps = np.array(list(P.terms), dtype=np.float64)
-    coeffs = np.array(list(P.terms.values()), dtype=np.complex128)
-    # Pinned angles never move, so their phases fold into the coefficients.
-    # Scaling P does not change the Newton step; unit peak keeps f finite.
-    pinned = [j for j in range(P.num_vars) if j not in axes]
-    coeffs *= np.exp(1j * (exps[:, pinned] @ [theta[j] for j in pinned]))
-    coeffs /= np.abs(coeffs).max()
-    a = exps[:, axes]
-    for iteration in range(1, _MAX_ITERATIONS + 1):
-        start = value
-        step, rise = _newton_step(coeffs, a, [theta[j] for j in axes])
-        if step is not None:
-            candidate = list(theta)
-            for j, s in zip(axes, step.tolist()):
-                candidate[j] = (theta[j] + s) % TWO_PI
-            cand_value = abs(P.evaluate(_torus_point(candidate)))
-            if cand_value > value:
-                theta = candidate
-                value = cand_value
-        if value - start > _REFINE_RTOL * value:
-            continue
-        # Newton stalled: the line sweep confirms convergence or escapes.
-        sweep_start = value
-        theta, value = _line_sweep(P, theta, value, axes)
-        if value - sweep_start > _REFINE_RTOL * value:
-            continue
-        # No coordinate line improves, but at a saddle (or a minimum) |P|
-        # still rises along the Hessian's positive-curvature direction.
-        settled = value
-        if rise is not None:
-            theta, value = _escape(P, theta, value, axes, a, rise)
-        if value - settled <= _REFINE_RTOL * value:
-            return RefineResult(value, tuple(theta), iteration, True)
-    return RefineResult(value, tuple(theta), _MAX_ITERATIONS, False)
+    for j in axes:
+        candidate = list(theta)
+        candidate[j] = _line_roots(_line_coefficients(P, theta, j), theta[j])
+        cand_value = abs(P.evaluate(_torus_point(candidate)))
+        if cand_value > value:
+            theta, value = candidate, cand_value
+    return RefineResult(value, tuple(theta), len(axes), True)
 
 
 def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
@@ -467,8 +467,11 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     """Two-sided bracket of ||P|| on the unit polydisc.
 
     grid is K, the grid points per free axis (at least 2).
-    lower_estimate: the maximum of torus_grid_max polished by
-    refine_local (an attained value).
+    lower_estimate: |P.evaluate| at arg_angles, never below its value at
+    the grid maximum's angles: refine_local's exact line maximum from
+    there with one free axis, else where _ascend climbs from the cells
+    that the sampling bound below leaves open, G's and at most
+    _MAX_STARTS - 1 of the highest others (see _grid_scan).
     upper_bracket: the smaller of two bounds from the grid maximum G.
     One is G + L*(pi/K), where L is the Lipschitz bound and pi/K the worst
     per-coordinate distance to a grid point.  The other is Szego's
@@ -481,23 +484,24 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     covers the quotient and the cosines: each is within (3c + 2)u, where
     c = K/(K - D_j) <= m + 1, and more than 18 free axes fit the grid
     limit only at K = 2, where c = 2.
-    Fewer than two terms leave no free axis, and |P| is the grid value at
-    every point: both ends are G.  Raises the ValueError of torus_grid_max
-    for a grid below 2, and a ValueError when the bracket overflows to a
-    non-finite value.  The zero polynomial takes the same path: every
-    step returns 0 for it.
+    Fewer than two terms (the zero polynomial too) leave no free axis, and
+    |P| is G at every point: both ends are G.  Raises a ValueError for a
+    grid below 2, first, and when the bracket is not finite.
     """
-    grid_value, start = torus_grid_max(P, grid)
-    sampled = grid_value
-    if axes := _free_axes(P):
+    _check_grid(grid)
+    axes = _free_axes(P)
+    ratio, error = 1.0, 0.0
+    if axes:
         e = _unit_exponent(P)
         l1 = math.fsum([abs(c * 2.0**-e) for c in P.terms.values()])
         error = _rounding_bound(P.degree, len(P.terms), P.num_vars, grid, l1) * 2.0**e
         spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
         cosines = [math.cos(D * math.pi / (2 * grid)) for D in spans]
-        sampled = (grid_value + error) / math.prod(cosines) if max(spans) < grid else math.inf
+        ratio = math.prod(cosines) if max(spans) < grid else 0.0
+    grid_value, start, cells = _grid_scan(P, grid, ratio, error)
+    sampled = (grid_value + error) / ratio if ratio else math.inf
     upper = min(grid_value + torus_lipschitz_bound(P) * math.pi / grid, sampled)
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
-    r = refine_local(P, start)
+    r = refine_local(P, start) if cells is None else _ascend(P, list(start), axes, cells, error)
     return SupNormResult(r.value, upper, r.angles, grid, r.converged)

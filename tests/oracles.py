@@ -165,23 +165,33 @@ def lipschitz_slack(P: HomogeneousPolynomial, K: int) -> float:
     return L * math.pi / K
 
 
-def upper_bracket_from_parts(P: HomogeneousPolynomial, K: int, grid_value: float) -> float:
-    """sup_norm's upper bracket from the grid value G and the library's
-    parts: min(G + L pi/K, (G + E) / prod_j cos(D_j pi/(2K))) over the
-    free axes j, D_j the span of axis j's exponents; the second term is
-    inf when some D_j >= K and G without a free axis."""
-    lipschitz = grid_value + torus_lipschitz_bound(P) * math.pi / K
+def sampling_parts(P: HomogeneousPolynomial, K: int) -> tuple[float, float]:
+    """(prod_j cos(D_j pi/(2K)), E) of sup_norm's sampling bound over the
+    free axes j, D_j the span of axis j's exponents and E the library's
+    rounding bound; the product is 0 when some D_j >= K, and (1, 0)
+    stands for no free axis."""
     axes = _free_axes(P)
     if not axes:
-        return min(lipschitz, grid_value)
+        return 1.0, 0.0
     spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
-    if max(spans) >= K:
-        return lipschitz
     e = _unit_exponent(P)
     l1 = math.fsum(abs(c * 2.0**-e) for c in P.terms.values())
     error = _rounding_bound(P.degree, len(P.terms), P.num_vars, K, l1) * 2.0**e
-    cosines = math.prod(math.cos(D * math.pi / (2 * K)) for D in spans)
-    return min(lipschitz, (grid_value + error) / cosines)
+    if max(spans) >= K:
+        return 0.0, error
+    return math.prod(math.cos(D * math.pi / (2 * K)) for D in spans), error
+
+
+def upper_bracket_from_parts(P: HomogeneousPolynomial, K: int, grid_value: float) -> float:
+    """sup_norm's upper bracket from the grid value G and the library's
+    parts: min(G + L pi/K, (G + E) / prod_j cos(D_j pi/(2K))) (see
+    sampling_parts); the second term is inf when some D_j >= K and G
+    without a free axis."""
+    lipschitz = grid_value + torus_lipschitz_bound(P) * math.pi / K
+    ratio, error = sampling_parts(P, K)
+    if not ratio:
+        return lipschitz
+    return min(lipschitz, (grid_value + error) / ratio)
 
 
 def brute_lp_norm(P: HomogeneousPolynomial, p: float) -> float:

@@ -45,6 +45,7 @@ from oracles import (
     recursive_multi_indices,
     reference_finalists,
     reference_search,
+    sampling_parts,
     upper_bracket_from_parts,
 )
 
@@ -431,20 +432,29 @@ def _mixed_polynomials(rng):
 
 def _bracket_from_parts(P, grid):
     """sup_norm's bracket put together from torus_grid_max, the two upper
-    bounds on it (upper_bracket_from_parts) and refine_local."""
+    bounds on it (upper_bracket_from_parts) and the lower end: with one
+    free axis refine_local, with two or more _ascend from the open grid
+    cells of _grid_scan."""
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
     grid_value, angles = torus_grid_max(P, grid)
-    refined = refine_local(P, angles)
     upper = upper_bracket_from_parts(P, grid, grid_value)
+    axes = supnorm_module._free_axes(P)
+    if len(axes) < 2:
+        refined = refine_local(P, angles)
+    else:
+        ratio, error = sampling_parts(P, grid)
+        value, start, cells = supnorm_module._grid_scan(P, grid, ratio, error)
+        assert (value, start) == (grid_value, angles)
+        refined = supnorm_module._ascend(P, list(start), axes, cells, error)
     return SupNormResult(refined.value, upper, refined.angles, grid, refined.converged)
 
 
 @pytest.mark.parametrize("grid", [2, 5, 16, 64])
 def test_batched_brackets_equal_sup_norm(grid):
-    # sup_norm is torus_grid_max, the Lipschitz and sampling bounds and
-    # refine_local, whatever the number of free axes; most of these
-    # polynomials have one.
+    # sup_norm is the grid maximum, the Lipschitz and sampling bounds and
+    # the ascent of _bracket_from_parts; most of these polynomials have one
+    # free axis.
     polys = _mixed_polynomials(np.random.default_rng(100 + grid))
     for P in polys:
         assert sup_norm(P, grid) == _bracket_from_parts(P, grid), dict(P.terms)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import sys
 
@@ -104,10 +105,15 @@ def test_grid_max_multi_slab_matches_single_slab(monkeypatch):
     for n in (2, 3, 4):
         for _ in range(3):
             P = random_polynomial(rng, int(rng.integers(2, 6)), n)
-            single = torus_grid_max(P, 16)
+            single, bracket = torus_grid_max(P, 16), sup_norm(P, 16)
             with monkeypatch.context() as patch:
                 patch.setattr(supnorm_module, "_SLAB_POINTS", 7)
                 assert torus_grid_max(P, 16) == single
+                # The open cells, gathered a row at a time, start the same
+                # ascents, here one at a time; they end within rounding.
+                small = sup_norm(P, 16)
+                assert small.upper_bracket == bracket.upper_bracket
+                assert small.lower_estimate == pytest.approx(bracket.lower_estimate, rel=1e-14)
 
 
 def test_grid_max_breaks_ties_lexicographically(monkeypatch):
@@ -357,9 +363,11 @@ def free_axes(P):
 
 
 def test_refine_newton_reaches_coordinatewise_max_fast():
-    # Two or more free axes: Newton steps, then a line sweep that confirms
-    # no coordinate line improves the value.  Coordinate ascent alone took
-    # up to 62 sweeps from such starts.
+    # Two or more free axes: sup_norm polishes the open grid cells by
+    # Newton steps and ends where no coordinate line improves the value;
+    # from the grid maximum alone, refine_local's polish converges in a
+    # few iterations.  Coordinate ascent alone took up to 62 sweeps from
+    # such starts.
     rng = np.random.default_rng(67)
     samples = 1 << 14
     t = TWO_PI * np.arange(samples) / samples
@@ -369,31 +377,28 @@ def test_refine_newton_reaches_coordinatewise_max_fast():
         axes = free_axes(P)
         assert len(axes) >= 2
         start_value, start = torus_grid_max(P, K)
-        result = refine_local(P, start)
-        assert result.value >= start_value
-        z = [cmath.exp(1j * a) for a in result.angles]
-        assert abs(P.evaluate(z)) == result.value
+        result = sup_norm(P, K)
+        assert result.lower_estimate >= start_value
+        z = [cmath.exp(1j * a) for a in result.arg_angles]
+        assert abs(P.evaluate(z)) == result.lower_estimate
         for j in range(P.num_vars):
             if j not in axes:
-                assert result.angles[j] == start[j]
+                assert result.arg_angles[j] == start[j] == 0.0
         assert result.converged
-        assert result.sweeps <= 10
+        refined = refine_local(P, start)
+        assert refined.converged and refined.sweeps <= 10
         for j in axes:
             line = 0
             for a, c in P.terms.items():
-                rest = sum(a[l] * result.angles[l] for l in range(P.num_vars) if l != j)
+                rest = sum(a[l] * result.arg_angles[l] for l in range(P.num_vars) if l != j)
                 line = line + c * np.exp(1j * (rest + a[j] * t))
-            assert float(np.abs(line).max()) <= result.value * (1 + 1e-9)
+            assert float(np.abs(line).max()) <= result.lower_estimate * (1 + 1e-9)
 
 
 def test_refine_ignores_tiny_end_terms_on_multi_axis_lines():
-    # A 1e-150 term at the top exponent of a free axis makes the end
-    # coefficients of that axis's line derivatives tiny.  Kept, they spoil
-    # the line roots: one line sweep then lost up to half the value, which
-    # Newton steps won back.  Stripped, the sweep and the refinement give
-    # what they give for the polynomial without the term.
-    import bhbounds.supnorm as supnorm_module
-
+    # A 1e-150 term at the top exponent of a free axis changes |P| by at
+    # most 1e-150, so the ascent gives what it gives for the polynomial
+    # without the term.
     rng = np.random.default_rng(73)
     for m in (3, 4, 5):
         for _ in range(8):
@@ -407,11 +412,9 @@ def test_refine_ignores_tiny_end_terms_on_multi_axis_lines():
             result = refine_local(tiny, start)
             assert result.converged
             assert result.value == pytest.approx(expected.value, rel=1e-13)
-            theta = [0.0, *rng.uniform(0, TWO_PI, 2)]
-            z = [cmath.exp(1j * t) for t in theta]
-            _, swept = supnorm_module._line_sweep(Q, theta, abs(Q.evaluate(z)), [1, 2])
-            _, swept_tiny = supnorm_module._line_sweep(tiny, theta, abs(tiny.evaluate(z)), [1, 2])
-            assert swept_tiny == pytest.approx(swept, rel=1e-13)
+            assert sup_norm(tiny, 16).lower_estimate == pytest.approx(
+                sup_norm(Q, 16).lower_estimate, rel=1e-13
+            )
 
 
 def test_refine_singular_hessian():
@@ -428,29 +431,89 @@ def test_refine_singular_hessian():
 def test_refine_climbs_out_of_minimum_and_saddle():
     # With theta_1 pinned, f = |P|^2 = 14 + 4 cos a + 6 cos b + 12 cos(a - b)
     # for a = 3 theta_2, b = 3 theta_3.  (a, b) = (0, pi) is a zero of P (a
-    # minimum) and (pi, 0) a saddle (f_aa = 16, f_bb = 6, f_ab = -12).
-    # Newton cannot step from either; the line sweep climbs out.
+    # minimum) and (pi, 0) a saddle (f_aa = 16, f_bb = 6, f_ab = -12).  The
+    # gradient vanishes at both, so a polish started there stays; sup_norm
+    # starts from every open grid cell, and one of them is nearest the
+    # maximum ||P|| = 6 at a = b = 0.
     P = HomogeneousPolynomial(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 2.0, (0, 0, 3): 3.0})
     for start, start_value in (((0.0, 0.0, math.pi / 3), 0.0), ((0.0, math.pi / 3, 0.0), 2.0)):
         z = [cmath.exp(1j * a) for a in start]
         assert abs(P.evaluate(z)) == pytest.approx(start_value, abs=1e-12)
         result = refine_local(P, start)
         assert result.converged
-        assert result.value >= start_value + 1.0
+        assert result.value >= abs(P.evaluate(z))
+    for K in (7, 16, 64):
+        result = sup_norm(P, K)
+        assert result.converged
+        assert result.lower_estimate >= 2.0 + 1.0
+        assert result.lower_estimate == pytest.approx(6.0, abs=1e-12)
 
 
 def test_refine_escapes_saddle_no_line_improves():
     # At theta = (0, pi/3, pi/3), i.e. (a, b) = (pi, pi), f = 16 is a saddle
     # (f_aa = -8, f_bb = -6, f_ab = 12) whose two coordinate lines are at
-    # their maxima, so neither Newton nor the line sweep moves; f rises
-    # along the Hessian's positive-curvature direction, and from there the
-    # ascent reaches ||P|| = 6.
+    # their maxima, so no coordinate line improves it and a polish started
+    # there stays.  sup_norm does not start from it alone: from the open
+    # grid cells it reaches ||P|| = 6.
     P = HomogeneousPolynomial(3, 3, {(3, 0, 0): 1.0, (0, 3, 0): 2.0, (0, 0, 3): 3.0})
     start = (0.0, math.pi / 3, math.pi / 3)
     assert abs(P.evaluate([cmath.exp(1j * a) for a in start])) == pytest.approx(4.0, abs=1e-12)
+    t = TWO_PI * np.arange(1 << 12) / (1 << 12)
+    for j in (1, 2):
+        line = 0
+        for a, c in P.terms.items():
+            rest = sum(a[l] * start[l] for l in range(P.num_vars) if l != j)
+            line = line + c * np.exp(1j * (rest + a[j] * t))
+        assert float(np.abs(line).max()) == pytest.approx(4.0, abs=1e-12)
     result = refine_local(P, start)
     assert result.converged
-    assert result.value == pytest.approx(6.0, abs=1e-12)
+    assert result.value == pytest.approx(4.0, abs=1e-12)
+    for K in (7, 16, 64):
+        result = sup_norm(P, K)
+        assert result.converged
+        assert result.lower_estimate == pytest.approx(6.0, abs=1e-12)
+
+
+def test_sup_norm_polish_finds_the_peak_a_coarse_grid_misses():
+    # At grid 7 the grid maximum of this degree-4 form lies on the slope of
+    # a lower peak: an ascent from it alone ends 9.4% below the dense grid
+    # maximum.  Started from every open cell, it reaches the highest peak.
+    P = random_polynomial(np.random.default_rng(28), 4, 3)
+    dense = brute_force_torus_max(P, 1024)
+    result = sup_norm(P, 7)
+    assert result.lower_estimate >= dense - 1e-9
+    assert result.lower_estimate <= dense + lipschitz_slack(P, 1024)
+    assert result.lower_estimate <= result.upper_bracket
+    z = [cmath.exp(1j * a) for a in result.arg_angles]
+    assert abs(P.evaluate(z)) == result.lower_estimate
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-20])
+def test_sup_norm_starts_stay_few_when_every_cell_is_open(monkeypatch, eps):
+    # |P| = |1 + eps (w2 + w3)| varies by 4 eps over the torus.  At K = 1030
+    # (over 2^20 cells, so more than one slab) eps = 1e-7 keeps that below
+    # the sampling bound's margin, 1 - cos(pi/(2K))^2, about 2.3e-6, and
+    # eps = 1e-20 makes |P| an exact plateau of 1 at unit scale: either way
+    # every cell is open, and the ascent starts from _MAX_STARTS of them.
+    import bhbounds.supnorm as supnorm_module
+
+    K = 1030
+    P = HomogeneousPolynomial(2, 3, {(2, 0, 0): 1.0, (1, 1, 0): eps, (1, 0, 1): eps})
+    assert K * K > supnorm_module._SLAB_POINTS
+    t = TWO_PI * np.arange(K) / K
+    lowest = np.abs(1 + eps * np.add.outer(np.exp(1j * t), np.exp(1j * t))).min()
+    assert lowest >= (1 + 2 * eps) * math.cos(math.pi / (2 * K)) ** 2
+    starts = []
+    ascend = supnorm_module._ascend
+    monkeypatch.setattr(
+        supnorm_module, "_ascend", lambda P, *args: starts.append(len(args[2])) or ascend(P, *args)
+    )
+    result = sup_norm(P, K)
+    assert starts == [supnorm_module._MAX_STARTS]
+    assert result.lower_estimate == pytest.approx(1 + 2 * eps, rel=1e-15)
+    at_grid_max = [cmath.exp(1j * a) for a in torus_grid_max(P, K)[1]]
+    assert result.lower_estimate >= abs(P.evaluate(at_grid_max))
+    assert result.converged
 
 
 # --- one free axis through sup_norm ------------------------------------------
@@ -739,6 +802,43 @@ def test_quadratic_sup_norm_values():
     assert quadratic_sup_norm(1.0, -1.0, 1.7) == pytest.approx(
         math.sqrt(4.0 + 1.7**2), rel=1e-14
     )
+
+
+def test_quadratic_sup_norm_stays_finite_where_c_is_free():
+    # With a + b = 0 the domain leaves c free, and c/a once overflowed to
+    # inf.  hypot(s, c r) forms neither ab nor c^2.
+    assert quadratic_sup_norm(1e-300, -1e-300, 1e10) == pytest.approx(1e10, rel=1e-15)
+    assert quadratic_sup_norm(1e-150, -1e-150, 1e200) == pytest.approx(1e200, rel=1e-15)
+    assert quadratic_sup_norm(1e300, -1e300, 1e300) == pytest.approx(
+        math.sqrt(5.0) * 1e300, rel=1e-15
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b, c = random_valid_quadratic(rng)
+        expected = (abs(a) + abs(b)) * math.sqrt(1.0 + c * c / (4.0 * abs(a * b)))
+        assert quadratic_sup_norm(a, b, c) == pytest.approx(expected, rel=4e-16)
+
+
+def test_subnormal_lines_keep_their_angles(tmp_path, capsys):
+    # The line coefficients are divided by 2^e before their peak divides
+    # them; a subnormal peak overflowed that division (two RuntimeWarnings,
+    # which tier-1 turns into errors).  Scaled by 2^1063 to unit size, the
+    # same polynomial, exactly, has the same angles.
+    from bhbounds import cli
+
+    terms = {(2, 0): 1e-320, (1, 1): 1e-320}
+    tiny = HomogeneousPolynomial(2, 2, terms)
+    unit = HomogeneousPolynomial(2, 2, {a: math.ldexp(c, 1063) for a, c in terms.items()})
+    assert max(abs(c) for c in unit.terms.values()) == pytest.approx(1.0, rel=0.5)
+    for K in (7, 64):
+        assert sup_norm(tiny, K).arg_angles == sup_norm(unit, K).arg_angles
+    doc = {"m": 2, "n": 2, "terms": [
+        {"alpha": list(a), "re": c, "im": 0.0} for a, c in terms.items()
+    ]}
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["ratio", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["supnorm_lower"] > 0
 
 
 def test_quadratic_sup_norm_domain_gate():
