@@ -5,9 +5,10 @@ Bracketing the sup norm on the polydisc
 The engine squeezes ||P|| between an attained lower estimate (torus grid
 search plus local refinement) and a rigorous upper bracket (Szego's
 sampling bound on the grid value, or a Lipschitz slack where smaller).
-Refinement maximises |P| exactly along a line of one free variable; with
-two or more free variables it runs a safeguarded Newton ascent from every
-grid cell that the sampling bound leaves open.  The quadratic family
+Refinement runs a safeguarded Newton ascent from every grid cell that the
+sampling bound leaves open: along the line of a single free variable in
+plain Python, over two or more in one numpy pass per step.  The quadratic
+family
 
     P = a z1^2 + b z2^2 + c z1 z2,   ab < 0,  |c(a+b)| <= 4|ab|
 

@@ -15,12 +15,12 @@ free axis, gives a lower bound and starting points; refinement climbs
 from there, and Szego's sampling bound (or a Lipschitz slack, if less)
 turns the grid value into a rigorous upper bracket; all of them run on
 the coefficients scaled by an exact power of two to unit size, where no
-sum overflows.  One free axis is settled by an exact line maximisation
-(_line_roots).  With two or more, the grid cells the sampling bound
-leaves open, up to _MAX_STARTS of the highest, start a safeguarded
-Newton ascent (_ascend).  The search scores its candidates on the grid
-without this module (see the search module) and calls sup_norm only
-for its finalists.
+sum overflows.  The grid cells the sampling bound leaves open, up to
+_MAX_STARTS of the highest, start a safeguarded Newton ascent: in plain
+Python along the one line of a single free axis (_polish), batched in
+numpy over two or more (_ascend).  The search scores its candidates on
+the grid without this module (see the search module) and calls sup_norm
+only for its finalists.
 """
 
 from __future__ import annotations
@@ -155,32 +155,29 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     K >= 2 is checked first; the zero polynomial (0) and a single term
     (|c|, at unit scale) return before the grid size is checked.
     """
-    return _grid_scan(P, K)[:2]
+    return _grid_scan(P, K, _free_axes(P), _unit_exponent(P), 1.0, 0.0)[:2]
 
 
 def _grid_scan(
-    P: HomogeneousPolynomial, K: int, ratio: float = 1.0, error: float = 0.0
-) -> tuple[float, tuple[float, ...], np.ndarray | None]:
-    """torus_grid_max's value G and angles, and the free angles of the open
-    cells, those of value at least ratio * G - error (for sup_norm, those
-    that may be nearest the maximiser): G's cell first, then at most
-    _MAX_STARTS - 1 others, the highest (see _highest).  None with fewer
-    than two free axes, where refine_local's line maximum is global."""
+    P: HomogeneousPolynomial, K: int, axes: list[int], e: int, ratio: float, error: float
+) -> tuple[float, tuple[float, ...], np.ndarray]:
+    """torus_grid_max's value G and angles over axes (_free_axes) at unit
+    scale 2^-e (_unit_exponent), and the flat indices of the open cells,
+    of value at least ratio * G - error (for sup_norm, those that may be
+    nearest the maximiser): G's first, then at most _MAX_STARTS - 1
+    others, the highest (see _highest); none without a free axis."""
     _check_grid(K)
-    axes = _free_axes(P)
-    e = _unit_exponent(P)
     scale = 2.0**-e
+    at, values, error = np.zeros(0, dtype=np.intp), np.zeros(0), error * scale
     if not axes:
         # No term, or one: |P| is the same at every point of the torus.
         value = sum(abs(c * scale) for c in P.terms.values()) * 2.0**e
-        return value, (0.0,) * P.num_vars, None
+        return value, (0.0,) * P.num_vars, at
     _check_grid(K, len(axes))
     last_len = min(K, max(alpha[axes[-1]] for alpha in P.terms) + 1)
     C = np.zeros((K,) * (len(axes) - 1) + (last_len,), dtype=np.complex128)
     slab = max(1, _SLAB_POINTS // K)
-    several = len(axes) > 1
     best_val, best_flat = -1.0, 0
-    at, values, error = np.zeros(0, dtype=np.intp), np.zeros(0), error * scale
     # Exponents that agree mod K give the same grid values, so the terms
     # that alias onto one cell are added, in term order.
     for alpha, coeff in P.terms.items():
@@ -197,20 +194,17 @@ def _grid_scan(
         i = int(mags.argmax())
         if mags[i] > best_val:
             best_val, best_flat = float(mags[i]), r * K + i
-        if several:
-            new = np.flatnonzero(mags >= best_val * ratio - error)
-            at, values = _highest(np.append(at, r * K + new), np.append(values, mags[new]), _MAX_STARTS)
+        (new,) = (mags >= best_val * ratio - error).nonzero()
+        at = np.concatenate((at, r * K + new))
+        at, values = _highest(at, np.concatenate((values, mags[new])), _MAX_STARTS)
     angles = [0.0] * P.num_vars
     flat = best_flat
     for j in reversed(axes):
         flat, digit = divmod(flat, K)
         angles[j] = TWO_PI * digit / K
-    if not several:
-        return best_val * 2.0**e, tuple(angles), None
     others = (values >= best_val * ratio - error) & (at != best_flat)
-    at = np.append(best_flat, _highest(at[others], values[others], _MAX_STARTS - 1)[0])
-    cells = TWO_PI * np.stack(np.unravel_index(at, (K,) * len(axes)), axis=1) / K
-    return best_val * 2.0**e, tuple(angles), cells
+    at = np.concatenate(((best_flat,), _highest(at[others], values[others], _MAX_STARTS - 1)[0]))
+    return best_val * 2.0**e, tuple(angles), at
 
 
 def _highest(
@@ -231,80 +225,6 @@ def _highest(
 def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
     # e^{i 0} is exactly 1, and pinned angles are mostly 0.
     return tuple([cmath.exp(1j * t) if t else 1 + 0j for t in angles])
-
-
-def _line_coefficients(
-    P: HomogeneousPolynomial, angles: list[float], axis: int
-) -> np.ndarray:
-    """g with P(theta with theta_axis = t) = 2^e sum_a g_a e^{i a t}, up to
-    the largest exponent of the axis, e from _unit_exponent (exact, and
-    its peak is normal, so _line_roots can divide by it).
-
-    Each coefficient is multiplied by the powers of the other coordinates
-    in the order P.evaluate multiplies them; coordinates at angle 0 are 1
-    and are skipped.
-    """
-    scale = 2.0**-_unit_exponent(P)
-    z = {l: cmath.exp(1j * t) for l, t in enumerate(angles) if t and l != axis}
-    g = np.zeros(max(alpha[axis] for alpha in P.terms) + 1, dtype=np.complex128)
-    for alpha, coeff in P.terms.items():
-        coeff *= scale
-        for l, w in z.items():
-            if alpha[l]:
-                coeff *= w ** alpha[l]
-        g[alpha[axis]] += coeff
-    return g
-
-
-def _line_roots(g: np.ndarray, t0: float) -> float:
-    """The critical angle in [0, 2 pi) where |q(t)| = |sum_a g_a e^{i a t}|
-    is largest, or t0 where q has no critical point to offer (one term, or
-    |q| constant up to rounding).
-
-    Scaled to unit peak, |q|^2 = sum_{|k|<=D} h_k e^{i k t} with
-    h_k = sum_n g_{n+k} conj(g_n) = conj(h_{-k}) (D + 1 = len(g)), so its
-    derivative vanishes where w = e^{i t} is a root of
-    sum_{k=1..D} k (h_k w^(D+k) - conj(h_k) w^(D-k)).  Terms of the largest
-    k that are zero or below rounding (zeros or tiny entries at the ends of
-    g) are stripped; they only carry roots near 0 or infinity.  The roots
-    are the eigenvalues of a companion matrix, and the best of them is
-    the one where |q|, summed in order of a, is largest.  Zero entries at
-    the end of g add exact zeros to h and to |q|, so they change nothing.
-    A 2k x 2k companion matrix over MAX_GRID_POINTS entries (k > 4096
-    after stripping) raises GridTooLargeError before it is allocated.
-    """
-    L = len(g)
-    D = L - 1
-    peak = np.abs(g).max()
-    if not peak:
-        return t0
-    g = g / peak
-    kh = np.zeros(D, dtype=np.complex128)  # kh[k - 1] = h_k, then k h_k
-    for n in range(D):
-        kh[: D - n] += g[n + 1 :] * g[n : n + 1].conj()
-    kh *= np.arange(1, D + 1)
-    size = np.abs(kh).tolist()
-    # Coefficients below rounding of the largest one change the polynomial
-    # on the unit circle by no more than rounding; kept at the ends, they
-    # would put huge entries into the companion matrix.
-    floor = _EPS * max(size)
-    k = next((k for k in range(D, 0, -1) if size[k - 1] > floor), 0)
-    if not k:
-        return t0
-    N = 2 * k
-    if N * N > MAX_GRID_POINTS:
-        raise GridTooLargeError(
-            f"a line of degree {k} needs a {N} x {N} companion matrix, over the "
-            f"limit of {MAX_GRID_POINTS} entries; use a lower degree"
-        )
-    # Coefficients from the highest power of w down.
-    p = np.concatenate([kh[k - 1 :: -1], [0.0], -kh[:k].conj()])
-    companion = np.eye(N, k=-1, dtype=np.complex128)
-    companion[0] = -p[1:] / p[:1]
-    roots = np.angle(np.linalg.eigvals(companion)) % TWO_PI
-    phases = np.exp(1j * roots * np.arange(L)[:, None])
-    f = np.abs((phases * g[:, None]).sum(axis=0))
-    return float(roots[f.argmax()])
 
 
 def _ascend(
@@ -392,37 +312,98 @@ def _ascend(
     return RefineResult(value, tuple(theta), iterations, converged)
 
 
-def refine_local(
-    P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]
+def _polish(
+    P: HomogeneousPolynomial, theta: list[float], axes: list[int], e: int, starts: list[float],
+    slack: float = 0.0,
 ) -> RefineResult:
-    """Local ascent on theta -> |P(e^{i theta})| over the free axes.
+    """_ascend's rules along at most one free axis j, in plain Python, from
+    each angle of starts in turn, on the line q(t) = sum_a c_a e^{i a t}:
+    c_a sums the terms (at unit scale 2^-e, times their phases at theta's
+    other angles) whose exponent on axis j is a, counted from the lowest,
+    so a step costs one term per exponent present, not one per degree.
+    With s_k = sum a^k c_a e^{i a t}, f = |q|^2 has f'/2 = Im(q conj(s_1))
+    and f''/2 = |s_1|^2 - Re(conj(q) s_2).  The step f'/|f''| (f' where
+    f'' = 0) moves no phase a t over one radian and is halved until f
+    rises.  A start stops once it predicts a gain of at most u f, never at
+    an untested sqrt(u) f step as _ascend's rows may: on flat peaks of the
+    witness family those ended up to 3.6e-12 relative low."""
+    value = abs(P.evaluate(_torus_point(theta)))
+    if not axes:
+        return RefineResult(value, tuple(theta), 0, True)
+    (j,) = axes
+    scale = 2.0**-e
+    turned = [(l, t) for l, t in enumerate(theta) if t and l != j]
+    line: dict[int, complex] = {}
+    for alpha, coeff in P.terms.items():
+        coeff *= scale
+        if turned:
+            coeff *= cmath.exp(1j * sum([alpha[l] * t for l, t in turned]))
+        line[alpha[j]] = line.get(alpha[j], 0j) + coeff
+    low = min(line)
+    span = max(line) - low
+    constant = line.pop(low)
+    terms = [(a - low, (a - low) ** 2, c) for a, c in line.items()]
+    rect = cmath.rect
 
-    Pinned axes keep their angles; every diagonal-phase orbit meets the
-    points that share them.  With one free axis that axis is the whole
-    quotient torus, so a single exact line maximisation (see _line_roots)
-    finds the global maximum: one iteration, converged; the root is kept
-    only if |P| there is strictly higher.  With two or more, it is
-    _ascend from the one start, with as many sweeps as iterations, not
-    converged after 200; it stays where the gradient vanishes (a saddle,
-    a zero of P).  The value is |P.evaluate| at the returned angles, never
-    below its value at the input angles.
+    def local(t: float) -> tuple[float, float, float]:
+        """f at t, the step and the gain it predicts."""
+        q, s1, s2 = constant, 0j, 0j
+        for a, squared, c in terms:
+            c *= rect(1.0, a * t)
+            q += c
+            s1 += a * c
+            s2 += squared * c
+        slope = (q * s1.conjugate()).imag
+        bend = abs(abs(s1) ** 2 - (q.conjugate() * s2).real)
+        step = slope / bend if bend else slope
+        cut = abs(step) * span
+        if cut > 1.0:
+            step /= cut
+        return abs(q) ** 2, step, slope * step
+
+    iterations, converged, ends = 0, True, []
+    for t in starts:
+        f, step, gain = local(t)
+        for its in range(_MAX_ITERATIONS + 1):
+            if gain <= _EPS * f:
+                break
+            if its == _MAX_ITERATIONS:
+                converged = False
+                break
+            moved = local(t + step)
+            if moved[0] > f:
+                t, (f, step, gain) = t + step, moved
+            else:
+                step, gain = step / 2, gain / 2
+        iterations = max(iterations, its)
+        ends.append((math.sqrt(f), t))
+    top, end = max(ends, key=lambda x: x[0])
+    if top <= ends[0][0] + slack * scale:
+        end = ends[0][1]
+    polished = theta[:j] + [end % TWO_PI] + theta[j + 1 :]
+    polished_value = abs(P.evaluate(_torus_point(polished)))
+    if polished_value > value:
+        theta, value = polished, polished_value
+    return RefineResult(value, tuple(theta), iterations, converged)
+
+
+def refine_local(P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]) -> RefineResult:
+    """Local ascent on theta -> |P(e^{i theta})| over the free axes from
+    the one start angles: sup_norm's polish with one free axis, its
+    batched ascent with two or more, with as many sweeps as iterations,
+    not converged after 200.  Pinned axes keep their angles; every
+    diagonal-phase orbit meets the points that share them.  It stays
+    where the gradient vanishes (a zero of P, a saddle), so it ends at a
+    local maximum, not always the global one.  The value is |P.evaluate|
+    at the returned angles, never below its value at the input angles.
     """
     theta = [t % TWO_PI for t in angles]
     if len(theta) != P.num_vars:
-        raise ValueError(
-            f"angle vector has length {len(theta)}, expected {P.num_vars}"
-        )
+        raise ValueError(f"angle vector has length {len(theta)}, expected {P.num_vars}")
     axes = _free_axes(P)
     if len(axes) > 1:
         return _ascend(P, theta, axes, np.array([[theta[j] for j in axes]]))
-    value = abs(P.evaluate(_torus_point(theta)))
-    for j in axes:
-        candidate = list(theta)
-        candidate[j] = _line_roots(_line_coefficients(P, theta, j), theta[j])
-        cand_value = abs(P.evaluate(_torus_point(candidate)))
-        if cand_value > value:
-            theta, value = candidate, cand_value
-    return RefineResult(value, tuple(theta), len(axes), True)
+    return _polish(P, theta, axes, _unit_exponent(P), [theta[j] for j in axes])
 
 
 def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
@@ -434,9 +415,23 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     the l_1 coefficient norm.  Summed on the coefficients divided by 2^e
     (see _unit_exponent), it is inf only where L exceeds the largest float.
     """
-    e = _unit_exponent(P)
-    scale = 2.0**-e
-    return math.fsum([abs(c * scale) * sum(alpha) for alpha, c in P.terms.items()]) * 2.0**e
+    return _lipschitz(P, _unit_exponent(P))
+
+
+def _lipschitz(P: HomogeneousPolynomial, e: int) -> float:
+    return math.fsum([abs(c * 2.0**-e) * sum(alpha) for alpha, c in P.terms.items()]) * 2.0**e
+
+
+def _sampling(P: HomogeneousPolynomial, e: int, spans: list[int], K: int) -> tuple[float, float]:
+    """prod_j cos(D_j pi/(2K)) over the free axes' spans D_j (0 if some D_j >= K)
+    and E, on ||c||_1 summed at unit scale 2^-e; (1, 0) without a free axis."""
+    if not spans:
+        return 1.0, 0.0
+    l1 = math.fsum([abs(c * 2.0**-e) for c in P.terms.values()])
+    error = _rounding_bound(P.degree, len(P.terms), P.num_vars, K, l1) * 2.0**e
+    if max(spans) >= K:
+        return 0.0, error
+    return math.prod([math.cos(D * math.pi / (2 * K)) for D in spans]), error
 
 
 def _rounding_bound(m: int, terms: int, num_vars: int, grid: int, l1: float) -> float:
@@ -468,10 +463,11 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
 
     grid is K, the grid points per free axis (at least 2).
     lower_estimate: |P.evaluate| at arg_angles, never below its value at
-    the grid maximum's angles: refine_local's exact line maximum from
-    there with one free axis, else where _ascend climbs from the cells
-    that the sampling bound below leaves open, G's and at most
-    _MAX_STARTS - 1 of the highest others (see _grid_scan).
+    the grid maximum's angles: where the ascent (_polish with one free
+    axis, _ascend with more) climbs from the cells that the sampling bound
+    below leaves open, G's and at most _MAX_STARTS - 1 of the highest
+    others (see _grid_scan).  K cells cannot reach the D peaks of a free
+    axis of span D >= K: its starts come from 2^k >= 4D points instead.
     upper_bracket: the smaller of two bounds from the grid maximum G.
     One is G + L*(pi/K), where L is the Lipschitz bound and pi/K the worst
     per-coordinate distance to a grid point.  The other is Szego's
@@ -490,18 +486,21 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     """
     _check_grid(grid)
     axes = _free_axes(P)
-    ratio, error = 1.0, 0.0
-    if axes:
-        e = _unit_exponent(P)
-        l1 = math.fsum([abs(c * 2.0**-e) for c in P.terms.values()])
-        error = _rounding_bound(P.degree, len(P.terms), P.num_vars, grid, l1) * 2.0**e
-        spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
-        cosines = [math.cos(D * math.pi / (2 * grid)) for D in spans]
-        ratio = math.prod(cosines) if max(spans) < grid else 0.0
-    grid_value, start, cells = _grid_scan(P, grid, ratio, error)
+    e = _unit_exponent(P)
+    spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
+    ratio, error = _sampling(P, e, spans, grid)
+    grid_value, start, cells = _grid_scan(P, grid, axes, e, ratio, error)
     sampled = (grid_value + error) / ratio if ratio else math.inf
-    upper = min(grid_value + torus_lipschitz_bound(P) * math.pi / grid, sampled)
+    upper = min(grid_value + _lipschitz(P, e) * math.pi / grid, sampled)
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
-    r = refine_local(P, start) if cells is None else _ascend(P, list(start), axes, cells, error)
+    if len(axes) > 1:
+        starts = TWO_PI * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
+        r = _ascend(P, list(start), axes, starts, error)
+    else:
+        K = grid
+        if axes and not ratio:
+            K = min(1 << (4 * spans[0] - 1).bit_length(), MAX_GRID_POINTS)
+            cells = _grid_scan(P, K, axes, e, *_sampling(P, e, spans, K))[2]
+        r = _polish(P, list(start), axes, e, [TWO_PI * k / K for k in cells.tolist()], error)
     return SupNormResult(r.value, upper, r.angles, grid, r.converged)

@@ -327,19 +327,21 @@ def test_grid_below_two_is_usage_error(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["poly.json"]
 
 
-def test_ratio_refuses_a_line_of_too_high_degree(tmp_path):
-    # x^5000 - y^5000 leaves a line of degree 5000 on its free axis, whose
-    # root finder would need a 10000 x 10000 complex matrix (1.6 GB).
+def test_ratio_answers_a_line_of_high_degree(tmp_path):
+    # x^5000 - y^5000 leaves a line of degree 5000 on its free axis: the
+    # default grid of 64 does not resolve it, so the polish starts from a
+    # grid of 32768 points and reaches |1 - e^{5000 i t}| = 2, in well
+    # under the time limit.
     terms = [
         {"alpha": [5000, 0], "re": 1.0, "im": 0.0},
         {"alpha": [0, 5000], "re": -1.0, "im": 0.0},
     ]
     doc = {"m": 5000, "n": 2, "terms": terms}
-    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "deep.json"))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error:") and "companion matrix" in line
+    proc = run_cli("ratio", "--file", write_witness_file(tmp_path, doc, "deep.json"), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["supnorm_lower"] == 2.0
+    assert payload["supnorm_lower"] <= payload["supnorm_upper"]
 
 
 def test_search_refuses_grids_that_alias(tmp_path):

@@ -37,7 +37,7 @@ from bhbounds.search import (
     degree_multi_indices,
     family_seed_vector,
 )
-from bhbounds.supnorm import refine_local, torus_grid_max
+from bhbounds.supnorm import torus_grid_max
 from oracles import (
     evaluate_grid_max,
     full_grid_max,
@@ -432,21 +432,30 @@ def _mixed_polynomials(rng):
 
 def _bracket_from_parts(P, grid):
     """sup_norm's bracket put together from torus_grid_max, the two upper
-    bounds on it (upper_bracket_from_parts) and the lower end: with one
-    free axis refine_local, with two or more _ascend from the open grid
-    cells of _grid_scan."""
+    bounds on it (upper_bracket_from_parts) and the lower end: the ascent
+    from the open grid cells of _grid_scan, _ascend with two or more free
+    axes, else _polish, whose cells come from a grid of the smallest power
+    of two >= 4D points when the span D of the free axis is >= grid."""
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
     grid_value, angles = torus_grid_max(P, grid)
     upper = upper_bracket_from_parts(P, grid, grid_value)
     axes = supnorm_module._free_axes(P)
-    if len(axes) < 2:
-        refined = refine_local(P, angles)
+    e = supnorm_module._unit_exponent(P)
+    ratio, error = sampling_parts(P, grid)
+    value, start, cells = supnorm_module._grid_scan(P, grid, axes, e, ratio, error)
+    assert (value, start) == (grid_value, angles)
+    if len(axes) > 1:
+        starts = 2 * math.pi * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
+        refined = supnorm_module._ascend(P, list(start), axes, starts, error)
     else:
-        ratio, error = sampling_parts(P, grid)
-        value, start, cells = supnorm_module._grid_scan(P, grid, ratio, error)
-        assert (value, start) == (grid_value, angles)
-        refined = supnorm_module._ascend(P, list(start), axes, cells, error)
+        K = grid
+        if not ratio:
+            (j,) = axes
+            K = 1 << (4 * (max(a[j] for a in P.terms) - min(a[j] for a in P.terms)) - 1).bit_length()
+            cells = supnorm_module._grid_scan(P, K, axes, e, *sampling_parts(P, K))[2]
+        starts = [2 * math.pi * k / K for k in cells.tolist()]
+        refined = supnorm_module._polish(P, list(start), axes, e, starts, error)
     return SupNormResult(refined.value, upper, refined.angles, grid, refined.converged)
 
 

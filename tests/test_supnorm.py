@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from bhbounds import (
+    FamilyParams,
     FormulaDomainError,
     GridTooLargeError,
     HomogeneousPolynomial,
     MAX_GRID_POINTS,
     SupNormResult,
+    build_witness,
     quadratic_sup_norm,
     sup_norm,
 )
@@ -287,7 +289,7 @@ def test_refine_fixed_point_at_local_max():
     start = (0.0, math.pi / 2)  # |P| = 2 exactly, the global max
     result = refine_local(P, start)
     assert result.value == 2.0
-    assert result.sweeps == 1
+    assert result.sweeps == 0  # the first step already predicts no gain
     assert result.converged
 
 
@@ -300,10 +302,13 @@ def test_refine_reaches_closed_form_from_k32_start():
 
 
 def test_refine_single_line_matches_dense_sampling():
-    # Two variables leave one free axis after the diagonal pin, so refine
-    # maximises a single line exactly, in one sweep, from any start.  So do
+    # Two variables leave one free axis after the diagonal pin, and so do
     # three when one variable has the same exponent in every term; its
-    # start angle stays as given and enters every term of the line.
+    # start angle stays as given and enters every term of the line.  From
+    # any start refine_local climbs to a peak of that line, not always the
+    # highest; sup_norm climbs from every open cell of a grid that
+    # resolves the line (K itself, or 32 points where K = 5 and the span
+    # is 5 to 8), and reaches the dense maximum.
     rng = np.random.default_rng(61)
     samples = 1 << 16
     t = TWO_PI * np.arange(samples) / samples
@@ -319,18 +324,24 @@ def test_refine_single_line_matches_dense_sampling():
             cases += [(P, tuple(rng.uniform(0, TWO_PI, 3))) for _ in range(2)]
     for P, start in cases:
         (j,) = free_axes(P)
-        result = refine_local(P, start)
-        assert result.sweeps == 1
-        assert result.converged
         line = 0
         for a, c in P.terms.items():
             rest = sum(a[l] * start[l] for l in range(P.num_vars) if l != j)
             line = line + c * np.exp(1j * (rest + a[j] * t))
         dense = float(np.abs(line).max())
-        assert dense <= result.value + 1e-12
-        assert result.value <= dense + lipschitz_slack(P, samples)
+        result = refine_local(P, start)
+        assert result.converged
         z = [cmath.exp(1j * a) for a in result.angles]
         assert abs(P.evaluate(z)) == result.value
+        assert result.value >= abs(P.evaluate([cmath.exp(1j * a) for a in start]))
+        for h in (1e-6, -1e-6, 1e-3, -1e-3):
+            z[j] = cmath.exp(1j * (result.angles[j] + h))
+            assert abs(P.evaluate(z)) <= result.value * (1 + 1e-13)
+        for K in (5, 16):
+            bracket = sup_norm(P, K)
+            assert dense <= bracket.lower_estimate + 1e-12
+            assert bracket.lower_estimate <= dense + lipschitz_slack(P, samples)
+            assert bracket.converged
 
 
 def test_refine_stop_is_scale_invariant():
@@ -580,63 +591,54 @@ def test_line_kernel_matches_scalar_reference(K):
         assert result.lower_estimate == abs(P.evaluate(z))
 
 
-def test_line_roots_do_not_depend_on_padding(monkeypatch):
-    # Zero entries past a line's last coefficient change neither its roots
-    # nor the one it picks.
-    import bhbounds.supnorm as supnorm_module
-
-    G, degrees = _kernel_rows(np.random.default_rng(7))
-    t0 = np.random.default_rng(8).uniform(0, TWO_PI, len(G)).tolist()
-    for g, m, start in zip(G, degrees, t0):
-        alone = supnorm_module._line_roots(g[: m + 1], start)
-        assert supnorm_module._line_roots(np.concatenate([g, np.zeros(7)]), start) == alone
-    # q(t) = 1 + e^{it} peaks at the start t = 0.  With its roots forced to
-    # t = 1, the root is returned whatever the padding: the choice between
-    # the root and the start is refine_local's (see the next test).
-    monkeypatch.setattr(
-        np.linalg, "eigvals", lambda c: np.full(c.shape[:-1], cmath.exp(1j), dtype=complex)
-    )
-    for width in (2, 3, 9):
-        row = np.zeros(width, dtype=complex)
-        row[:2] = 1.0
-        assert supnorm_module._line_roots(row, 0.0) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_line_roots_refuse_a_companion_matrix_over_the_limit(monkeypatch):
-    # A line of length 4,098 with non-zero ends keeps k = 4,097, so its
-    # 8,194 x 8,194 companion matrix is over 2^26 entries: refused before
-    # it is built.  A long line whose terms sit at one end keeps k = 2.
-    import bhbounds.supnorm as supnorm_module
-
-    def unexpected(*args):
-        raise AssertionError("eigvals ran")
-
-    g = np.zeros(4098, dtype=complex)
-    g[0], g[-1] = 1.0, -1.0
-    with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvals", unexpected)
-        with pytest.raises(GridTooLargeError, match="8194 x 8194"):
-            supnorm_module._line_roots(g, 0.0)
-    # The witness lifted to two variables: its line has length m + 1 and
-    # k = 2, and its sup norm is the closed form's.
+def test_long_lines_are_answered():
+    # The witness lifted to two variables at degree 5000: its line has
+    # three terms and span 2, and a polish step costs one term per
+    # exponent present, so its sup norm is the closed form's.
+    # x^5000 - y^5000 has span 5000 on its free axis, over the grid: the
+    # polish starts from a grid of 32768 points and reaches the maximum 2
+    # of |1 - e^{5000 i t}|.
     m, (a, b, c) = 5000, (1.0, -1.0, 2.0**1.5)
     P = HomogeneousPolynomial(m, 2, {(2, m - 2): a, (0, m): b, (1, m - 1): c})
     assert sup_norm(P).lower_estimate == pytest.approx(quadratic_sup_norm(a, b, c), rel=1e-12)
+    P = HomogeneousPolynomial(m, 2, {(m, 0): 1.0, (0, m): -1.0})
+    result = sup_norm(P)
+    assert result.lower_estimate == 2.0
+    assert result.converged
 
 
-def test_line_kernel_takes_a_root_only_if_it_beats_the_start(monkeypatch):
+def test_polish_keeps_the_start_unless_strictly_higher(monkeypatch):
     # P = z1 + z2 leaves the line q(t) = 1 + e^{it} on the free axis, so
-    # |q| = 2|cos(t/2)|.  With every root forced to one point, refine_local
-    # keeps the start unless |P| there is strictly higher.
+    # |q| = 2|cos(t/2)|.  With no iteration allowed, each start ends where
+    # it began: the first start's end wins unless another's is higher by
+    # more than the slack, and the polish moves from theta = (0, 0.5) only
+    # if |P| at that end is strictly higher.
+    import bhbounds.supnorm as supnorm_module
+
     P = HomogeneousPolynomial(1, 2, {(1, 0): 1.0, (0, 1): 1.0})
-    for root, angle in ((-1.0, 0.5), (1.0, 0.0)):
-        monkeypatch.setattr(
-            np.linalg, "eigvals", lambda c, r=root: np.full(c.shape[:-1], r, dtype=complex)
-        )
-        result = refine_local(P, (0.0, 0.5))
+    monkeypatch.setattr(supnorm_module, "_MAX_ITERATIONS", 0)
+    for starts, slack, angle in (
+        ([0.5, 0.0], 0.0, 0.0),
+        ([0.5, 0.0], 0.1, 0.5),
+        ([1.0, 0.0], 0.1, 0.0),
+        ([1.0], 0.0, 0.5),
+        ([0.5], 0.0, 0.5),
+    ):
+        result = supnorm_module._polish(P, [0.0, 0.5], [1], 0, starts, slack)
         assert result.angles == (0.0, angle)
         assert result.value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
-        assert (result.sweeps, result.converged) == (1, True)
+        assert (result.sweeps, result.converged) == (0, False)
+
+
+def test_sup_norm_reaches_a_flat_witness_peak():
+    # This family draw has a flat peak: f = |q|^2 is nearly quartic there,
+    # so Newton's steps shrink slowly.  A start that stops at a step
+    # predicting a gain of sqrt(u) f, taken untested, ends 3.6e-12 below the
+    # closed form; stopping only at a predicted gain of u f does not.
+    a, b, c = -0.326867451150618, 0.5158356324197068, 3.5646080640013675
+    exact = quadratic_sup_norm(a, b, c)
+    result = sup_norm(build_witness(11, FamilyParams(a, b, c)))
+    assert abs(result.lower_estimate - exact) <= 2e-15 * exact
 
 
 # --- torus_lipschitz_bound ----------------------------------------------------
