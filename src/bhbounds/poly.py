@@ -12,7 +12,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -74,7 +73,14 @@ class HomogeneousPolynomial:
         return not self.terms
 
     def evaluate(self, z: Iterable[complex]) -> complex:
-        """Value sum_alpha c_alpha * z^alpha at a point of C^N."""
+        """Value sum_alpha c_alpha * z^alpha at a point of C^N.
+
+        Coordinates equal to 1 are skipped, as are zero exponents: on the
+        points sup_norm evaluates, every pinned coordinate is 1.  Where
+        every term is finite, multiplying by 1 would change only the signs
+        of zero real or imaginary parts, so |value| is the same bit for
+        bit.
+        """
         point = tuple([complex(v) for v in z])
         if len(point) != self.num_vars:
             raise ValueError(
@@ -84,7 +90,7 @@ class HomogeneousPolynomial:
         for alpha, coeff in self.terms.items():
             term = coeff
             for zj, aj in zip(point, alpha):
-                if aj:
+                if aj and zj != 1:
                     term *= zj**aj
             total += term
         return total
@@ -107,12 +113,12 @@ class HomogeneousPolynomial:
 def bh_exponent(m: int) -> float:
     """The coefficient-norm exponent 2m/(m+1) for degree m.
 
-    Reduced as an exact rational before conversion to float, so e.g.
-    m=3 gives exactly 1.5.
+    Integer true division is correctly rounded, so this is the float
+    nearest the exact rational, e.g. exactly 1.5 for m=3.
     """
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
-    return float(Fraction(2 * m, m + 1))
+    return 2 * m / (m + 1)
 
 
 def coefficient_lp_norm(P: HomogeneousPolynomial, p: float) -> float:

@@ -147,26 +147,38 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     On the grid, P is an inverse DFT of its coefficients: e^{2 pi i a k/K}
     depends on the exponent a only mod K, so the coefficients are summed
     into an array indexed by exponents mod K over the free axes, and each
-    free axis is inverse-transformed by an FFT.  The last free axis holds
-    only the exponents up to its largest; it is transformed last, padded
-    to K points, a slab of rows at a time, which bounds each |P| array.
-    At unit scale (see _unit_exponent) the value is inf only past the largest float.
+    free axis is inverse-transformed by an FFT.  There is one grid path
+    per free-axis count: one free axis transforms its line (_line_scan),
+    two or more the whole array (_grid_scan).  At unit scale (see
+    _unit_exponent) the value is inf only past the largest float.
 
     K >= 2 is checked first; the zero polynomial (0) and a single term
     (|c|, at unit scale) return before the grid size is checked.
     """
-    return _grid_scan(P, K, _free_axes(P), _unit_exponent(P), 1.0, 0.0)[:2]
+    _check_grid(K)
+    axes, e = _free_axes(P), _unit_exponent(P)
+    if len(axes) != 1:
+        return _grid_scan(P, K, axes, e, 1.0, 0.0)[:2]
+    (j,) = axes
+    value, cell, _ = _line_scan(_line(P, [0.0] * P.num_vars, j, e), K, 1.0, 0.0)
+    angles = [0.0] * P.num_vars
+    angles[j] = TWO_PI * cell / K
+    return value * 2.0**e, tuple(angles)
 
 
 def _grid_scan(
     P: HomogeneousPolynomial, K: int, axes: list[int], e: int, ratio: float, error: float
 ) -> tuple[float, tuple[float, ...], np.ndarray]:
-    """torus_grid_max's value G and angles over axes (_free_axes) at unit
-    scale 2^-e (_unit_exponent), and the flat indices of the open cells,
-    of value at least ratio * G - error (for sup_norm, those that may be
-    nearest the maximiser): G's first, then at most _MAX_STARTS - 1
-    others, the highest (see _highest); none without a free axis."""
-    _check_grid(K)
+    """torus_grid_max's value G and angles over two or more free axes
+    (_free_axes) at unit scale 2^-e (_unit_exponent), and the flat indices
+    of the open cells, of value at least ratio * G - error (for sup_norm,
+    those that may be nearest the maximiser): G's first, then at most
+    _MAX_STARTS - 1 others, the highest (see _highest).  Without a free
+    axis, |P| is constant and there is no cell.
+
+    The last free axis holds only the exponents up to its largest; it is
+    transformed last, padded to K points, a slab of rows at a time, which
+    bounds each |P| array."""
     scale = 2.0**-e
     at, values, error = np.zeros(0, dtype=np.intp), np.zeros(0), error * scale
     if not axes:
@@ -207,6 +219,60 @@ def _grid_scan(
     return best_val * 2.0**e, tuple(angles), at
 
 
+def _line(
+    P: HomogeneousPolynomial, theta: list[float], j: int, e: int
+) -> dict[int, complex]:
+    """The coefficients c_a of the line q(t) = sum_a c_a e^{i a t} that P
+    traces along axis j from theta: c_a sums, in term order, the terms
+    whose exponent on axis j is a, at unit scale 2^-e and times their
+    phases at theta's other angles (none where those are 0).  With one
+    free axis, every exponent a belongs to one term."""
+    scale = 2.0**-e
+    turned = [(l, t) for l, t in enumerate(theta) if t and l != j]
+    line: dict[int, complex] = {}
+    for alpha, coeff in P.terms.items():
+        coeff *= scale
+        if turned:
+            coeff *= cmath.exp(1j * sum([alpha[l] * t for l, t in turned]))
+        line[alpha[j]] = line.get(alpha[j], 0j) + coeff
+    return line
+
+
+def _line_scan(
+    line: dict[int, complex], K: int, ratio: float, error: float
+) -> tuple[float, int, list[int]]:
+    """The line's grid maximum G = max_k |q(2 pi k/K)|, its cell k and the
+    open cells, of value at least ratio * G - error: G's first, then at
+    most _MAX_STARTS - 1 others, the highest (see _highest), in cell
+    order.  One inverse FFT of the coefficients placed at a mod K, the
+    aliased ones added in line order: the sums _grid_scan would form."""
+    _check_grid(K, 1)
+    row = [0j] * min(K, max(line) + 1)
+    for a, c in line.items():
+        row[a % K] += c
+    mags = np.abs(np.fft.ifft(row, n=K, norm="forward"))
+    best = int(mags.argmax())
+    top = float(mags[best])
+    (others,) = (mags >= top * ratio - error).nonzero()
+    others = others[others != best]
+    return top, best, [best, *_highest(others, mags[others], _MAX_STARTS - 1)[0].tolist()]
+
+
+def _mirrors(line: dict[int, complex], K: int, cells: list[int]) -> dict[int, int]:
+    """On a real line, where |q(-t)| = |q(t)|, the position in cells of
+    each cell's mirror (K - k) mod K, if that comes before it; none on a
+    complex line."""
+    if any(c.imag for c in line.values()):
+        return {}
+    first: dict[int, int] = {}
+    mirrors = {}
+    for i, k in enumerate(cells):
+        if (K - k) % K in first:
+            mirrors[i] = first[(K - k) % K]
+        first[k] = i
+    return mirrors
+
+
 def _highest(
     at: np.ndarray, values: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -237,8 +303,9 @@ def _ascend(
     """Safeguarded Newton ascent on f = |P|^2 over the free axes from each
     row of starts (free angles, the first theta's own; the others stay
     theta's), one numpy pass per iteration over the rows of a chunk of
-    _SLAB_POINTS values that are still climbing.  The first row's end wins unless another's |P| is higher by
-    more than slack; theta if |P.evaluate| is no lower there.
+    _SLAB_POINTS values that are still climbing.  The first row's end wins
+    unless another's |P| is higher by more than slack; theta if
+    |P.evaluate| is no lower there.
 
     With e = c e^{i a.t} at unit scale, grad f = 2 Re(conj(P) dP) and
     Hess f = 2 Re(conj(dP)^T dP + conj(P) d2P), dP = i sum a e and
@@ -248,21 +315,24 @@ def _ascend(
     over one radian and is halved until f rises.  A row stops at a Newton
     step predicting a gain grad . step of at most sqrt(u) f, taken
     untested (Newton converges quadratically, leaving u f, below rounding
-    reach; u = 2^-52); any other row before a step predicting u f.
+    reach; u = 2^-52); any other row before a step predicting u f.  Each
+    row's angles, step, gain, f and Newton flag are arrays of their own;
+    rows leave them only on an iteration where some row stops, and only
+    the rows that did not rise are halved.
     """
     e = _unit_exponent(P)
     exps = np.array(list(P.terms), dtype=np.float64)
+    coeffs = np.array(list(P.terms.values())) * 2.0**-e
     pinned = [j for j in range(P.num_vars) if j not in axes]
-    phases = np.exp(1j * (exps[:, pinned] @ [theta[j] for j in pinned]))
-    coeffs = np.array(list(P.terms.values())) * 2.0**-e * phases
+    if any(theta[j] for j in pinned):
+        coeffs = coeffs * np.exp(1j * (exps[:, pinned] @ [theta[j] for j in pinned]))
     a, d = exps[:, axes], len(axes)
     # One product with the columns 1, i a_j and -a_j a_k gives P, dP and d2P.
     squares = -(a[:, :, None] * a[:, None, :]).reshape(-1, d * d)
     columns = np.concatenate([np.ones((len(a), 1)), 1j * a, squares], axis=1)
-    T, STEP, GAIN, F, NEWTON = slice(0, d), slice(d, 2 * d), 2 * d, 2 * d + 1, 2 * d + 2
 
-    def local(t: np.ndarray) -> np.ndarray:
-        """Rows of t, the step, its gain, f and 1.0 if Newton's."""
+    def local(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """From each row of t: the step, its gain, f and whether it is Newton's."""
         derivs = np.dot(coeffs * np.exp(1j * np.dot(t, a.T)), columns)
         p, dp, pc = derivs[:, 0], derivs[:, 1 : d + 1], derivs[:, 0].conj()
         d2p = derivs[:, d + 1 :].reshape(-1, d, d)
@@ -275,29 +345,40 @@ def _ascend(
         step = (v @ along_step[:, :, None])[:, :, 0]
         cut = 1.0 / np.maximum(np.abs(step @ a.T).max(axis=1), 1.0)
         gain = (along * along_step).sum(axis=1) * cut
-        newton = w[:, -1] < -d * _EPS * scale
-        return np.column_stack([t, step * cut[:, None], gain, (p * pc).real, newton])
+        return step * cut[:, None], gain, (p * pc).real, w[:, -1] < -d * _EPS * scale
 
     end, iterations, converged = None, 0, True
     size = max(1, _SLAB_POINTS // (d * len(a)))
     for lo in range(0, len(starts), size):
-        state = local(starts[lo : lo + size])
-        rows, ends = np.arange(len(state)), np.empty((len(state), d + 1))
+        t = starts[lo : lo + size]
+        step, gain, f, newton = local(t)
+        rows, ends = np.arange(len(t)), np.empty((len(t), d + 1))
         for its in range(_MAX_ITERATIONS + 1):
-            trusted = (state[:, NEWTON] > 0) & (state[:, GAIN] <= _EPS**0.5 * state[:, F])
-            stopped = trusted | (state[:, GAIN] <= _EPS * state[:, F])
+            trusted = newton & (gain <= _EPS**0.5 * f)
+            stopped = trusted | (gain <= _EPS * f)
             if its == _MAX_ITERATIONS:
                 converged, stopped[:] = converged and bool(stopped.all()), True
-            state[:, T] += state[:, STEP] * trusted[:, None]
-            ends[rows[stopped]] = state[stopped][:, [*range(d), F]]
-            # Only the rows still climbing are evaluated again.
-            state, rows = state[~stopped], rows[~stopped]
-            if not len(rows):
-                break
-            cand = local(state[:, T] + state[:, STEP])
-            take = cand[:, F] > state[:, F]
-            np.copyto(state, cand, where=take[:, None])
-            state[~take, STEP.start : GAIN + 1] /= 2
+            if stopped.any():
+                if trusted.any():
+                    t = np.where(trusted[:, None], t + step, t)
+                ends[rows[stopped], :d] = t[stopped]
+                ends[rows[stopped], d] = f[stopped]
+                # Only the rows still climbing are evaluated again.
+                climbing = ~stopped
+                if not climbing.any():
+                    break
+                t, step, gain, f = t[climbing], step[climbing], gain[climbing], f[climbing]
+                newton, rows = newton[climbing], rows[climbing]
+            moved = t + step
+            cand = local(moved)
+            take = cand[2] > f
+            if take.all():
+                t, (step, gain, f, newton) = moved, cand
+            else:
+                t = np.where(take[:, None], moved, t)
+                step = np.where(take[:, None], cand[0], step / 2)
+                gain = np.where(take, cand[1], gain / 2)
+                f, newton = np.where(take, cand[2], f), np.where(take, cand[3], newton)
         iterations = max(iterations, its)
         top = np.sqrt(ends[:, d])
         if end is None:
@@ -313,36 +394,32 @@ def _ascend(
 
 
 def _polish(
-    P: HomogeneousPolynomial, theta: list[float], axes: list[int], e: int, starts: list[float],
-    slack: float = 0.0,
+    P: HomogeneousPolynomial, theta: list[float], j: int, line: dict[int, complex], e: int,
+    starts: list[float], slack: float = 0.0, mirrors: dict[int, int] | None = None,
 ) -> RefineResult:
-    """_ascend's rules along at most one free axis j, in plain Python, from
-    each angle of starts in turn, on the line q(t) = sum_a c_a e^{i a t}:
-    c_a sums the terms (at unit scale 2^-e, times their phases at theta's
-    other angles) whose exponent on axis j is a, counted from the lowest,
-    so a step costs one term per exponent present, not one per degree.
-    With s_k = sum a^k c_a e^{i a t}, f = |q|^2 has f'/2 = Im(q conj(s_1))
-    and f''/2 = |s_1|^2 - Re(conj(q) s_2).  The step f'/|f''| (f' where
-    f'' = 0) moves no phase a t over one radian and is halved until f
-    rises.  A start stops once it predicts a gain of at most u f, never at
-    an untested sqrt(u) f step as _ascend's rows may: on flat peaks of the
-    witness family those ended up to 3.6e-12 relative low."""
+    """_ascend's rules along the one free axis j, in plain Python, from
+    each angle of starts in turn, on line (_line, at unit scale 2^-e,
+    from theta), q(t) = sum_a c_a e^{i a t}; the exponents are counted
+    from the lowest, so a step costs one term per exponent present, not
+    one per degree.  With s_k = sum a^k c_a e^{i a t}, f = |q|^2 has
+    f'/2 = Im(q conj(s_1)) and f''/2 = |s_1|^2 - Re(conj(q) s_2).  The
+    step f'/|f''| (f' where f'' = 0) moves no phase a t over one radian
+    and is halved until f rises.  A start stops once it predicts a gain
+    of at most u f, never at an untested sqrt(u) f step as _ascend's rows
+    may: on flat peaks of the witness family those ended up to 3.6e-12
+    relative low.  The first start's end wins unless another's |q| is
+    higher by more than slack; theta if |P.evaluate| is no lower there.
+
+    mirrors maps a start to an earlier one at its mirror angle on a real
+    line (_mirrors).  Its climb mirrors that one's up to rounding, which
+    the slack bounds twice over, so it is skipped if that one ended at
+    most slack / 2 above the first start's end: it could not have won."""
     value = abs(P.evaluate(_torus_point(theta)))
-    if not axes:
-        return RefineResult(value, tuple(theta), 0, True)
-    (j,) = axes
-    scale = 2.0**-e
-    turned = [(l, t) for l, t in enumerate(theta) if t and l != j]
-    line: dict[int, complex] = {}
-    for alpha, coeff in P.terms.items():
-        coeff *= scale
-        if turned:
-            coeff *= cmath.exp(1j * sum([alpha[l] * t for l, t in turned]))
-        line[alpha[j]] = line.get(alpha[j], 0j) + coeff
+    mirrors = mirrors or {}
     low = min(line)
     span = max(line) - low
-    constant = line.pop(low)
-    terms = [(a - low, (a - low) ** 2, c) for a, c in line.items()]
+    constant = line[low]
+    terms = [(a - low, (a - low) ** 2, c) for a, c in line.items() if a != low]
     rect = cmath.rect
 
     def local(t: float) -> tuple[float, float, float]:
@@ -361,8 +438,10 @@ def _polish(
             step /= cut
         return abs(q) ** 2, step, slope * step
 
-    iterations, converged, ends = 0, True, []
-    for t in starts:
+    iterations, converged, ends, reached = 0, True, [], {}
+    for i, t in enumerate(starts):
+        if i in mirrors and reached[mirrors[i]] <= ends[0][0] + slack * 2.0**-e / 2:
+            continue
         f, step, gain = local(t)
         for its in range(_MAX_ITERATIONS + 1):
             if gain <= _EPS * f:
@@ -377,8 +456,9 @@ def _polish(
                 step, gain = step / 2, gain / 2
         iterations = max(iterations, its)
         ends.append((math.sqrt(f), t))
+        reached[i] = ends[-1][0]
     top, end = max(ends, key=lambda x: x[0])
-    if top <= ends[0][0] + slack * scale:
+    if top <= ends[0][0] + slack * 2.0**-e:
         end = ends[0][1]
     polished = theta[:j] + [end % TWO_PI] + theta[j + 1 :]
     polished_value = abs(P.evaluate(_torus_point(polished)))
@@ -403,7 +483,11 @@ def refine_local(P: HomogeneousPolynomial, angles: tuple[float, ...] | list[floa
     axes = _free_axes(P)
     if len(axes) > 1:
         return _ascend(P, theta, axes, np.array([[theta[j] for j in axes]]))
-    return _polish(P, theta, axes, _unit_exponent(P), [theta[j] for j in axes])
+    if not axes:
+        return RefineResult(abs(P.evaluate(_torus_point(theta))), tuple(theta), 0, True)
+    (j,) = axes
+    e = _unit_exponent(P)
+    return _polish(P, theta, j, _line(P, theta, j, e), e, [theta[j]])
 
 
 def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
@@ -487,20 +571,47 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     _check_grid(grid)
     axes = _free_axes(P)
     e = _unit_exponent(P)
+    if len(axes) == 1:
+        return _line_sup_norm(P, grid, axes[0], e)
     spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
     ratio, error = _sampling(P, e, spans, grid)
     grid_value, start, cells = _grid_scan(P, grid, axes, e, ratio, error)
+    upper = _upper_bracket(P, e, grid, grid_value, ratio, error)
+    if not axes:
+        return SupNormResult(abs(P.evaluate(_torus_point(start))), upper, start, grid, True)
+    starts = TWO_PI * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
+    r = _ascend(P, list(start), axes, starts, error)
+    return SupNormResult(r.value, upper, r.angles, grid, r.converged)
+
+
+def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormResult:
+    """sup_norm with one free axis j, all on its line (_line): the grid,
+    the bracket, the open cells (of a grid of 2^k >= 4D points if the
+    span D >= K) and the polish from them."""
+    theta = [0.0] * P.num_vars
+    line = _line(P, theta, j, e)
+    span = max(line) - min(line)
+    ratio, error = _sampling(P, e, [span], K)
+    value, cell, cells = _line_scan(line, K, ratio, error * 2.0**-e)
+    upper = _upper_bracket(P, e, K, value * 2.0**e, ratio, error)
+    theta[j] = TWO_PI * cell / K
+    starts_grid = K
+    if not ratio:
+        starts_grid = min(1 << (4 * span - 1).bit_length(), MAX_GRID_POINTS)
+        fine_ratio, fine_error = _sampling(P, e, [span], starts_grid)
+        cells = _line_scan(line, starts_grid, fine_ratio, fine_error * 2.0**-e)[2]
+    starts = [TWO_PI * k / starts_grid for k in cells]
+    r = _polish(P, theta, j, line, e, starts, error, _mirrors(line, starts_grid, cells))
+    return SupNormResult(r.value, upper, r.angles, K, r.converged)
+
+
+def _upper_bracket(
+    P: HomogeneousPolynomial, e: int, K: int, grid_value: float, ratio: float, error: float
+) -> float:
+    """The smaller of G + L pi/K and the sampling bound (G + E)/ratio (see
+    sup_norm); ValueError if it is not finite."""
     sampled = (grid_value + error) / ratio if ratio else math.inf
-    upper = min(grid_value + _lipschitz(P, e) * math.pi / grid, sampled)
+    upper = min(grid_value + _lipschitz(P, e) * math.pi / K, sampled)
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
-    if len(axes) > 1:
-        starts = TWO_PI * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
-        r = _ascend(P, list(start), axes, starts, error)
-    else:
-        K = grid
-        if axes and not ratio:
-            K = min(1 << (4 * spans[0] - 1).bit_length(), MAX_GRID_POINTS)
-            cells = _grid_scan(P, K, axes, e, *_sampling(P, e, spans, K))[2]
-        r = _polish(P, list(start), axes, e, [TWO_PI * k / K for k in cells.tolist()], error)
-    return SupNormResult(r.value, upper, r.angles, grid, r.converged)
+    return upper

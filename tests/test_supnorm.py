@@ -624,7 +624,8 @@ def test_polish_keeps_the_start_unless_strictly_higher(monkeypatch):
         ([1.0], 0.0, 0.5),
         ([0.5], 0.0, 0.5),
     ):
-        result = supnorm_module._polish(P, [0.0, 0.5], [1], 0, starts, slack)
+        line = supnorm_module._line(P, [0.0, 0.5], 1, 0)
+        result = supnorm_module._polish(P, [0.0, 0.5], 1, line, 0, starts, slack)
         assert result.angles == (0.0, angle)
         assert result.value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
         assert (result.sweeps, result.converged) == (0, False)
