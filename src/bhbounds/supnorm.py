@@ -16,11 +16,15 @@ from there, and Szego's sampling bound (or a Lipschitz slack, if less)
 turns the grid value into a rigorous upper bracket; all of them run on
 the coefficients scaled by an exact power of two to unit size, where no
 sum overflows.  The grid cells the sampling bound leaves open, up to
-_MAX_STARTS of the highest, start a safeguarded Newton ascent: in plain
-Python along the one line of a single free axis (_polish), batched in
-numpy over two or more (_ascend).  The search scores its candidates on
-the grid without this module (see the search module) and calls sup_norm
-only for its finalists.
+_MAX_STARTS of the highest, start a safeguarded Newton ascent.  Each
+free-axis count has one grid path and one ascent: a single free axis
+works on its line, built once (_line), with one FFT for its grid
+(_line_scan) and an ascent in plain Python (_polish) that climbs two
+mirror cells of a real line once where that cannot change the result;
+two or more free axes take the whole grid (_grid_scan) and a batched
+ascent in numpy (_ascend).  The search scores its candidates on the grid
+without this module (see the search module) and calls sup_norm only for
+its finalists.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -411,9 +415,11 @@ def _polish(
     higher by more than slack; theta if |P.evaluate| is no lower there.
 
     mirrors maps a start to an earlier one at its mirror angle on a real
-    line (_mirrors).  Its climb mirrors that one's up to rounding, which
-    the slack bounds twice over, so it is skipped if that one ended at
-    most slack / 2 above the first start's end: it could not have won."""
+    line (_mirrors).  In exact arithmetic its climb is that one's
+    reflected, t -> -t, to the same |q|; rounding sets the two ends apart
+    by far less than slack / 2 (E, as sup_norm passes it).  So it is
+    skipped if that one ended at most slack / 2 above the first start's
+    end: it could not end more than slack above it, and win."""
     value = abs(P.evaluate(_torus_point(theta)))
     mirrors = mirrors or {}
     low = min(line)
@@ -442,21 +448,10 @@ def _polish(
     for i, t in enumerate(starts):
         if i in mirrors and reached[mirrors[i]] <= ends[0][0] + slack * 2.0**-e / 2:
             continue
-        f, step, gain = local(t)
-        for its in range(_MAX_ITERATIONS + 1):
-            if gain <= _EPS * f:
-                break
-            if its == _MAX_ITERATIONS:
-                converged = False
-                break
-            moved = local(t + step)
-            if moved[0] > f:
-                t, (f, step, gain) = t + step, moved
-            else:
-                step, gain = step / 2, gain / 2
-        iterations = max(iterations, its)
-        ends.append((math.sqrt(f), t))
-        reached[i] = ends[-1][0]
+        f, t, its, done = _climb(local, t)
+        iterations, converged = max(iterations, its), converged and done
+        reached[i] = math.sqrt(f)
+        ends.append((reached[i], t))
     top, end = max(ends, key=lambda x: x[0])
     if top <= ends[0][0] + slack * 2.0**-e:
         end = ends[0][1]
@@ -465,6 +460,25 @@ def _polish(
     if polished_value > value:
         theta, value = polished, polished_value
     return RefineResult(value, tuple(theta), iterations, converged)
+
+
+def _climb(
+    local: Callable[[float], tuple[float, float, float]], t: float
+) -> tuple[float, float, int, bool]:
+    """One start t of _polish: f and the angle where it ends, the
+    iterations and whether it converged (before _MAX_ITERATIONS)."""
+    f, step, gain = local(t)
+    for its in range(_MAX_ITERATIONS + 1):
+        if gain <= _EPS * f:
+            return f, t, its, True
+        if its == _MAX_ITERATIONS:
+            break
+        moved = local(t + step)
+        if moved[0] > f:
+            t, (f, step, gain) = t + step, moved
+        else:
+            step, gain = step / 2, gain / 2
+    return f, t, its, False
 
 
 def refine_local(P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]) -> RefineResult:
@@ -550,8 +564,9 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     the grid maximum's angles: where the ascent (_polish with one free
     axis, _ascend with more) climbs from the cells that the sampling bound
     below leaves open, G's and at most _MAX_STARTS - 1 of the highest
-    others (see _grid_scan).  K cells cannot reach the D peaks of a free
-    axis of span D >= K: its starts come from 2^k >= 4D points instead.
+    others (see _grid_scan and _line_scan).  K cells cannot reach the D
+    peaks of a free axis of span D >= K: its starts come from 2^k >= 4D
+    points instead.
     upper_bracket: the smaller of two bounds from the grid maximum G.
     One is G + L*(pi/K), where L is the Lipschitz bound and pi/K the worst
     per-coordinate distance to a grid point.  The other is Szego's

@@ -1,19 +1,23 @@
 import cmath
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bhbounds import (
+    FamilyParams,
     HomogeneousPolynomial,
     PolynomialFormatError,
     bh_exponent,
+    build_witness,
     coefficient_lp_norm,
     load_polynomial,
     polynomial_from_dict,
     polynomial_to_dict,
     save_polynomial,
+    sup_norm,
 )
 from oracles import brute_lp_norm, random_polynomial
 
@@ -76,10 +80,40 @@ def test_evaluate_dimension_mismatch():
         P.evaluate([1.0])
 
 
+def _evaluate_every_coordinate(P, z):
+    """P.evaluate as it was before it skipped coordinates equal to 1."""
+    total = 0j
+    for alpha, coeff in P.terms.items():
+        term = coeff
+        for zj, aj in zip(z, alpha):
+            if aj:
+                term *= zj**aj
+        total += term
+    return total
+
+
+def test_evaluate_skipping_ones_keeps_the_modulus():
+    # sup_norm evaluates witnesses at points whose pinned coordinates are
+    # exactly 1; skipping them may flip only the sign of a zero part.
+    rng = np.random.default_rng(7)
+    for m in range(2, 17):
+        a, b = rng.uniform(0.25, 2.0), -rng.uniform(0.25, 2.0)
+        c = rng.uniform(-1.0, 1.0) * min(4.0, 4.0 * abs(a * b) / abs(a + b))
+        P = build_witness(m, FamilyParams(a, b, c))
+        angles = [sup_norm(P).arg_angles[1], 0.0, math.pi, *rng.uniform(0, 2 * math.pi, 20)]
+        for t in angles:
+            z = [1 + 0j, cmath.exp(1j * t)] + [1 + 0j] * (m - 2)
+            value, reference = P.evaluate(z), _evaluate_every_coordinate(P, z)
+            assert value == reference
+            assert abs(value) == abs(reference)
+
+
 def test_bh_exponent_values():
     assert bh_exponent(1) == 1.0
     assert bh_exponent(2) == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert bh_exponent(3) == 1.5  # reduced rational, exact
+    # Integer true division rounds correctly: the float nearest 2m/(m+1).
+    assert all(bh_exponent(m) == float(Fraction(2 * m, m + 1)) for m in range(1, 20001))
     with pytest.raises(ValueError):
         bh_exponent(0)
 
