@@ -19,10 +19,9 @@ sum overflows.  The grid cells the sampling bound leaves open, up to
 _MAX_STARTS of the highest, start a safeguarded Newton ascent.  Each
 free-axis count has one grid path and one ascent: a single free axis
 works on its line, built once (_line), with one FFT for its grid
-(_line_scan) and an ascent in plain Python (_polish) that climbs two
-mirror cells of a real line once where that cannot change the result;
-two or more free axes take the whole grid (_grid_scan) and a batched
-ascent in numpy (_ascend).  The search scores its candidates on the grid
+(_line_scan) and an ascent in plain Python (_polish); two or more free
+axes take the whole grid (_grid_scan) and a batched ascent in numpy
+(_ascend).  The search scores its candidates on the grid
 without this module (see the search module) and calls sup_norm only for
 its finalists.
 """
@@ -32,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,21 +261,6 @@ def _line_scan(
     return top, best, [best, *_highest(others, mags[others], _MAX_STARTS - 1)[0].tolist()]
 
 
-def _mirrors(line: dict[int, complex], K: int, cells: list[int]) -> dict[int, int]:
-    """On a real line, where |q(-t)| = |q(t)|, the position in cells of
-    each cell's mirror (K - k) mod K, if that comes before it; none on a
-    complex line."""
-    if any(c.imag for c in line.values()):
-        return {}
-    first: dict[int, int] = {}
-    mirrors = {}
-    for i, k in enumerate(cells):
-        if (K - k) % K in first:
-            mirrors[i] = first[(K - k) % K]
-        first[k] = i
-    return mirrors
-
-
 def _highest(
     at: np.ndarray, values: np.ndarray, count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,7 +383,7 @@ def _ascend(
 
 def _polish(
     P: HomogeneousPolynomial, theta: list[float], j: int, line: dict[int, complex], e: int,
-    starts: list[float], slack: float = 0.0, mirrors: dict[int, int] | None = None,
+    starts: list[float], slack: float = 0.0,
 ) -> RefineResult:
     """_ascend's rules along the one free axis j, in plain Python, from
     each angle of starts in turn, on line (_line, at unit scale 2^-e,
@@ -412,16 +396,8 @@ def _polish(
     of at most u f, never at an untested sqrt(u) f step as _ascend's rows
     may: on flat peaks of the witness family those ended up to 3.6e-12
     relative low.  The first start's end wins unless another's |q| is
-    higher by more than slack; theta if |P.evaluate| is no lower there.
-
-    mirrors maps a start to an earlier one at its mirror angle on a real
-    line (_mirrors).  In exact arithmetic its climb is that one's
-    reflected, t -> -t, to the same |q|; rounding sets the two ends apart
-    by far less than slack / 2 (E, as sup_norm passes it).  So it is
-    skipped if that one ended at most slack / 2 above the first start's
-    end: it could not end more than slack above it, and win."""
+    higher by more than slack; theta if |P.evaluate| is no lower there."""
     value = abs(P.evaluate(_torus_point(theta)))
-    mirrors = mirrors or {}
     low = min(line)
     span = max(line) - low
     constant = line[low]
@@ -444,14 +420,22 @@ def _polish(
             step /= cut
         return abs(q) ** 2, step, slope * step
 
-    iterations, converged, ends, reached = 0, True, [], {}
-    for i, t in enumerate(starts):
-        if i in mirrors and reached[mirrors[i]] <= ends[0][0] + slack * 2.0**-e / 2:
-            continue
-        f, t, its, done = _climb(local, t)
-        iterations, converged = max(iterations, its), converged and done
-        reached[i] = math.sqrt(f)
-        ends.append((reached[i], t))
+    iterations, converged, ends = 0, True, []
+    for t in starts:
+        f, step, gain = local(t)
+        for its in range(_MAX_ITERATIONS + 1):
+            if gain <= _EPS * f:
+                break
+            if its == _MAX_ITERATIONS:
+                converged = False
+                break
+            moved = local(t + step)
+            if moved[0] > f:
+                t, (f, step, gain) = t + step, moved
+            else:
+                step, gain = step / 2, gain / 2
+        iterations = max(iterations, its)
+        ends.append((math.sqrt(f), t))
     top, end = max(ends, key=lambda x: x[0])
     if top <= ends[0][0] + slack * 2.0**-e:
         end = ends[0][1]
@@ -460,25 +444,6 @@ def _polish(
     if polished_value > value:
         theta, value = polished, polished_value
     return RefineResult(value, tuple(theta), iterations, converged)
-
-
-def _climb(
-    local: Callable[[float], tuple[float, float, float]], t: float
-) -> tuple[float, float, int, bool]:
-    """One start t of _polish: f and the angle where it ends, the
-    iterations and whether it converged (before _MAX_ITERATIONS)."""
-    f, step, gain = local(t)
-    for its in range(_MAX_ITERATIONS + 1):
-        if gain <= _EPS * f:
-            return f, t, its, True
-        if its == _MAX_ITERATIONS:
-            break
-        moved = local(t + step)
-        if moved[0] > f:
-            t, (f, step, gain) = t + step, moved
-        else:
-            step, gain = step / 2, gain / 2
-    return f, t, its, False
 
 
 def refine_local(P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]) -> RefineResult:
@@ -615,8 +580,7 @@ def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormR
         starts_grid = min(1 << (4 * span - 1).bit_length(), MAX_GRID_POINTS)
         fine_ratio, fine_error = _sampling(P, e, [span], starts_grid)
         cells = _line_scan(line, starts_grid, fine_ratio, fine_error * 2.0**-e)[2]
-    starts = [TWO_PI * k / starts_grid for k in cells]
-    r = _polish(P, theta, j, line, e, starts, error, _mirrors(line, starts_grid, cells))
+    r = _polish(P, theta, j, line, e, [TWO_PI * k / starts_grid for k in cells], error)
     return SupNormResult(r.value, upper, r.angles, K, r.converged)
 
 

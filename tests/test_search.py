@@ -434,10 +434,9 @@ def _bracket_from_parts(P, grid):
     """sup_norm's bracket put together from torus_grid_max, the two upper
     bounds on it (upper_bracket_from_parts) and the lower end: the ascent
     from the open grid cells, _ascend with two or more free axes (cells
-    of _grid_scan), else _polish from every open cell of the line's grid
-    (_line_scan), mirror cells of a real line too, where the cells come
-    from a grid of the smallest power of two >= 4D points when the span D
-    of the free axis is >= grid."""
+    of _grid_scan), else _polish from the open cells of the line's grid
+    (_line_scan), where the cells come from a grid of the smallest power
+    of two >= 4D points when the span D of the free axis is >= grid."""
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
     grid_value, angles = torus_grid_max(P, grid)
@@ -474,8 +473,7 @@ def _bracket_from_parts(P, grid):
 def test_batched_brackets_equal_sup_norm(grid):
     # sup_norm is the grid maximum, the Lipschitz and sampling bounds and
     # the ascent of _bracket_from_parts; most of these polynomials have one
-    # free axis, where sup_norm skips climbs that mirror others and
-    # _bracket_from_parts does not.
+    # free axis.
     polys = _mixed_polynomials(np.random.default_rng(100 + grid))
     for P in polys:
         assert sup_norm(P, grid) == _bracket_from_parts(P, grid), dict(P.terms)

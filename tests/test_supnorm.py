@@ -14,7 +14,6 @@ from bhbounds import (
     MAX_GRID_POINTS,
     SupNormResult,
     build_witness,
-    optimal_x,
     quadratic_sup_norm,
     sup_norm,
 )
@@ -630,85 +629,6 @@ def test_polish_keeps_the_start_unless_strictly_higher(monkeypatch):
         assert result.angles == (0.0, angle)
         assert result.value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
         assert (result.sweeps, result.converged) == (0, False)
-
-
-def _climbed_cells(monkeypatch, P, K):
-    """sup_norm(P, K), the open cells its polish starts from and the cells
-    it climbs from, in the order climbed."""
-    import bhbounds.supnorm as supnorm_module
-
-    seen = {}
-    polish, climb = supnorm_module._polish, supnorm_module._climb
-
-    def record_polish(*args):
-        seen["starts"], seen["climbs"] = args[5], []
-        return polish(*args)
-
-    def record_climb(local, t):
-        seen["climbs"].append(t)
-        return climb(local, t)
-
-    monkeypatch.setattr(supnorm_module, "_polish", record_polish)
-    monkeypatch.setattr(supnorm_module, "_climb", record_climb)
-    result = sup_norm(P, K)
-    cell = [round(t * K / TWO_PI) % K for t in seen["starts"]]
-    return result, cell, [cell[seen["starts"].index(t)] for t in seen["climbs"]]
-
-
-def _polish_every_cell(P, K, cells):
-    """sup_norm's polish of P at grid K from every one of cells, mirror
-    cells too."""
-    import bhbounds.supnorm as supnorm_module
-
-    (j,) = supnorm_module._free_axes(P)
-    e = supnorm_module._unit_exponent(P)
-    line = supnorm_module._line(P, [0.0] * P.num_vars, j, e)
-    _, error = supnorm_module._sampling(P, e, [max(line) - min(line)], K)
-    start = list(torus_grid_max(P, K)[1])
-    return supnorm_module._polish(P, start, j, line, e, [TWO_PI * k / K for k in cells], error)
-
-
-def test_real_line_climbs_each_mirror_pair_once(monkeypatch):
-    # A real witness has |q(-t)| = |q(t)|: its open cells come in mirror
-    # pairs k, K - k, and each pair is climbed once, with the bracket of
-    # a polish that climbs every cell.
-    for m, K in ((3, 64), (5, 16), (5, 64)):
-        P = build_witness(m, FamilyParams(1.0, -1.0, optimal_x(m)))
-        result, cells, climbed = _climbed_cells(monkeypatch, P, K)
-        monkeypatch.undo()
-        pairs = {frozenset((k, (K - k) % K)) for k in cells}
-        assert len(pairs) < len(cells)
-        assert sorted(map(sorted, pairs)) == sorted(sorted({k, (K - k) % K}) for k in climbed)
-        every = _polish_every_cell(P, K, cells)
-        assert (result.lower_estimate, result.arg_angles) == (every.value, every.angles)
-        assert result.converged == every.converged
-
-
-def test_mirror_cells_climb_when_the_first_start_ends_low(monkeypatch):
-    # Here G's cell, pi, lies between two mirror peaks and its climb stays
-    # there.  Each pair's first climb ends above it, so the mirror climbs
-    # too: the two peaks differ by an ulp, and a polish that climbed each
-    # pair once would end on the lower one.
-    P = build_witness(4, FamilyParams(-0.28991581664485877, 1.5708434376868072, -1.4207100369769479))
-    result, cells, climbed = _climbed_cells(monkeypatch, P, 64)
-    monkeypatch.undo()
-    assert cells[0] == 32 and len(cells) > 2
-    assert climbed == cells
-    every = _polish_every_cell(P, 64, cells)
-    assert (result.lower_estimate, result.arg_angles) == (every.value, every.angles)
-
-
-def test_complex_line_climbs_both_mirror_cells(monkeypatch):
-    # With a complex cross term |q(-t)| != |q(t)|, so both cells of a
-    # mirror pair are climbed.
-    K = 16
-    P = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 2.0 + 0.01j, (0, 2): -1.0})
-    _, cells, climbed = _climbed_cells(monkeypatch, P, K)
-    assert any((K - k) % K in cells and (K - k) % K != k for k in cells)
-    assert climbed == cells
-    for k in cells:
-        t = TWO_PI * k / K
-        assert abs(P.evaluate([1, cmath.exp(1j * t)])) != abs(P.evaluate([1, cmath.exp(-1j * t)]))
 
 
 def test_sup_norm_reaches_a_flat_witness_peak():
