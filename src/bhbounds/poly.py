@@ -86,12 +86,13 @@ class HomogeneousPolynomial:
             raise ValueError(
                 f"point has {len(point)} coordinates, polynomial has {self.num_vars} variables"
             )
+        moved = [(j, zj) for j, zj in enumerate(point) if zj != 1]
         total = 0j
         for alpha, coeff in self.terms.items():
             term = coeff
-            for zj, aj in zip(point, alpha):
-                if aj and zj != 1:
-                    term *= zj**aj
+            for j, zj in moved:
+                if alpha[j]:
+                    term *= zj ** alpha[j]
             total += term
         return total
 
