@@ -19,9 +19,9 @@ sum overflows.  The grid cells the sampling bound leaves open, up to
 _MAX_STARTS of the highest, start a safeguarded Newton ascent.  Each
 free-axis count has one grid path and one ascent: a single free axis
 works on its line, built once (_line), with one FFT for its grid
-(_line_scan) and an ascent in plain Python (_polish); two or more free
-axes take the whole grid (_grid_scan) and a batched ascent in numpy
-(_ascend).  The search scores its candidates on the grid
+(_line_scan) and an ascent in plain Python (_polish), which on a real
+line skips the mirror of the first cell; two or more free axes take the
+whole grid (_grid_scan) and a batched ascent in numpy (_ascend).  The search scores its candidates on the grid
 without this module (see the search module) and calls sup_norm only for
 its finalists.
 """
@@ -567,7 +567,14 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
 def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormResult:
     """sup_norm with one free axis j, all on its line (_line): the grid,
     the bracket, the open cells (of a grid of 2^k >= 4D points if the
-    span D >= K) and the polish from them."""
+    span D >= K) and the polish from them.
+
+    On a real line |q(-t)| = |q(t)|, and the climb from the mirror cell
+    -k0 mod K of the first cell k0 is the first climb reflected: it ends
+    within rounding of it, so it could never beat it by the slack E and
+    win, and it is not made.  Every other cell is climbed, its mirror
+    too: the climb from k0 may end below two mirror peaks, and which of
+    those wins is decided by their last bits."""
     theta = [0.0] * P.num_vars
     line = _line(P, theta, j, e)
     span = max(line) - min(line)
@@ -580,6 +587,8 @@ def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormR
         starts_grid = min(1 << (4 * span - 1).bit_length(), MAX_GRID_POINTS)
         fine_ratio, fine_error = _sampling(P, e, [span], starts_grid)
         cells = _line_scan(line, starts_grid, fine_ratio, fine_error * 2.0**-e)[2]
+    if not any(c.imag for c in line.values()):
+        cells = [k for k in cells if (k + cells[0]) % starts_grid or k == cells[0]]
     r = _polish(P, theta, j, line, e, [TWO_PI * k / starts_grid for k in cells], error)
     return SupNormResult(r.value, upper, r.angles, K, r.converged)
 

@@ -14,6 +14,7 @@ from bhbounds import (
     MAX_GRID_POINTS,
     SupNormResult,
     build_witness,
+    optimal_x,
     quadratic_sup_norm,
     sup_norm,
 )
@@ -629,6 +630,71 @@ def test_polish_keeps_the_start_unless_strictly_higher(monkeypatch):
         assert result.angles == (0.0, angle)
         assert result.value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
         assert (result.sweeps, result.converged) == (0, False)
+
+
+def _polish_cells(monkeypatch, P, K):
+    """sup_norm(P, K) and the cells, at grid K, that its polish climbs
+    from."""
+    import bhbounds.supnorm as supnorm_module
+
+    starts = []
+    polish = supnorm_module._polish
+    monkeypatch.setattr(
+        supnorm_module, "_polish", lambda *args: starts.append(args[5]) or polish(*args)
+    )
+    result = sup_norm(P, K)
+    monkeypatch.undo()
+    return result, [round(t * K / TWO_PI) % K for t in starts[0]]
+
+
+def _every_open_cell(P, K):
+    """The open cells of P's line at grid K (span < K), G's first, and the
+    polish from every one of them."""
+    import bhbounds.supnorm as supnorm_module
+
+    (j,) = supnorm_module._free_axes(P)
+    e = supnorm_module._unit_exponent(P)
+    line = supnorm_module._line(P, [0.0] * P.num_vars, j, e)
+    ratio, error = supnorm_module._sampling(P, e, [max(line) - min(line)], K)
+    cells = supnorm_module._line_scan(line, K, ratio, error * 2.0**-e)[2]
+    start = list(torus_grid_max(P, K)[1])
+    starts = [TWO_PI * k / K for k in cells]
+    return cells, supnorm_module._polish(P, start, j, line, e, starts, error)
+
+
+def test_real_line_skips_the_mirror_of_the_first_cell(monkeypatch):
+    # A real witness has |q(-t)| = |q(t)|: the climb from the mirror of G's
+    # cell would be G's own reflected, and is not made.  Every other open
+    # cell is climbed, and the bracket is that of climbing every cell.
+    for m, K in ((3, 64), (5, 16), (5, 64)):
+        P = build_witness(m, FamilyParams(1.0, -1.0, optimal_x(m)))
+        result, climbed = _polish_cells(monkeypatch, P, K)
+        cells, every = _every_open_cell(P, K)
+        mirror = (K - cells[0]) % K
+        assert mirror in cells and mirror != cells[0]
+        assert climbed == [k for k in cells if k != mirror]
+        assert (result.lower_estimate, result.arg_angles) == (every.value, every.angles)
+        assert result.converged == every.converged
+    # Here G's cell, pi, is its own mirror and lies between two mirror
+    # peaks whose values differ in the last bit.  Both are climbed to, so
+    # the higher one wins, as when every cell is climbed.
+    P = build_witness(4, FamilyParams(-0.28991581664485877, 1.5708434376868072, -1.4207100369769479))
+    result, climbed = _polish_cells(monkeypatch, P, 64)
+    cells, every = _every_open_cell(P, 64)
+    assert climbed == cells and cells[0] == 32 and len(cells) > 2
+    assert (result.lower_estimate, result.arg_angles) == (every.value, every.angles)
+
+
+def test_complex_line_climbs_the_mirror_of_the_first_cell(monkeypatch):
+    # With a complex cross term |q(-t)| != |q(t)|: the mirror of G's cell
+    # is climbed too.
+    K = 16
+    P = HomogeneousPolynomial(2, 2, {(2, 0): 1.0, (1, 1): 2.0 + 0.01j, (0, 2): -1.0})
+    _, climbed = _polish_cells(monkeypatch, P, K)
+    assert climbed == _every_open_cell(P, K)[0]
+    assert (K - climbed[0]) % K in climbed
+    t = TWO_PI * climbed[0] / K
+    assert abs(P.evaluate([1, cmath.exp(1j * t)])) != abs(P.evaluate([1, cmath.exp(-1j * t)]))
 
 
 def test_sup_norm_reaches_a_flat_witness_peak():
