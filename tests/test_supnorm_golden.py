@@ -6,9 +6,11 @@ sup_norm returned for each, every float as its repr (JSON writes floats
 so).  The inputs cover both refinement paths: real and complex binary
 forms, lines whose lowest exponent is above 0, lines and a form whose
 spans reach the grid, witnesses of the family at m = 2, 9 and 16, and
-forms on three variables.  A change that means to move one of these numbers rewrites the
-file in the same change and says why; any other difference is a
-regression.  Rewrite it with
+forms on three variables.  Last bits depend on the FFT and LAPACK
+builds, so the file holds for the numpy build the test header names
+(see conftest.py).  A change that means to move one of these numbers
+rewrites the file in the same change and says why; any other difference
+is a regression.  Rewrite it with
 
     PYTHONPATH=src python tests/test_supnorm_golden.py
 """
