@@ -4,7 +4,7 @@ Bracketing the sup norm on the polydisc
 
 The engine squeezes ||P|| between an attained lower estimate (torus grid
 search plus local refinement) and a rigorous upper bracket (Szego's
-sampling bound on the grid value, or a Lipschitz slack where smaller).
+sampling bound on the grid value, or the l1 coefficient norm where smaller).
 Refinement runs a safeguarded Newton ascent from every grid cell that the
 sampling bound leaves open: along the line of a single free variable in
 plain Python, over two or more in one numpy pass per step.  The quadratic
@@ -18,8 +18,8 @@ perfect end-to-end check of the whole machinery.
 
 import math
 
-from bhbounds import HomogeneousPolynomial, quadratic_sup_norm, sup_norm
-from bhbounds.supnorm import torus_grid_max, torus_lipschitz_bound
+from bhbounds import HomogeneousPolynomial, coefficient_lp_norm, quadratic_sup_norm, sup_norm
+from bhbounds.supnorm import torus_grid_max
 
 a, b, c = 1.0, -1.0, 2.0**1.5
 P = HomogeneousPolynomial(2, 2, {(2, 0): a, (0, 2): b, (1, 1): c})
@@ -32,11 +32,11 @@ print(f"grid maximum (K=64):   {value:.12f} at angles {tuple(round(t, 4) for t i
 # Step 2: the two bounds that turn the grid value G into an upper bracket.
 # Along the one free axis |P| is a trigonometric polynomial whose exponents
 # span D = 2, so Szego's sampling bound gives G / cos(D*pi/(2K)), plus a
-# rounding bound of about 1e-13 relative.  The first-order Lipschitz bound,
-# degree times the l1 coefficient norm, is looser here.
-L = torus_lipschitz_bound(P)
+# rounding bound of about 1e-13 relative.  The triangle bound, the l1
+# coefficient norm (plus the same rounding bound), is looser here.
+l1 = coefficient_lp_norm(P, 1.0)
 print(f"sampling bound:        G / cos(2*pi/128) = {value / math.cos(2 * math.pi / 128):.12f}")
-print(f"Lipschitz bound L:     {L:.6f}  ->  G + L*pi/K = {value + L * math.pi / 64:.6f}")
+print(f"triangle bound:        ||c||_1 = {l1:.12f}")
 
 # Step 3: the full bracket, against the closed form.
 result = sup_norm(P)

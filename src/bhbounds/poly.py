@@ -23,17 +23,16 @@ class PolynomialFormatError(ValueError):
 
 
 def _canonical_index(alpha: Iterable[int], degree: int, num_vars: int) -> MultiIndex:
+    alpha = tuple(alpha)
     key = tuple([int(a) for a in alpha])
+    if key != alpha:
+        raise ValueError(f"multi-index {list(alpha)} has a non-integer exponent")
     if len(key) != num_vars:
-        raise ValueError(
-            f"multi-index {key} has length {len(key)}, expected {num_vars}"
-        )
-    if any(a < 0 for a in key):
+        raise ValueError(f"multi-index {key} has length {len(key)}, expected {num_vars}")
+    if min(key) < 0:
         raise ValueError(f"multi-index {key} has a negative exponent")
     if sum(key) != degree:
-        raise ValueError(
-            f"multi-index {key} has weight {sum(key)}, expected degree {degree}"
-        )
+        raise ValueError(f"multi-index {key} has weight {sum(key)}, expected degree {degree}")
     return key
 
 
@@ -41,8 +40,8 @@ def _canonical_index(alpha: Iterable[int], degree: int, num_vars: int) -> MultiI
 class HomogeneousPolynomial:
     """Degree-m homogeneous polynomial on C^N in canonical sparse form.
 
-    Canonical form: keys are validated against the degree/number of
-    variables, coefficients must be finite (NaN or an infinity raises
+    Canonical form: keys must be integer exponent vectors of the degree
+    and length given, coefficients finite (NaN or an infinity raises
     ValueError), terms with coefficient exactly zero are dropped, and the
     map iterates in sorted key order.  Equality is equality of canonical
     forms.  Instances are immutable and safe to share across workers.
@@ -58,15 +57,13 @@ class HomogeneousPolynomial:
         if self.num_vars < 1:
             raise ValueError(f"num_vars must be >= 1, got {self.num_vars}")
         canon: dict[MultiIndex, complex] = {}
-        for alpha in sorted(tuple([int(a) for a in k]) for k in self.terms):
-            coeff = complex(self.terms[alpha])
-            _canonical_index(alpha, self.degree, self.num_vars)
+        for alpha, coeff in self.terms.items():
+            alpha, coeff = _canonical_index(alpha, self.degree, self.num_vars), complex(coeff)
             if not cmath.isfinite(coeff):
                 raise ValueError(f"term {list(alpha)}: coefficient {coeff} is not finite")
-            if coeff == 0:
-                continue
-            canon[alpha] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(canon))
+            if coeff != 0:
+                canon[alpha] = coeff
+        object.__setattr__(self, "terms", MappingProxyType(dict(sorted(canon.items()))))
 
     @property
     def is_zero(self) -> bool:

@@ -12,8 +12,8 @@ search runs over the other, free, axes, one for the witness family.
 
 Strategy: a uniform angle grid over the free axes, one inverse FFT per
 free axis, gives a lower bound and starting points; refinement climbs
-from there, and Szego's sampling bound (or a Lipschitz slack, if less)
-turns the grid value into a rigorous upper bracket; all of them run on
+from there, and Szego's sampling bound (or the triangle bound ||c||_1,
+if less) turns the grid value into a rigorous upper bracket; all run on
 the coefficients scaled by an exact power of two to unit size, where no
 sum overflows.  The grid cells the sampling bound leaves open, up to
 _MAX_STARTS of the highest, start a safeguarded Newton ascent.  Each
@@ -477,24 +477,22 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     For a homogeneous polynomial the double sum collapses to degree times
     the l_1 coefficient norm.  Summed on the coefficients divided by 2^e
     (see _unit_exponent), it is inf only where L exceeds the largest float.
+    sup_norm does not call it: its triangle bound ||c||_1 is never looser.
     """
-    return _lipschitz(P, _unit_exponent(P))
-
-
-def _lipschitz(P: HomogeneousPolynomial, e: int) -> float:
+    e = _unit_exponent(P)
     return math.fsum([abs(c * 2.0**-e) * sum(alpha) for alpha, c in P.terms.items()]) * 2.0**e
 
 
-def _sampling(P: HomogeneousPolynomial, e: int, spans: list[int], K: int) -> tuple[float, float]:
-    """prod_j cos(D_j pi/(2K)) over the free axes' spans D_j (0 if some D_j >= K)
-    and E, on ||c||_1 summed at unit scale 2^-e; (1, 0) without a free axis."""
-    if not spans:
-        return 1.0, 0.0
+def _sampling(
+    P: HomogeneousPolynomial, e: int, spans: list[int], K: int
+) -> tuple[float, float, float]:
+    """prod_j cos(D_j pi/(2K)) over the free axes' spans D_j (0 if some D_j >= K),
+    E (0 without a free axis) and ||c||_1, summed at unit scale 2^-e."""
     l1 = math.fsum([abs(c * 2.0**-e) for c in P.terms.values()])
-    error = _rounding_bound(P.degree, len(P.terms), P.num_vars, K, l1) * 2.0**e
-    if max(spans) >= K:
-        return 0.0, error
-    return math.prod([math.cos(D * math.pi / (2 * K)) for D in spans]), error
+    error = _rounding_bound(P.degree, len(P.terms), P.num_vars, K, l1) * 2.0**e if spans else 0.0
+    if max(spans, default=0) >= K:
+        return 0.0, error, l1 * 2.0**e
+    return math.prod([math.cos(D * math.pi / (2 * K)) for D in spans]), error, l1 * 2.0**e
 
 
 def _rounding_bound(m: int, terms: int, num_vars: int, grid: int, l1: float) -> float:
@@ -514,9 +512,10 @@ def _rounding_bound(m: int, terms: int, num_vars: int, grid: int, l1: float) -> 
       taken to hold for numpy's mixed-radix passes too), so its argmax
       point has |P| >= G* - 16 (n - 1) log2(K) u ||c||_1;
     - P.evaluate there errs by at most (16 m + 4 n + 2 N) u ||c||_1 (the
-      rounded angle and its powers, the products, the sum).
+      rounded angle and its powers, the products, the sum), and ||c||_1
+      summed by math.fsum of the rounded moduli by at most 2u ||c||_1.
 
-    E bounds the three together.
+    E bounds these together.
     """
     return 64.0 * (m + terms + num_vars * (1.0 + math.log2(grid))) * 2.0**-53 * l1
 
@@ -532,9 +531,11 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     others (see _grid_scan and _line_scan).  K cells cannot reach the D
     peaks of a free axis of span D >= K: its starts come from 2^k >= 4D
     points instead.
-    upper_bracket: the smaller of two bounds from the grid maximum G.
-    One is G + L*(pi/K), where L is the Lipschitz bound and pi/K the worst
-    per-coordinate distance to a grid point.  The other is Szego's
+    upper_bracket: the smaller of two bounds.  One is the triangle bound
+    ||c||_1 + E: |P| <= sum_alpha |c_alpha| on the torus, with equality
+    where the phases of the terms agree, and E (below) exceeds the
+    rounding of that sum and of P.evaluate, so the bracket holds where |P|
+    reaches ||c||_1.  The other, from the grid maximum G, is Szego's
     sampling bound (Ehlich and Zeller, Math. Z. 86, 1964): along free
     axis j, |P| is that of a polynomial of degree D_j, the span of axis
     j's exponents, and K > D_j samples of it reach cos(D_j pi/(2K)) of its
@@ -545,8 +546,9 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     c = K/(K - D_j) <= m + 1, and more than 18 free axes fit the grid
     limit only at K = 2, where c = 2.
     Fewer than two terms (the zero polynomial too) leave no free axis, and
-    |P| is G at every point: both ends are G.  Raises a ValueError for a
-    grid below 2, first, and when the bracket is not finite.
+    |P| is G = ||c||_1 at every point: both ends are G.  Raises a
+    ValueError for a grid below 2, first, and when the bracket is not
+    finite.
     """
     _check_grid(grid)
     axes = _free_axes(P)
@@ -554,9 +556,9 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     if len(axes) == 1:
         return _line_sup_norm(P, grid, axes[0], e)
     spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
-    ratio, error = _sampling(P, e, spans, grid)
+    ratio, error, l1 = _sampling(P, e, spans, grid)
     grid_value, start, cells = _grid_scan(P, grid, axes, e, ratio, error)
-    upper = _upper_bracket(P, e, grid, grid_value, ratio, error)
+    upper = _upper_bracket(grid_value, ratio, error, l1)
     if not axes:
         return SupNormResult(abs(P.evaluate(_torus_point(start))), upper, start, grid, True)
     starts = TWO_PI * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
@@ -578,14 +580,14 @@ def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormR
     theta = [0.0] * P.num_vars
     line = _line(P, theta, j, e)
     span = max(line) - min(line)
-    ratio, error = _sampling(P, e, [span], K)
+    ratio, error, l1 = _sampling(P, e, [span], K)
     value, cell, cells = _line_scan(line, K, ratio, error * 2.0**-e)
-    upper = _upper_bracket(P, e, K, value * 2.0**e, ratio, error)
+    upper = _upper_bracket(value * 2.0**e, ratio, error, l1)
     theta[j] = TWO_PI * cell / K
     starts_grid = K
     if not ratio:
         starts_grid = min(1 << (4 * span - 1).bit_length(), MAX_GRID_POINTS)
-        fine_ratio, fine_error = _sampling(P, e, [span], starts_grid)
+        fine_ratio, fine_error, _ = _sampling(P, e, [span], starts_grid)
         cells = _line_scan(line, starts_grid, fine_ratio, fine_error * 2.0**-e)[2]
     if not any(c.imag for c in line.values()):
         cells = [k for k in cells if (k + cells[0]) % starts_grid or k == cells[0]]
@@ -593,13 +595,13 @@ def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormR
     return SupNormResult(r.value, upper, r.angles, K, r.converged)
 
 
-def _upper_bracket(
-    P: HomogeneousPolynomial, e: int, K: int, grid_value: float, ratio: float, error: float
-) -> float:
-    """The smaller of G + L pi/K and the sampling bound (G + E)/ratio (see
-    sup_norm); ValueError if it is not finite."""
+def _upper_bracket(grid_value: float, ratio: float, error: float, l1: float) -> float:
+    """The smaller of the triangle bound ||c||_1 + E and the sampling bound
+    (G + E)/ratio, inf where ratio is 0 (see sup_norm), from the grid
+    value G, the cosine product, E and ||c||_1 of _sampling alone;
+    ValueError if it is not finite."""
     sampled = (grid_value + error) / ratio if ratio else math.inf
-    upper = min(grid_value + _lipschitz(P, e) * math.pi / K, sampled)
+    upper = min(l1 + error, sampled)
     if not math.isfinite(upper):
         raise ValueError(_NOT_FINITE)
     return upper

@@ -37,7 +37,6 @@ from bhbounds.supnorm import (
     _free_axes,
     _rounding_bound,
     _unit_exponent,
-    torus_lipschitz_bound,
 )
 
 
@@ -184,14 +183,12 @@ def sampling_parts(P: HomogeneousPolynomial, K: int) -> tuple[float, float]:
 
 def upper_bracket_from_parts(P: HomogeneousPolynomial, K: int, grid_value: float) -> float:
     """sup_norm's upper bracket from the grid value G and the library's
-    parts: min(G + L pi/K, (G + E) / prod_j cos(D_j pi/(2K))) (see
-    sampling_parts); the second term is inf when some D_j >= K and G
-    without a free axis."""
-    lipschitz = grid_value + torus_lipschitz_bound(P) * math.pi / K
+    parts: min(||c||_1 + E, (G + E) / prod_j cos(D_j pi/(2K))) (see
+    sampling_parts, coefficient_l1); the second term is inf when some
+    D_j >= K and G without a free axis, where E is 0."""
     ratio, error = sampling_parts(P, K)
-    if not ratio:
-        return lipschitz
-    return min(lipschitz, (grid_value + error) / ratio)
+    sampled = (grid_value + error) / ratio if ratio else math.inf
+    return min(coefficient_l1(P) + error, sampled)
 
 
 def brute_lp_norm(P: HomogeneousPolynomial, p: float) -> float:

@@ -105,9 +105,9 @@ def test_ratio_non_finite_coefficient(tmp_path):
 
 
 def test_ratio_overflowing_coefficients(tmp_path):
-    # At 1e308 the grid maximum itself overflows.  At 7e307 only the
-    # Lipschitz bound does; the sampling bound, summed at unit scale, is
-    # finite and gives the ratios of the same polynomial at unit scale.
+    # At 1e308 the grid maximum itself overflows.  At 7e307 only ||c||_1
+    # does; the sampling bound, summed at unit scale, is finite and gives
+    # the ratios of the same polynomial at unit scale.
     for size in (1e308, 7e307):
         terms = [
             {"alpha": alpha, "re": re, "im": 0.0}

@@ -39,6 +39,15 @@ def test_construction_rejects_bad_indices():
         HomogeneousPolynomial(2, 2, {(3, -1): 1.0})  # negative exponent
     with pytest.raises(ValueError):
         HomogeneousPolynomial(0, 2, {})  # degree must be positive
+    # Non-integer exponents are refused, not truncated: int() reads
+    # (1.2, -0.2) as (1, 0), the key of the other term, and (1.5, 0.5) as
+    # (1, 0), of weight 1.
+    with pytest.raises(ValueError, match="non-integer"):
+        HomogeneousPolynomial(1, 2, {(1.2, -0.2): 5.0, (1, 0): 7.0})
+    with pytest.raises(ValueError, match="non-integer"):
+        HomogeneousPolynomial(2, 2, {(1.5, 0.5): 5.0, (1, 1): 7.0})
+    # Integral floats are exponents; the key is stored as ints.
+    assert HomogeneousPolynomial(2, 2, {(1.0, 1.0): 2.0}).terms == {(1, 1): 2.0}
 
 
 def test_construction_rejects_non_finite_coefficients():

@@ -277,8 +277,8 @@ def test_certificate_from_parent_format_loads():
     # The stored numbers are re-derived from the polynomial and grid alone.
     again = certify(cert.polynomial, cert.supnorm.grid_used)
     assert again.estimate == pytest.approx(cert.estimate, rel=1e-12)
-    # The stored value came from the Lipschitz bracket alone, which the
-    # sampling bracket never exceeds.
+    # The stored value came from the Lipschitz bracket G + L pi/K alone,
+    # which the smaller of the triangle and sampling bounds never exceeds.
     assert again.certified_lower >= cert.certified_lower
     # Re-serialised, the config holds only the search settings, grid included.
     doc = json.loads(certificate_json(cert))
@@ -431,8 +431,8 @@ def _mixed_polynomials(rng):
 
 
 def _bracket_from_parts(P, grid):
-    """sup_norm's bracket put together from torus_grid_max, the two upper
-    bounds on it (upper_bracket_from_parts) and the lower end: the ascent
+    """sup_norm's bracket put together from torus_grid_max, the upper
+    bracket built on it (upper_bracket_from_parts) and the lower end: the ascent
     from the open grid cells, _ascend with two or more free axes (cells
     of _grid_scan), else _polish from the open cells of the line's grid
     (_line_scan), where the cells come from a grid of the smallest power
@@ -471,7 +471,7 @@ def _bracket_from_parts(P, grid):
 
 @pytest.mark.parametrize("grid", [2, 5, 16, 64])
 def test_batched_brackets_equal_sup_norm(grid):
-    # sup_norm is the grid maximum, the Lipschitz and sampling bounds and
+    # sup_norm is the grid maximum, the triangle and sampling bounds and
     # the ascent of _bracket_from_parts; most of these polynomials have one
     # free axis.
     polys = _mixed_polynomials(np.random.default_rng(100 + grid))

@@ -22,6 +22,7 @@ from bhbounds.search import degree_multi_indices
 from bhbounds.supnorm import refine_local, torus_grid_max, torus_lipschitz_bound
 from oracles import (
     brute_force_torus_max,
+    coefficient_l1,
     full_grid_max,
     lipschitz_slack,
     random_polynomial,
@@ -655,7 +656,7 @@ def _every_open_cell(P, K):
     (j,) = supnorm_module._free_axes(P)
     e = supnorm_module._unit_exponent(P)
     line = supnorm_module._line(P, [0.0] * P.num_vars, j, e)
-    ratio, error = supnorm_module._sampling(P, e, [max(line) - min(line)], K)
+    ratio, error, _ = supnorm_module._sampling(P, e, [max(line) - min(line)], K)
     cells = supnorm_module._line_scan(line, K, ratio, error * 2.0**-e)[2]
     start = list(torus_grid_max(P, K)[1])
     starts = [TWO_PI * k / K for k in cells]
@@ -835,12 +836,42 @@ def test_sup_norm_mid_cell_maximum_is_bracketed_tightly():
 
 
 def test_sup_norm_upper_is_never_above_the_lipschitz_bound():
+    # The triangle bound ||c||_1 + E, or the sampling bound where smaller,
+    # is never above G + L pi/K, also where one term dominates, so that G
+    # is close to ||c||_1 and the grid error is small.
     rng = np.random.default_rng(2718)
-    for K in (2, 3, 5, 7, 9, 16, 64):
-        for _ in range(12):
-            P = random_polynomial(rng, int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+    dominant = HomogeneousPolynomial(
+        4, 3, {(4, 0, 0): 100.0, (2, 1, 1): 1 + 1j, (0, 2, 2): -0.5, (1, 3, 0): 0.25j}
+    )
+    for K in (*range(2, 10), 16, 64):
+        polys = [random_polynomial(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5)))
+                 for _ in range(12)]
+        for P in [*polys, dominant]:
             lipschitz = torus_grid_max(P, K)[0] + torus_lipschitz_bound(P) * math.pi / K
-            assert sup_norm(P, K).upper_bracket <= lipschitz
+            assert sup_norm(P, K).upper_bracket <= lipschitz, (dict(P.terms), K)
+
+
+def test_sup_norm_upper_holds_where_the_triangle_bound_is_reached():
+    # Positive coefficients put every term in phase at angle 0, where |P|
+    # is ||c||_1.  P.evaluate adds 0.1 + 0.2 first and rounds above the
+    # fsum of the coefficients, so the upper end needs its E there: without
+    # it the bracket would close below the attained value.  With
+    # z1^2 + z1 z2 + z2^2 and the monomial both sums are exact.
+    forms = [
+        (2, 2, {(2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0}),
+        (2, 2, {(2, 0): 0.3, (1, 1): 0.2, (0, 2): 0.1}),
+        (3, 3, {(3, 0, 0): 0.3, (1, 1, 1): 0.2, (0, 1, 2): 0.1, (1, 2, 0): 0.3}),
+        (3, 2, {(1, 2): 0.7}),
+    ]
+    for m, n, terms in forms:
+        for scale in (2.0**-600, 1.0, 2.0**600):
+            P = HomogeneousPolynomial(m, n, {a: c * scale for a, c in terms.items()})
+            l1 = coefficient_l1(P)
+            for K in (*range(2, 10), 16, 64):
+                result = sup_norm(P, K)
+                assert result.upper_bracket >= l1, (m, n, scale, K)
+                assert result.lower_estimate <= result.upper_bracket
+                assert result.lower_estimate == pytest.approx(l1, rel=1e-15)
 
 
 def test_sup_norm_overflow_raises():
