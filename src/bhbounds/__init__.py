@@ -3,7 +3,7 @@
 The library has four layers:
 
 * poly      -- sparse homogeneous polynomials, evaluation, coefficient norms
-* supnorm   -- bracketed sup norms on the unit polydisc (grid + refine + sampling bound)
+* supnorm   -- bracketed sup norms on the unit polydisc (grid, ascent, sampling and triangle bounds)
 * family    -- witness family, closed-form D(m) bounds, certified ratios
 * search    -- pattern search for witnesses and the certificate file format
 

@@ -24,7 +24,10 @@ class PolynomialFormatError(ValueError):
 
 def _canonical_index(alpha: Iterable[int], degree: int, num_vars: int) -> MultiIndex:
     alpha = tuple(alpha)
-    key = tuple([int(a) for a in alpha])
+    try:
+        key = tuple([int(a) for a in alpha])
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        key = None
     if key != alpha:
         raise ValueError(f"multi-index {list(alpha)} has a non-integer exponent")
     if len(key) != num_vars:

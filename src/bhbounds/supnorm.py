@@ -10,20 +10,26 @@ Variables of constant exponent and, by the diagonal phase symmetry of a
 homogeneous P, one more are pinned to angle zero (see _free_axes); the
 search runs over the other, free, axes, one for the witness family.
 
+Scale: the public functions divide P's coefficients by an exact power of
+two, 2^e (_unit), which puts the largest part in [1, 2), where no sum of
+the terms can overflow, and multiply the values they return by 2^e.
+Past _unit, every helper that reads coefficients takes and returns
+unit-scale numbers only, except _attained, which compares P.evaluate at
+P's own scale.
+
 Strategy: a uniform angle grid over the free axes, one inverse FFT per
 free axis, gives a lower bound and starting points; refinement climbs
 from there, and Szego's sampling bound (or the triangle bound ||c||_1,
-if less) turns the grid value into a rigorous upper bracket; all run on
-the coefficients scaled by an exact power of two to unit size, where no
-sum overflows.  The grid cells the sampling bound leaves open, up to
-_MAX_STARTS of the highest, start a safeguarded Newton ascent.  Each
-free-axis count has one grid path and one ascent: a single free axis
-works on its line, built once (_line), with one FFT for its grid
-(_line_scan) and an ascent in plain Python (_polish), which on a real
-line skips the mirror of the first cell; two or more free axes take the
-whole grid (_grid_scan) and a batched ascent in numpy (_ascend).  The search scores its candidates on the grid
-without this module (see the search module) and calls sup_norm only for
-its finalists.
+if less) turns the grid value into a rigorous upper bracket.  The grid
+cells the sampling bound leaves open, up to _MAX_STARTS of the highest,
+start a safeguarded Newton ascent.  Each free-axis count has one grid
+path and one ascent: a single free axis works on its line, built once
+(_line), with one FFT for its grid (_line_scan) and an ascent in plain
+Python (_polish), which on a real line skips the mirror of the first
+cell; two or more free axes take the whole grid (_grid_scan) and a
+batched ascent in numpy (_ascend).  The search scores its candidates on
+the grid without this module (see the search module) and calls sup_norm
+only for its finalists.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import HomogeneousPolynomial
+from .poly import HomogeneousPolynomial, MultiIndex
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,10 +135,14 @@ def _unit_exponent(P: HomogeneousPolynomial) -> int:
     """e putting P's largest coefficient part divided by 2^e in [1, 2),
     clamped so that 2^e and 2^-e are normal: scaling by them is exact, and
     at unit scale no sum of the terms can overflow."""
-    peak = 0.0
-    for c in P.terms.values():
-        peak = max(peak, abs(c.real), abs(c.imag))
+    peak = max([max(abs(c.real), abs(c.imag)) for c in P.terms.values()], default=0.0)
     return min(max(math.frexp(peak)[1] - 1, -1022), 1022)
+
+
+def _unit(P: HomogeneousPolynomial) -> tuple[int, dict[MultiIndex, complex]]:
+    """e (_unit_exponent) and P's terms divided by 2^e, in term order."""
+    e = _unit_exponent(P)
+    return e, {alpha: c * 2.0**-e for alpha, c in P.terms.items()}
 
 
 def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float, ...]]:
@@ -152,51 +162,52 @@ def torus_grid_max(P: HomogeneousPolynomial, K: int) -> tuple[float, tuple[float
     into an array indexed by exponents mod K over the free axes, and each
     free axis is inverse-transformed by an FFT.  There is one grid path
     per free-axis count: one free axis transforms its line (_line_scan),
-    two or more the whole array (_grid_scan).  At unit scale (see
-    _unit_exponent) the value is inf only past the largest float.
+    two or more the whole array (_grid_scan), both at unit scale (_unit);
+    scaled back by 2^e, the value is inf only past the largest float.
 
-    K >= 2 is checked first; the zero polynomial (0) and a single term
-    (|c|, at unit scale) return before the grid size is checked.
+    K >= 2 is checked first (ValueError); the zero polynomial (0) and a
+    single term (|c|) return before the grid size is (GridTooLargeError).
     """
     _check_grid(K)
-    axes, e = _free_axes(P), _unit_exponent(P)
-    if len(axes) != 1:
-        return _grid_scan(P, K, axes, e, 1.0, 0.0)[:2]
-    (j,) = axes
-    value, cell, _ = _line_scan(_line(P, [0.0] * P.num_vars, j, e), K, 1.0, 0.0)
+    axes = _free_axes(P)
+    e, unit = _unit(P)
     angles = [0.0] * P.num_vars
-    angles[j] = TWO_PI * cell / K
+    if len(axes) == 1:
+        (j,) = axes
+        value, cell, _ = _line_scan(_line(unit, angles, j), K, 1.0, 0.0)
+        angles[j] = TWO_PI * cell / K
+    else:
+        value, angles, _ = _grid_scan(unit, P.num_vars, K, axes, 1.0, 0.0)
     return value * 2.0**e, tuple(angles)
 
 
 def _grid_scan(
-    P: HomogeneousPolynomial, K: int, axes: list[int], e: int, ratio: float, error: float
+    terms: dict[MultiIndex, complex], n: int, K: int, axes: list[int], ratio: float, error: float
 ) -> tuple[float, tuple[float, ...], np.ndarray]:
     """torus_grid_max's value G and angles over two or more free axes
-    (_free_axes) at unit scale 2^-e (_unit_exponent), and the flat indices
-    of the open cells, of value at least ratio * G - error (for sup_norm,
-    those that may be nearest the maximiser): G's first, then at most
-    _MAX_STARTS - 1 others, the highest (see _highest).  Without a free
-    axis, |P| is constant and there is no cell.
+    (_free_axes) of n variables, and the flat indices of the open cells,
+    of value at least ratio * G - error (for sup_norm, those that may be
+    nearest the maximiser): G's first, then at most _MAX_STARTS - 1
+    others, the highest (see _highest); terms, G and error are at unit
+    scale.  Without a free axis, |P| is constant and there is no cell.  A
+    grid over the limit raises GridTooLargeError before the scan.
 
     The last free axis holds only the exponents up to its largest; it is
     transformed last, padded to K points, a slab of rows at a time, which
     bounds each |P| array."""
-    scale = 2.0**-e
-    at, values, error = np.zeros(0, dtype=np.intp), np.zeros(0), error * scale
+    at, values = np.zeros(0, dtype=np.intp), np.zeros(0)
     if not axes:
         # No term, or one: |P| is the same at every point of the torus.
-        value = sum(abs(c * scale) for c in P.terms.values()) * 2.0**e
-        return value, (0.0,) * P.num_vars, at
+        return math.fsum([abs(c) for c in terms.values()]), (0.0,) * n, at
     _check_grid(K, len(axes))
-    last_len = min(K, max(alpha[axes[-1]] for alpha in P.terms) + 1)
+    last_len = min(K, max(alpha[axes[-1]] for alpha in terms) + 1)
     C = np.zeros((K,) * (len(axes) - 1) + (last_len,), dtype=np.complex128)
     slab = max(1, _SLAB_POINTS // K)
     best_val, best_flat = -1.0, 0
     # Exponents that agree mod K give the same grid values, so the terms
     # that alias onto one cell are added, in term order.
-    for alpha, coeff in P.terms.items():
-        C[tuple([alpha[j] % K for j in axes])] += coeff * scale
+    for alpha, coeff in terms.items():
+        C[tuple([alpha[j] % K for j in axes])] += coeff
     for ax in range(C.ndim - 1):
         # norm="forward" leaves the inverse transform unscaled; out=C keeps
         # a single copy of the array (numpy >= 2.0).
@@ -212,29 +223,25 @@ def _grid_scan(
         (new,) = (mags >= best_val * ratio - error).nonzero()
         at = np.concatenate((at, r * K + new))
         at, values = _highest(at, np.concatenate((values, mags[new])), _MAX_STARTS)
-    angles = [0.0] * P.num_vars
+    angles = [0.0] * n
     flat = best_flat
     for j in reversed(axes):
         flat, digit = divmod(flat, K)
         angles[j] = TWO_PI * digit / K
     others = (values >= best_val * ratio - error) & (at != best_flat)
     at = np.concatenate(((best_flat,), _highest(at[others], values[others], _MAX_STARTS - 1)[0]))
-    return best_val * 2.0**e, tuple(angles), at
+    return best_val, tuple(angles), at
 
 
-def _line(
-    P: HomogeneousPolynomial, theta: list[float], j: int, e: int
-) -> dict[int, complex]:
-    """The coefficients c_a of the line q(t) = sum_a c_a e^{i a t} that P
-    traces along axis j from theta: c_a sums, in term order, the terms
-    whose exponent on axis j is a, at unit scale 2^-e and times their
-    phases at theta's other angles (none where those are 0).  With one
-    free axis, every exponent a belongs to one term."""
-    scale = 2.0**-e
+def _line(terms: dict[MultiIndex, complex], theta: list[float], j: int) -> dict[int, complex]:
+    """The coefficients c_a of the line q(t) = sum_a c_a e^{i a t} that
+    the unit-scale terms trace along axis j from theta: c_a sums, in term
+    order, the terms whose exponent on axis j is a, times their phases at
+    theta's other angles (none where those are 0).  With one free axis,
+    every exponent a belongs to one term."""
     turned = [(l, t) for l, t in enumerate(theta) if t and l != j]
     line: dict[int, complex] = {}
-    for alpha, coeff in P.terms.items():
-        coeff *= scale
+    for alpha, coeff in terms.items():
         if turned:
             coeff *= cmath.exp(1j * sum([alpha[l] * t for l, t in turned]))
         line[alpha[j]] = line.get(alpha[j], 0j) + coeff
@@ -276,24 +283,16 @@ def _highest(
     return at[keep], values[keep]
 
 
-def _torus_point(angles: tuple[float, ...] | list[float]) -> tuple[complex, ...]:
-    # e^{i 0} is exactly 1, and pinned angles are mostly 0.
-    return tuple([cmath.exp(1j * t) if t else 1 + 0j for t in angles])
-
-
 def _ascend(
-    P: HomogeneousPolynomial,
-    theta: list[float],
-    axes: list[int],
-    starts: np.ndarray,
-    slack: float = 0.0,
-) -> RefineResult:
-    """Safeguarded Newton ascent on f = |P|^2 over the free axes from each
-    row of starts (free angles, the first theta's own; the others stay
-    theta's), one numpy pass per iteration over the rows of a chunk of
-    _SLAB_POINTS values that are still climbing.  The first row's end wins
-    unless another's |P| is higher by more than slack; theta if
-    |P.evaluate| is no lower there.
+    terms: dict[MultiIndex, complex], theta: Sequence[float], axes: list[int],
+    starts: np.ndarray, slack: float = 0.0,
+) -> tuple[list[float], int, bool]:
+    """Safeguarded Newton ascent on f = |P|^2 of the unit-scale terms over
+    the free axes from each row of starts (free angles, the first theta's
+    own; the others stay theta's), one numpy pass per iteration over the
+    rows of a chunk of _SLAB_POINTS values that are still climbing.  The
+    first row's end wins unless another's |P| is higher by more than
+    slack: returns its angles, the iterations and whether all converged.
 
     With e = c e^{i a.t} at unit scale, grad f = 2 Re(conj(P) dP) and
     Hess f = 2 Re(conj(dP)^T dP + conj(P) d2P), dP = i sum a e and
@@ -308,10 +307,9 @@ def _ascend(
     rows leave them only on an iteration where some row stops, and only
     the rows that did not rise are halved.
     """
-    e = _unit_exponent(P)
-    exps = np.array(list(P.terms), dtype=np.float64)
-    coeffs = np.array(list(P.terms.values())) * 2.0**-e
-    pinned = [j for j in range(P.num_vars) if j not in axes]
+    exps = np.array(list(terms), dtype=np.float64)
+    coeffs = np.array(list(terms.values()))
+    pinned = [j for j in range(len(theta)) if j not in axes]
     if any(theta[j] for j in pinned):
         coeffs = coeffs * np.exp(1j * (exps[:, pinned] @ [theta[j] for j in pinned]))
     a, d = exps[:, axes], len(axes)
@@ -371,33 +369,27 @@ def _ascend(
         top = np.sqrt(ends[:, d])
         if end is None:
             end, best = ends[0, :d], top[0]
-        if top.max() > best + slack * 2.0**-e:
+        if top.max() > best + slack:
             end, best = ends[top.argmax(), :d], top.max()
     polished = dict(zip(axes, (end % TWO_PI).tolist()))
-    polished = [polished.get(j, t) for j, t in enumerate(theta)]
-    value, polished_value = (abs(P.evaluate(_torus_point(x))) for x in (theta, polished))
-    if polished_value > value:
-        theta, value = polished, polished_value
-    return RefineResult(value, tuple(theta), iterations, converged)
+    return [polished.get(j, t) for j, t in enumerate(theta)], iterations, converged
 
 
 def _polish(
-    P: HomogeneousPolynomial, theta: list[float], j: int, line: dict[int, complex], e: int,
-    starts: list[float], slack: float = 0.0,
-) -> RefineResult:
-    """_ascend's rules along the one free axis j, in plain Python, from
-    each angle of starts in turn, on line (_line, at unit scale 2^-e,
-    from theta), q(t) = sum_a c_a e^{i a t}; the exponents are counted
-    from the lowest, so a step costs one term per exponent present, not
-    one per degree.  With s_k = sum a^k c_a e^{i a t}, f = |q|^2 has
-    f'/2 = Im(q conj(s_1)) and f''/2 = |s_1|^2 - Re(conj(q) s_2).  The
-    step f'/|f''| (f' where f'' = 0) moves no phase a t over one radian
-    and is halved until f rises.  A start stops once it predicts a gain
-    of at most u f, never at an untested sqrt(u) f step as _ascend's rows
-    may: on flat peaks of the witness family those ended up to 3.6e-12
-    relative low.  The first start's end wins unless another's |q| is
-    higher by more than slack; theta if |P.evaluate| is no lower there."""
-    value = abs(P.evaluate(_torus_point(theta)))
+    line: dict[int, complex], starts: list[float], slack: float = 0.0
+) -> tuple[float, int, bool]:
+    """_ascend's rules along one free axis, in plain Python, from each
+    angle of starts in turn, on the unit-scale line (_line) q(t) =
+    sum_a c_a e^{i a t}; the exponents are counted from the lowest, so a
+    step costs one term per exponent present, not one per degree.  With
+    s_k = sum a^k c_a e^{i a t}, f = |q|^2 has f'/2 = Im(q conj(s_1)) and
+    f''/2 = |s_1|^2 - Re(conj(q) s_2).  The step f'/|f''| (f' where
+    f'' = 0) moves no phase a t over one radian and is halved until f
+    rises.  A start stops once it predicts a gain of at most u f, never at
+    an untested sqrt(u) f step as _ascend's rows may: on flat peaks of the
+    witness family those ended up to 3.6e-12 relative low.  The first
+    start's end wins unless another's |q| is higher by more than slack;
+    returns its angle, the iterations and whether every start converged."""
     low = min(line)
     span = max(line) - low
     constant = line[low]
@@ -437,13 +429,23 @@ def _polish(
         iterations = max(iterations, its)
         ends.append((math.sqrt(f), t))
     top, end = max(ends, key=lambda x: x[0])
-    if top <= ends[0][0] + slack * 2.0**-e:
+    if top <= ends[0][0] + slack:
         end = ends[0][1]
-    polished = theta[:j] + [end % TWO_PI] + theta[j + 1 :]
-    polished_value = abs(P.evaluate(_torus_point(polished)))
+    return end % TWO_PI, iterations, converged
+
+
+def _attained(
+    P: HomogeneousPolynomial, theta: Sequence[float], polished: Sequence[float]
+) -> tuple[float, tuple[float, ...]]:
+    """|P.evaluate| at P's own scale and the angles it is taken at:
+    polished's where it is strictly higher there than at theta, else
+    theta's.  e^{i 0} is exactly 1, and pinned angles are mostly 0."""
+    value, polished_value = (
+        abs(P.evaluate([cmath.exp(1j * t) if t else 1 + 0j for t in x])) for x in (theta, polished)
+    )
     if polished_value > value:
-        theta, value = polished, polished_value
-    return RefineResult(value, tuple(theta), iterations, converged)
+        return polished_value, tuple(polished)
+    return value, tuple(theta)
 
 
 def refine_local(P: HomogeneousPolynomial, angles: tuple[float, ...] | list[float]) -> RefineResult:
@@ -460,13 +462,16 @@ def refine_local(P: HomogeneousPolynomial, angles: tuple[float, ...] | list[floa
     if len(theta) != P.num_vars:
         raise ValueError(f"angle vector has length {len(theta)}, expected {P.num_vars}")
     axes = _free_axes(P)
+    _, unit = _unit(P)
+    polished, iterations, converged = theta, 0, True
     if len(axes) > 1:
-        return _ascend(P, theta, axes, np.array([[theta[j] for j in axes]]))
-    if not axes:
-        return RefineResult(abs(P.evaluate(_torus_point(theta))), tuple(theta), 0, True)
-    (j,) = axes
-    e = _unit_exponent(P)
-    return _polish(P, theta, j, _line(P, theta, j, e), e, [theta[j]])
+        starts = np.array([[theta[j] for j in axes]])
+        polished, iterations, converged = _ascend(unit, theta, axes, starts)
+    elif axes:
+        (j,) = axes
+        end, iterations, converged = _polish(_line(unit, theta, j), [theta[j]])
+        polished = theta[:j] + [end] + theta[j + 1 :]
+    return RefineResult(*_attained(P, theta, polished), iterations, converged)
 
 
 def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
@@ -475,24 +480,26 @@ def torus_lipschitz_bound(P: HomogeneousPolynomial) -> float:
     |d/dtheta_j P(e^{i theta})| <= sum_alpha |c_alpha| alpha_j, so moving
     every coordinate by at most delta changes |P| by at most L*delta.
     For a homogeneous polynomial the double sum collapses to degree times
-    the l_1 coefficient norm.  Summed on the coefficients divided by 2^e
-    (see _unit_exponent), it is inf only where L exceeds the largest float.
+    the l_1 coefficient norm.  Summed on the unit-scale terms (_unit) and
+    scaled back by 2^e, it is inf only where L exceeds the largest float.
     sup_norm does not call it: its triangle bound ||c||_1 is never looser.
     """
-    e = _unit_exponent(P)
-    return math.fsum([abs(c * 2.0**-e) * sum(alpha) for alpha, c in P.terms.items()]) * 2.0**e
+    e, unit = _unit(P)
+    return math.fsum([abs(c) * sum(alpha) for alpha, c in unit.items()]) * 2.0**e
 
 
 def _sampling(
-    P: HomogeneousPolynomial, e: int, spans: list[int], K: int
+    terms: dict[MultiIndex, complex], m: int, n: int, spans: list[int], K: int
 ) -> tuple[float, float, float]:
-    """prod_j cos(D_j pi/(2K)) over the free axes' spans D_j (0 if some D_j >= K),
-    E (0 without a free axis) and ||c||_1, summed at unit scale 2^-e."""
-    l1 = math.fsum([abs(c * 2.0**-e) for c in P.terms.values()])
-    error = _rounding_bound(P.degree, len(P.terms), P.num_vars, K, l1) * 2.0**e if spans else 0.0
+    """prod_j cos(D_j pi/(2K)) over the free axes' spans D_j (0 if some
+    D_j >= K), E (0 without a free axis) and ||c||_1, at unit scale, of
+    the unit-scale terms of a degree-m form on n variables; finite there,
+    they raise nothing (sup_norm checks the bracket it scales back)."""
+    l1 = math.fsum([abs(c) for c in terms.values()])
+    error = _rounding_bound(m, len(terms), n, K, l1) if spans else 0.0
     if max(spans, default=0) >= K:
-        return 0.0, error, l1 * 2.0**e
-    return math.prod([math.cos(D * math.pi / (2 * K)) for D in spans]), error, l1 * 2.0**e
+        return 0.0, error, l1
+    return math.prod([math.cos(D * math.pi / (2 * K)) for D in spans]), error, l1
 
 
 def _rounding_bound(m: int, terms: int, num_vars: int, grid: int, l1: float) -> float:
@@ -540,68 +547,60 @@ def sup_norm(P: HomogeneousPolynomial, grid: int = DEFAULT_GRID) -> SupNormResul
     axis j, |P| is that of a polynomial of degree D_j, the span of axis
     j's exponents, and K > D_j samples of it reach cos(D_j pi/(2K)) of its
     maximum; axis by axis, ||P|| <= (G + E) / prod_j cos(D_j pi/(2K)), inf
-    if some D_j >= K.  E (_rounding_bound, on ||c||_1 summed at unit
-    scale) exceeds the rounding of G by 56 (m + N + n) u ||c||_1, which
-    covers the quotient and the cosines: each is within (3c + 2)u, where
-    c = K/(K - D_j) <= m + 1, and more than 18 free axes fit the grid
-    limit only at K = 2, where c = 2.
+    if some D_j >= K.  E (_rounding_bound) exceeds the rounding of G by
+    56 (m + N + n) u ||c||_1, which covers the quotient and the cosines:
+    each is within (3c + 2)u, where c = K/(K - D_j) <= m + 1, and more
+    than 18 free axes fit the grid limit only at K = 2, where c = 2.
     Fewer than two terms (the zero polynomial too) leave no free axis, and
-    |P| is G = ||c||_1 at every point: both ends are G.  Raises a
-    ValueError for a grid below 2, first, and when the bracket is not
-    finite.
+    |P| is G = ||c||_1 at every point: both ends are G.  All of it runs
+    on the unit-scale terms (_unit), and the bracket is scaled back by
+    2^e.  Raises, before any ascent, a ValueError for a grid below 2,
+    first, GridTooLargeError for a grid over the limit, and a ValueError
+    when the scaled bracket is not finite.
     """
     _check_grid(grid)
     axes = _free_axes(P)
-    e = _unit_exponent(P)
-    if len(axes) == 1:
-        return _line_sup_norm(P, grid, axes[0], e)
-    spans = [max(a[j] for a in P.terms) - min(a[j] for a in P.terms) for j in axes]
-    ratio, error, l1 = _sampling(P, e, spans, grid)
-    grid_value, start, cells = _grid_scan(P, grid, axes, e, ratio, error)
-    upper = _upper_bracket(grid_value, ratio, error, l1)
-    if not axes:
-        return SupNormResult(abs(P.evaluate(_torus_point(start))), upper, start, grid, True)
-    starts = TWO_PI * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
-    r = _ascend(P, list(start), axes, starts, error)
-    return SupNormResult(r.value, upper, r.angles, grid, r.converged)
-
-
-def _line_sup_norm(P: HomogeneousPolynomial, K: int, j: int, e: int) -> SupNormResult:
-    """sup_norm with one free axis j, all on its line (_line): the grid,
-    the bracket, the open cells (of a grid of 2^k >= 4D points if the
-    span D >= K) and the polish from them.
-
-    On a real line |q(-t)| = |q(t)|, and the climb from the mirror cell
-    -k0 mod K of the first cell k0 is the first climb reflected: it ends
-    within rounding of it, so it could never beat it by the slack E and
-    win, and it is not made.  Every other cell is climbed, its mirror
-    too: the climb from k0 may end below two mirror peaks, and which of
-    those wins is decided by their last bits."""
+    e, unit = _unit(P)
+    spans = [max(a[j] for a in unit) - min(a[j] for a in unit) for j in axes]
+    ratio, error, l1 = _sampling(unit, P.degree, P.num_vars, spans, grid)
     theta = [0.0] * P.num_vars
-    line = _line(P, theta, j, e)
-    span = max(line) - min(line)
-    ratio, error, l1 = _sampling(P, e, [span], K)
-    value, cell, cells = _line_scan(line, K, ratio, error * 2.0**-e)
-    upper = _upper_bracket(value * 2.0**e, ratio, error, l1)
-    theta[j] = TWO_PI * cell / K
-    starts_grid = K
-    if not ratio:
-        starts_grid = min(1 << (4 * span - 1).bit_length(), MAX_GRID_POINTS)
-        fine_ratio, fine_error, _ = _sampling(P, e, [span], starts_grid)
-        cells = _line_scan(line, starts_grid, fine_ratio, fine_error * 2.0**-e)[2]
-    if not any(c.imag for c in line.values()):
-        cells = [k for k in cells if (k + cells[0]) % starts_grid or k == cells[0]]
-    r = _polish(P, theta, j, line, e, [TWO_PI * k / starts_grid for k in cells], error)
-    return SupNormResult(r.value, upper, r.angles, K, r.converged)
+    if len(axes) == 1:
+        (j,) = axes
+        line = _line(unit, theta, j)
+        grid_value, cell, cells = _line_scan(line, grid, ratio, error)
+        theta[j] = TWO_PI * cell / grid
+    else:
+        grid_value, theta, cells = _grid_scan(unit, P.num_vars, grid, axes, ratio, error)
+    upper = _upper_bracket(grid_value, ratio, error, l1) * 2.0**e
+    if not math.isfinite(upper):
+        raise ValueError(_NOT_FINITE)
+    polished, converged = theta, True
+    if len(axes) == 1:
+        starts_grid = grid
+        if not ratio:
+            starts_grid = min(1 << (4 * spans[0] - 1).bit_length(), MAX_GRID_POINTS)
+            fine_ratio, fine_error, _ = _sampling(unit, P.degree, P.num_vars, spans, starts_grid)
+            cells = _line_scan(line, starts_grid, fine_ratio, fine_error)[2]
+        # On a real line |q(-t)| = |q(t)|: the climb from the mirror -k0 of
+        # the first cell k0 would end within rounding of k0's, could not win
+        # by the slack E, and is not made.  Other mirrors are climbed: k0's
+        # climb may end below two mirror peaks, whose last bits decide.
+        if not any(c.imag for c in line.values()):
+            cells = [k for k in cells if (k + cells[0]) % starts_grid or k == cells[0]]
+        end, _, converged = _polish(line, [TWO_PI * k / starts_grid for k in cells], error)
+        polished = theta[:j] + [end] + theta[j + 1 :]
+    elif axes:
+        starts = TWO_PI * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
+        polished, _, converged = _ascend(unit, theta, axes, starts, error)
+    value, angles = _attained(P, theta, polished)
+    return SupNormResult(value, upper, angles, grid, converged)
 
 
 def _upper_bracket(grid_value: float, ratio: float, error: float, l1: float) -> float:
     """The smaller of the triangle bound ||c||_1 + E and the sampling bound
     (G + E)/ratio, inf where ratio is 0 (see sup_norm), from the grid
-    value G, the cosine product, E and ||c||_1 of _sampling alone;
-    ValueError if it is not finite."""
+    value G, the cosine product, E and ||c||_1 of _sampling alone, all at
+    unit scale, where the result is finite; a checker scales it by 2^e,
+    and sup_norm raises the not-finite ValueError after that scaling."""
     sampled = (grid_value + error) / ratio if ratio else math.inf
-    upper = min(l1 + error, sampled)
-    if not math.isfinite(upper):
-        raise ValueError(_NOT_FINITE)
-    return upper
+    return min(l1 + error, sampled)

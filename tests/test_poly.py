@@ -46,6 +46,11 @@ def test_construction_rejects_bad_indices():
         HomogeneousPolynomial(1, 2, {(1.2, -0.2): 5.0, (1, 0): 7.0})
     with pytest.raises(ValueError, match="non-integer"):
         HomogeneousPolynomial(2, 2, {(1.5, 0.5): 5.0, (1, 1): 7.0})
+    # int() raises OverflowError for an infinity and its own ValueError for
+    # a NaN; both are refused as non-integer exponents.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-integer"):
+            HomogeneousPolynomial(1, 2, {(bad, 0.0): 1.0})
     # Integral floats are exponents; the key is stored as ints.
     assert HomogeneousPolynomial(2, 2, {(1.0, 1.0): 2.0}).terms == {(1, 1): 2.0}
 

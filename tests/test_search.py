@@ -436,18 +436,21 @@ def _bracket_from_parts(P, grid):
     from the open grid cells, _ascend with two or more free axes (cells
     of _grid_scan), else _polish from the open cells of the line's grid
     (_line_scan), where the cells come from a grid of the smallest power
-    of two >= 4D points when the span D of the free axis is >= grid."""
+    of two >= 4D points when the span D of the free axis is >= grid, and
+    _attained to keep the higher of the grid maximum and the ascent's end."""
     if P.is_zero:
         return SupNormResult(0.0, 0.0, (0.0,) * P.num_vars, grid, True)
     grid_value, angles = torus_grid_max(P, grid)
     upper = upper_bracket_from_parts(P, grid, grid_value)
     axes = supnorm_module._free_axes(P)
-    e = supnorm_module._unit_exponent(P)
+    # The helpers take P's terms and E at unit scale, divided by 2^e.
+    e, unit = supnorm_module._unit(P)
     ratio, error = sampling_parts(P, grid)
+    error *= 2.0**-e
     if len(axes) == 1:
         (j,) = axes
-        line = supnorm_module._line(P, [0.0] * P.num_vars, j, e)
-        value, cell, cells = supnorm_module._line_scan(line, grid, ratio, error * 2.0**-e)
+        line = supnorm_module._line(unit, [0.0] * P.num_vars, j)
+        value, cell, cells = supnorm_module._line_scan(line, grid, ratio, error)
         start = [0.0] * P.num_vars
         start[j] = 2 * math.pi * cell / grid
         assert (value * 2.0**e, tuple(start)) == (grid_value, angles)
@@ -457,16 +460,18 @@ def _bracket_from_parts(P, grid):
             fine_ratio, fine_error = sampling_parts(P, K)
             cells = supnorm_module._line_scan(line, K, fine_ratio, fine_error * 2.0**-e)[2]
         starts = [2 * math.pi * k / K for k in cells]
-        refined = supnorm_module._polish(P, start, j, line, e, starts, error)
+        end, _, converged = supnorm_module._polish(line, starts, error)
+        polished = start[:j] + [end] + start[j + 1 :]
     else:
-        value, start, cells = supnorm_module._grid_scan(P, grid, axes, e, ratio, error)
-        assert (value, start) == (grid_value, angles)
-        if axes:
-            starts = 2 * math.pi * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
-            refined = supnorm_module._ascend(P, list(start), axes, starts, error)
-        else:
+        value, start, cells = supnorm_module._grid_scan(unit, P.num_vars, grid, axes, ratio, error)
+        assert (value * 2.0**e, start) == (grid_value, angles)
+        if not axes:
             refined = refine_local(P, start)
-    return SupNormResult(refined.value, upper, refined.angles, grid, refined.converged)
+            return SupNormResult(refined.value, upper, refined.angles, grid, refined.converged)
+        starts = 2 * math.pi * np.stack(np.unravel_index(cells, (grid,) * len(axes)), axis=1) / grid
+        polished, _, converged = supnorm_module._ascend(unit, list(start), axes, starts, error)
+    lower, lower_angles = supnorm_module._attained(P, list(start), polished)
+    return SupNormResult(lower, upper, lower_angles, grid, converged)
 
 
 @pytest.mark.parametrize("grid", [2, 5, 16, 64])

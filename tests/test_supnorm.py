@@ -19,7 +19,7 @@ from bhbounds import (
     sup_norm,
 )
 from bhbounds.search import degree_multi_indices
-from bhbounds.supnorm import refine_local, torus_grid_max, torus_lipschitz_bound
+from bhbounds.supnorm import RefineResult, refine_local, torus_grid_max, torus_lipschitz_bound
 from oracles import (
     brute_force_torus_max,
     coefficient_l1,
@@ -613,11 +613,12 @@ def test_polish_keeps_the_start_unless_strictly_higher(monkeypatch):
     # P = z1 + z2 leaves the line q(t) = 1 + e^{it} on the free axis, so
     # |q| = 2|cos(t/2)|.  With no iteration allowed, each start ends where
     # it began: the first start's end wins unless another's is higher by
-    # more than the slack, and the polish moves from theta = (0, 0.5) only
+    # more than the slack, and _attained moves from theta = (0, 0.5) only
     # if |P| at that end is strictly higher.
     import bhbounds.supnorm as supnorm_module
 
     P = HomogeneousPolynomial(1, 2, {(1, 0): 1.0, (0, 1): 1.0})
+    _, unit = supnorm_module._unit(P)
     monkeypatch.setattr(supnorm_module, "_MAX_ITERATIONS", 0)
     for starts, slack, angle in (
         ([0.5, 0.0], 0.0, 0.0),
@@ -626,11 +627,12 @@ def test_polish_keeps_the_start_unless_strictly_higher(monkeypatch):
         ([1.0], 0.0, 0.5),
         ([0.5], 0.0, 0.5),
     ):
-        line = supnorm_module._line(P, [0.0, 0.5], 1, 0)
-        result = supnorm_module._polish(P, [0.0, 0.5], 1, line, 0, starts, slack)
-        assert result.angles == (0.0, angle)
-        assert result.value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
-        assert (result.sweeps, result.converged) == (0, False)
+        line = supnorm_module._line(unit, [0.0, 0.5], 1)
+        end, sweeps, converged = supnorm_module._polish(line, starts, slack)
+        value, angles = supnorm_module._attained(P, [0.0, 0.5], [0.0, end])
+        assert angles == (0.0, angle)
+        assert value == pytest.approx(2 * math.cos(angle / 2), rel=1e-15)
+        assert (sweeps, converged) == (0, False)
 
 
 def _polish_cells(monkeypatch, P, K):
@@ -641,7 +643,7 @@ def _polish_cells(monkeypatch, P, K):
     starts = []
     polish = supnorm_module._polish
     monkeypatch.setattr(
-        supnorm_module, "_polish", lambda *args: starts.append(args[5]) or polish(*args)
+        supnorm_module, "_polish", lambda *args: starts.append(args[1]) or polish(*args)
     )
     result = sup_norm(P, K)
     monkeypatch.undo()
@@ -650,17 +652,20 @@ def _polish_cells(monkeypatch, P, K):
 
 def _every_open_cell(P, K):
     """The open cells of P's line at grid K (span < K), G's first, and the
-    polish from every one of them."""
+    polish from every one of them, kept by _attained."""
     import bhbounds.supnorm as supnorm_module
 
     (j,) = supnorm_module._free_axes(P)
-    e = supnorm_module._unit_exponent(P)
-    line = supnorm_module._line(P, [0.0] * P.num_vars, j, e)
-    ratio, error, _ = supnorm_module._sampling(P, e, [max(line) - min(line)], K)
-    cells = supnorm_module._line_scan(line, K, ratio, error * 2.0**-e)[2]
+    _, unit = supnorm_module._unit(P)
+    line = supnorm_module._line(unit, [0.0] * P.num_vars, j)
+    spans = [max(line) - min(line)]
+    ratio, error, _ = supnorm_module._sampling(unit, P.degree, P.num_vars, spans, K)
+    cells = supnorm_module._line_scan(line, K, ratio, error)[2]
     start = list(torus_grid_max(P, K)[1])
     starts = [TWO_PI * k / K for k in cells]
-    return cells, supnorm_module._polish(P, start, j, line, e, starts, error)
+    end, sweeps, converged = supnorm_module._polish(line, starts, error)
+    polished = start[:j] + [end] + start[j + 1 :]
+    return cells, RefineResult(*supnorm_module._attained(P, start, polished), sweeps, converged)
 
 
 def test_real_line_skips_the_mirror_of_the_first_cell(monkeypatch):

@@ -21,8 +21,17 @@ from pathlib import Path
 
 import pytest
 
-from bhbounds import FamilyParams, HomogeneousPolynomial, build_witness, optimal_x, sup_norm
+from bhbounds import (
+    FamilyParams,
+    HomogeneousPolynomial,
+    SupNormResult,
+    build_witness,
+    certify,
+    optimal_x,
+    sup_norm,
+)
 from bhbounds.poly import polynomial_from_dict, polynomial_to_dict
+from bhbounds.supnorm import refine_local, torus_grid_max
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "supnorm_brackets.json"
 GRIDS = (7, 16, 64)
@@ -100,6 +109,27 @@ def test_sup_norm_matches_golden_brackets(name, P):
     assert polynomial_from_dict(stored["polynomial"]) == P
     # Serialised, so that every float is compared by its repr.
     assert json.dumps(brackets(P)) == json.dumps(stored["brackets"])
+
+
+@pytest.mark.parametrize("name, P", CASES, ids=[name for name, _ in CASES])
+def test_power_of_two_scaling_moves_no_number(name, P):
+    # Every step runs on the coefficients divided by an exact power of two,
+    # so scaling P by 2^k scales the bracket, the grid maximum and the
+    # refined value by exactly 2^k, moves no angle and keeps both ratios.
+    for K in GRIDS:
+        r = sup_norm(P, K)
+        grid_value, grid_angles = torus_grid_max(P, K)
+        refined = refine_local(P, grid_angles)
+        cert = certify(P, K)
+        for k in (-900, -600, 600, 900):
+            Q, s = P.scaled(2.0**k), 2.0**k
+            assert sup_norm(Q, K) == SupNormResult(
+                r.lower_estimate * s, r.upper_bracket * s, r.arg_angles, K, r.converged
+            ), (k, K)
+            assert torus_grid_max(Q, K) == (grid_value * s, grid_angles), (k, K)
+            assert refine_local(Q, grid_angles) == refined._replace(value=refined.value * s)
+            scaled = certify(Q, K)
+            assert (scaled.estimate, scaled.certified_lower) == (cert.estimate, cert.certified_lower)
 
 
 if __name__ == "__main__":
